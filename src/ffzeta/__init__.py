@@ -62,13 +62,11 @@ from .ore import (
     TModuleCarlitzPower,
     TorsionModule,
     carlitz,
-    drinfeld_action,
     drinfeld_rank1,
     drinfeld_rank2,
     exp_coefficients,
     frobenius_charpoly,
     frobenius_on_torsion,
-    ore_mul,
     point_module_annihilator,
     reduce_mod_prime,
     residue_field,

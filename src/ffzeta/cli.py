@@ -368,6 +368,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         p, m = parse_r(args.r)
+        if args.dmax < 0:
+            raise ParseError(str(args.dmax), 0, "--dmax must be nonnegative")
         config = RunConfig(
             r_text=args.r,
             p=p,

@@ -575,8 +575,3 @@ class ExtField:
 
     def __repr__(self):
         return f"ExtField(q={self.q} over q0={self.base.q})"
-
-
-def frobenius(F, a, r: int):
-    """The r-power Frobenius x -> x^r in any field object F."""
-    return F.pow_(a, r)

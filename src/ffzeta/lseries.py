@@ -7,10 +7,15 @@ recursion obtained by writing n = T*m + c and expanding binomially:
     S_e(k) = - sum_{0 < j <= k, (r-1) | j} C(k, j) T^(k-j) S_{e-1}(k-j)
 
 with S_0(k) = 1, because sum_{c in F_r} c^j is -1 for positive multiples
-of r-1 and 0 otherwise.  The recursion only ever lowers k, so once a full
-row of zeros appears every higher row vanishes identically; this makes
-special-polynomial degrees computable far past the reach of enumeration,
-while direct enumeration remains the oracle at desk scale.
+of r-1 and 0 otherwise.  Its coefficients are binomials mod p and -1, so
+S_e(k) lies in F_p[T] for every r = p^m, and one numpy table of residues
+mod p (``PowerSumTable``) serves prime and prime-power r alike:
+``FiniteField`` encodes elements as base-p digits, so the residues
+0..p-1 are exactly the constants of F_p inside F_r.  The recursion only
+ever lowers k, so once a full row of zeros appears every higher row
+vanishes identically; this makes special-polynomial degrees computable
+far past the reach of enumeration, while direct enumeration remains the
+oracle at desk scale.
 """
 
 from __future__ import annotations
@@ -116,7 +121,12 @@ def _digit_matrix(n_max: int, p: int) -> np.ndarray:
 
 
 class PowerSumTable:
-    """Rows of power sums S_e(k) over a prime field, built bottom-up.
+    """Rows of power sums S_e(k) over F_r, r = p^m, built bottom-up.
+
+    Entries are residues mod p, i.e. constants of F_p inside F_r, so the
+    same table serves every r = p^m.  Rows are stored in the smallest
+    dtype that holds p - 1; each product of a binomial with a row is
+    accumulated in int64, so nothing wraps.
 
     Row e is computed from row e-1 for every k <= k_max; when a row is zero
     across the whole k-range, all later rows are zero too (the recursion
@@ -125,13 +135,12 @@ class PowerSumTable:
     """
 
     def __init__(self, field_r, k_max: int, keep_arrays: bool = True):
-        if field_r.m != 1:
-            raise ValueError("fast table requires a prime field; use power_sum()")
         self.field = field_r
         self.p = field_r.p
         self.r = field_r.q
         self.k_max = k_max
         self.keep_arrays = keep_arrays
+        self._dtype = np.min_scalar_type(self.p - 1)
         self._digits = _digit_matrix(k_max, self.p)
         self._binoms = _binom_table(self.p)
         self._rows: list = []  # per e: list of np arrays or None
@@ -140,7 +149,7 @@ class PowerSumTable:
         self._build_row0()
 
     def _build_row0(self):
-        row = [np.array([1], dtype=np.int8) for _ in range(self.k_max + 1)]
+        row = [np.ones(1, dtype=self._dtype) for _ in range(self.k_max + 1)]
         self._rows.append(row)
         self._flags.append(np.ones(self.k_max + 1, dtype=bool))
 
@@ -186,12 +195,12 @@ class PowerSumTable:
             for j, c in zip(js[live], cs[live]):
                 child = prev[k - j]
                 shift = k - j
-                acc[shift : shift + len(child)] += (p - int(c)) * child
+                acc[shift : shift + len(child)] += np.multiply(p - c, child, dtype=np.int64)
             acc %= p
             nz = np.nonzero(acc)[0]
             if len(nz) == 0:
                 continue
-            row[k] = acc[: nz[-1] + 1].astype(np.int8)
+            row[k] = acc[: nz[-1] + 1].astype(self._dtype)
             flags[k] = True
         self._flags.append(flags)
         if not flags.any():
@@ -251,50 +260,19 @@ def _table_for(field_r, k: int) -> PowerSumTable:
     return tab
 
 
-_GENERIC_MEMO: dict = {}
-
-
-def _power_sum_generic(field_r, e: int, k: int) -> Poly:
-    """Recursion with Poly arithmetic; serves non-prime F_r at desk scale."""
-    from .laurent import binom_mod_p
-
-    key = (field_r, e, k)
-    if key in _GENERIC_MEMO:
-        return _GENERIC_MEMO[key]
-    r = field_r.q
-    if e == 0:
-        out = Poly.one(field_r)
-    elif k < e * (r - 1):
-        out = Poly.zero(field_r)
-    else:
-        out = Poly.zero(field_r)
-        j = r - 1
-        while j <= k - (e - 1) * (r - 1):
-            c = binom_mod_p(k, j, field_r.p)
-            if c:
-                child = _power_sum_generic(field_r, e - 1, k - j)
-                if not child.is_zero():
-                    term = child.shift(k - j).scale(field_r.element_from_index(c))
-                    out = out - term
-            j += r - 1
-    _GENERIC_MEMO[key] = out
-    return out
-
-
 def power_sum(field_r, e: int, k: int) -> Poly:
     """S_e(k) = sum over monic n of degree e of n^k, exactly.
 
     Returns 0 immediately when k < e(r-1) (the vanishing criterion); the
-    nonzero range is served by the binomial recursion, which enumeration
-    cross-checks at desk scale (see power_sum_enumerated).
+    nonzero range is read from the ``PowerSumTable`` of F_r, for prime and
+    prime-power r alike, which enumeration cross-checks at desk scale (see
+    power_sum_enumerated).
     """
     if e < 0 or k < 0:
         raise ValueError("e and k must be nonnegative")
     r = field_r.q
     if k < e * (r - 1):
         return Poly.zero(field_r)
-    if field_r.m != 1:
-        return _power_sum_generic(field_r, e, k)
     return _table_for(field_r, k).value(e, k)
 
 
@@ -416,14 +394,8 @@ def special_polynomial(field_r, i: int, kind: str) -> SpecialPolynomial:
     k = i if kind == "zeta" else i + 1
     r = field_r.q
     e_bound = k // (r - 1)
-    coeffs = []
-    if field_r.m == 1:
-        tab = _table_for(field_r, k)
-        for e in range(e_bound + 1):
-            coeffs.append(tab.value(e, k))
-    else:
-        for e in range(e_bound + 1):
-            coeffs.append(power_sum(field_r, e, k))
+    tab = _table_for(field_r, k)
+    coeffs = [tab.value(e, k) for e in range(e_bound + 1)]
     while len(coeffs) > 1 and coeffs[-1].is_zero():
         coeffs.pop()
     return SpecialPolynomial(i=i, kind=kind, coeffs=tuple(coeffs))
@@ -432,11 +404,7 @@ def special_polynomial(field_r, i: int, kind: str) -> SpecialPolynomial:
 def special_degree(field_r, i: int, kind: str) -> int:
     """deg_x of the special polynomial, via the degrees-only table."""
     k = i if kind == "zeta" else i + 1
-    if field_r.m != 1:
-        sp = special_polynomial(field_r, i, kind)
-        return max(sp.deg, 0)
-    tab = _table_for(field_r, k)
-    return tab.degree_in_e(k)
+    return _table_for(field_r, k).degree_in_e(k)
 
 
 # ---------------------------------------------------------------------------

@@ -231,15 +231,6 @@ class OrePoly:
         return f"OrePoly({list(self.coeffs)!r})"
 
 
-def ore_mul(a: OrePoly, b: OrePoly) -> OrePoly:
-    return a * b
-
-
-def drinfeld_action(phi: "DrinfeldModule", a: Poly) -> OrePoly:
-    """phi_a for a in A; see DrinfeldModule.action."""
-    return phi.action(a)
-
-
 # ---------------------------------------------------------------------------
 # Drinfeld modules
 
@@ -371,10 +362,6 @@ def element_to_residue(field_r, F_f, el) -> Poly:
     if isinstance(F_f, FiniteField):
         return Poly(field_r, F_f.to_pvector(el))
     return Poly(field_r, list(el))
-
-
-def theta_bar(field_r, F_f):
-    return residue_to_element(field_r, F_f, Poly.gen(field_r))
 
 
 def ratfunc_residue(field_r, F_f, a: RatFunc, f: Poly):
@@ -1107,24 +1094,6 @@ def _exp_scalar(phi: DrinfeldModule, n_terms: int):
         den = theta ** (r**n) - theta
         if den.is_zero():
             raise SingularRecursion(f"theta^(r^{n}) - theta vanished")
-        Q.append(rhs / den)
-    return Q
-
-
-def exp_from_action(field_r, higher_coeffs, n_terms: int):
-    """Scalar exponential solver from raw psi_T data (theta implicit).
-
-    ``higher_coeffs`` are the tau^1.. coefficients; an empty list encodes
-    the trivial action psi_T = theta*x whose exponential is x itself.
-    """
-    r = field_r.q
-    theta = RatFunc.gen(field_r)
-    Q = [RatFunc.one(field_r)]
-    for n in range(1, n_terms):
-        rhs = RatFunc.zero(field_r)
-        for j in range(1, min(len(higher_coeffs), n) + 1):
-            rhs = rhs + higher_coeffs[j - 1] * Q[n - j].frob_power(r**j)
-        den = theta ** (r**n) - theta
         Q.append(rhs / den)
     return Q
 

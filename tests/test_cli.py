@@ -111,6 +111,13 @@ def test_parse_error_exit_2(capsys):
     assert "error:" in err
 
 
+def test_negative_dmax_exit_2(capsys):
+    code, out, err = run(capsys, "lfactors", "carlitz", "--dmax", "-1")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "--dmax" in err
+
+
 def test_bound_exceeded_names_bound(capsys):
     code, _, err = run(capsys, "lfactors", "carlitz", "--r", "2", "--dmax", "13")
     assert code == 2

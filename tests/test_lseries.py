@@ -120,6 +120,20 @@ def test_power_sum_matches_enumeration_exhaustively():
                 assert power_sum(field, e, k) == batch[k], (field.q, e, k)
 
 
+@pytest.mark.parametrize(
+    "p,e,k_max",
+    [
+        (13, 2, 340),  # products c * S_1 reach 12 * 12 and must not wrap
+        (131, 1, 400),  # residues up to 130 must fit the row storage
+    ],
+)
+def test_power_sum_matches_enumeration_at_large_p(p, e, k_max):
+    field = field_make(p, 1, bound=200)
+    batch = power_sums_enumerated_batch(field, e, k_max, enum_bound=4096)
+    wrong = [k for k in range(k_max + 1) if power_sum(field, e, k) != batch[k]]
+    assert wrong == []
+
+
 def test_power_sum_enumerated_single_matches_batch():
     for e, k in [(1, 7), (2, 5), (3, 4)]:
         single = power_sum_enumerated(F3, e, k)
@@ -127,12 +141,15 @@ def test_power_sum_enumerated_single_matches_batch():
         assert single == batch[k]
 
 
-def test_power_sum_generic_field_agrees():
-    # F_4: the generic recursion equals enumeration at desk scale
-    F4 = field_make(2, 2)
-    for e in (0, 1, 2):
-        for k in range(0, 12):
-            assert power_sum(F4, e, k) == power_sum_enumerated(F4, e, k)
+def test_power_sum_table_on_prime_power_fields():
+    # the table of F_p-residues serves r = p^m; S_2 first survives at k = r^2 - 1
+    for p, m in [(2, 2), (2, 3), (3, 2), (2, 4)]:
+        field = field_make(p, m)
+        r = field.q
+        ks = list(range(0, 12)) + [r - 1, 2 * r - 2, 2 * r - 1, r * r - 1]
+        for e in (0, 1, 2):
+            for k in ks:
+                assert power_sum(field, e, k) == power_sum_enumerated(field, e, k), (r, e, k)
 
 
 def test_power_sum_enumeration_bound():
@@ -175,7 +192,7 @@ def test_special_polynomial_translation():
 
 
 def test_special_polynomial_degree_bound():
-    for field in (F2, F3):
+    for field in (F2, F3, field_make(2, 2), field_make(3, 2)):
         r = field.q
         for i in range(0, 30):
             for kind in ("zeta", "carlitz"):
