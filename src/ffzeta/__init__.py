@@ -18,7 +18,7 @@ from .errors import (
     CacheCorrupt,
     DomainMismatch,
     FFZetaError,
-    InconsistentCRT,
+    InconsistentFrobenius,
     InsufficientData,
     NonConvergent,
     NotAPower,

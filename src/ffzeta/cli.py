@@ -29,6 +29,7 @@ from .lseries import (
     CarlitzObject,
     EigenSystem,
     ZetaA,
+    _table_for,
     classify_eigen_system,
     local_factor_table,
     newton_polygon,
@@ -235,10 +236,12 @@ def parse_i_range(text: str):
 
 def cmd_special(config: RunConfig, kind: str, i_range, out_path) -> int:
     field = field_make(config.p, config.m)
+    if i_range:
+        if i_range[0] < 0:
+            raise BoundExceeded(f"negative index {i_range[0]} in range")
+        _table_for(field, i_range[-1] + 1)  # one power-sum table for the whole range
     rows = []
     for i in i_range:
-        if i < 0:
-            raise BoundExceeded(f"negative index {i} in range")
         sp = special_polynomial(field, i, kind)
         segs = newton_polygon(sp) if sp.deg >= 0 else []
         rows.append(
@@ -311,6 +314,8 @@ def cmd_classify(config: RunConfig, eigen_path: str, out_path) -> int:
             ptext, vtext = line.split(",", 1)
             prime = poly_from_string(field, ptext.strip())
             value = ratfunc_from_string(field, vtext.strip())
+            if value.is_zero():
+                raise ParseError(line, len(ptext) + 1, f"line {lineno}: eigenvalue must be nonzero")
             values[prime] = value
     res = classify_eigen_system(EigenSystem(values), field)
     payload = {

@@ -45,8 +45,8 @@ class NotCyclic(FFZetaError):
     """Point module is not cyclic; flags a bug or a genuine counterexample."""
 
 
-class InconsistentCRT(FFZetaError):
-    """Frobenius data from distinct auxiliary primes cannot be reconciled."""
+class InconsistentFrobenius(FFZetaError):
+    """The Frobenius relation in F_f{tau} has no unique solution; flags a bug."""
 
 
 class SingularRecursion(FFZetaError):

@@ -130,16 +130,14 @@ class PowerSumTable:
 
     Row e is computed from row e-1 for every k <= k_max; when a row is zero
     across the whole k-range, all later rows are zero too (the recursion
-    never raises k), which is recorded in ``zero_row``.  With
-    ``keep_arrays`` off only nonzero flags are retained (degree queries).
+    never raises k), which is recorded in ``zero_row``.
     """
 
-    def __init__(self, field_r, k_max: int, keep_arrays: bool = True):
+    def __init__(self, field_r, k_max: int):
         self.field = field_r
         self.p = field_r.p
         self.r = field_r.q
         self.k_max = k_max
-        self.keep_arrays = keep_arrays
         self._dtype = np.min_scalar_type(self.p - 1)
         self._digits = _digit_matrix(k_max, self.p)
         self._binoms = _binom_table(self.p)
@@ -209,9 +207,6 @@ class PowerSumTable:
             self._rows.append(None)
         else:
             self._rows.append(row)
-        if not self.keep_arrays and e >= 2 and self._rows[e - 1] is not None:
-            # only the previous row is needed to extend the table
-            self._rows[e - 2] = None
 
     def is_nonzero(self, e: int, k: int) -> bool:
         if k > self.k_max:
@@ -222,8 +217,6 @@ class PowerSumTable:
         return bool(self._flags[e][k])
 
     def value(self, e: int, k: int) -> Poly:
-        if not self.keep_arrays:
-            raise ValueError("table was built without coefficient storage")
         if k > self.k_max:
             raise ValueError("k exceeds the table bound")
         if self.zero_row is not None and e >= self.zero_row:

@@ -6,10 +6,13 @@ the associated F_r-linear polynomials sum c_i x^(r^i).  Coefficients live
 in a pluggable domain so the same core serves modules over the rational
 function field, over residue fields A/(f), and over Laurent/matrix rings.
 
-Torsion points of reduced modules are found as kernels of the F_r-linear
-map phi_v over successively larger extensions of the residue field; all
-linear algebra is over F_p, so even splitting fields far too large to
-enumerate stay within desk scale.
+Frobenius data of a reduced module at f come from the Ore ring F_f{tau}
+itself: pi = tau^(deg f) is central and satisfies pi - phi_a = 0 in rank 1
+and Gekeler's relation pi^2 - phi_a*pi + mu*phi_f = 0 in rank 2, which is
+one F_p-linear solve.  Torsion points, found as kernels of the F_r-linear
+map phi_v over successively larger extensions of the residue field, are
+kept as the independent oracle for those values; all their linear algebra
+is over F_p too.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from .errors import (
     BadReduction,
     BoundExceeded,
     DomainMismatch,
-    InconsistentCRT,
+    InconsistentFrobenius,
     NotCyclic,
     SingularRecursion,
     ZeroInput,
 )
 from .ffield import ExtField, FiniteField, pk_lex_irreducible
-from .poly import Poly, RatFunc, poly_crt, poly_gcd, poly_invmod, valuation
+from .poly import Poly, RatFunc, poly_gcd, valuation
 
 # ---------------------------------------------------------------------------
 # coefficient domains
@@ -867,101 +870,56 @@ def frobenius_on_torsion(phi: DrinfeldModule, v: Poly, max_ext_pdim: int = 64):
     return [[cols[j][i] for j in range(phi.rank)] for i in range(phi.rank)]
 
 
-def _aux_primes(field_r, avoid: Poly, total_degree_needed: int, max_deg: int = 4):
-    from .poly import monic_irreducibles
-
-    out = []
-    got = 0
-    for p in monic_irreducibles(field_r, max_deg, enum_bound=1 << 20):
-        if p == avoid:
-            continue
-        out.append(p)
-        got += p.deg
-        if got > total_degree_needed:
-            break
-    if got <= total_degree_needed:
-        raise BoundExceeded("not enough auxiliary primes below the degree cap")
-    return out
-
-
-def frobenius_charpoly(phi: DrinfeldModule, f: Poly, max_ext_pdim: int = 64):
+def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     """Characteristic polynomial data of Frobenius at a good prime f.
 
     Rank 1: returns (a, None) with charpoly u - a and a the global
     eigenvalue of degree deg f.  Rank 2: returns (a_f, mu) for
     u^2 - a_f*u + mu*f with deg a_f <= deg f / 2 and mu in F_r^*.
-    Values are reconstructed by CRT across auxiliary primes and checked
-    for consistency (InconsistentCRT on any mismatch), including
-    Cayley-Hamilton on each torsion module.
+
+    pi = tau^(deg f) is central in F_f{tau} and satisfies pi - phi_a = 0
+    (rank 1) or Gekeler's relation pi^2 - phi_a*pi + mu*phi_f = 0 (rank 2).
+    The relation is F_r-linear in the coefficients of a, in mu and in the
+    coefficient of pi^rank; in F_p coordinates it is one null-space
+    computation whose solution is unique up to scaling, with a nonzero
+    pi^rank coordinate (InconsistentFrobenius otherwise).  Torsion
+    (``frobenius_on_torsion``) is the independent oracle for these values.
     """
     field_r = phi.field_r
     t = phi.rank
     if t not in (1, 2):
         raise ValueError("only ranks 1 and 2 are supported")
     reduced = phi if phi.is_reduced() else reduce_mod_prime(phi, f)
-    deg_bound = f.deg if t == 1 else f.deg // 2
-    primes = _aux_primes(field_r, f, deg_bound)
-    residues, moduli = [], []
-    dets = []
-    frobs = []
-    for v in primes:
-        frob = frobenius_on_torsion(reduced, v, max_ext_pdim=max_ext_pdim)
-        frobs.append((v, frob))
-        if t == 1:
-            residues.append(frob)
-            moduli.append(v)
-        else:
-            tr = (frob[0][0] + frob[1][1]) % v
-            det = (frob[0][0] * frob[1][1] - frob[0][1] * frob[1][0]) % v
-            residues.append(tr)
-            moduli.append(v)
-            dets.append((v, det))
-    a = poly_crt(residues, moduli)
-    if a.deg > deg_bound:
-        raise InconsistentCRT(
-            f"reconstructed trace {a} violates the degree bound {deg_bound}"
-        )
-    mu = None
+    dom = reduced.dom
+    F_f = dom.field
+    p, m = field_r.p, field_r.pdim()
+    d = f.deg
+    deg_a = d if t == 1 else d // 2
+    pi = OrePoly.tau(dom, d)
+    powers = [OrePoly.const(dom, dom.one)]  # phi_{T^i}
+    for _ in range(d if t == 2 else deg_a):
+        powers.append(powers[-1] * reduced.phi_T())
+    # one unknown per F_p coordinate: -phi_a * pi^(t-1), then mu * phi_f
+    # (rank 2), then the coefficient of pi^t
+    terms = [-(power * pi ** (t - 1)) for power in powers[: deg_a + 1]]
     if t == 2:
-        for v, det in dets:
-            f_inv = poly_invmod(f % v, v)
-            c = (det * f_inv) % v
-            if not c.is_constant() or c.is_zero():
-                raise InconsistentCRT(f"det/f mod {v} is not a unit constant: {c}")
-            cval = c.constant_value()
-            if mu is None:
-                mu = cval
-            elif mu != cval:
-                raise InconsistentCRT("mu disagrees across auxiliary primes")
-        # Cayley-Hamilton on each torsion module
-        for v, M in frobs:
-            if _cayley_hamilton_fails(field_r, M, a, mu, f, v):
-                raise InconsistentCRT(f"Cayley-Hamilton fails on phi[{v}]")
-    return a, mu
-
-
-def _cayley_hamilton_fails(field_r, M, a: Poly, mu, f: Poly, v: Poly) -> bool:
-    def mmul(X, Y):
-        return [
-            [
-                (X[i][0] * Y[0][j] + X[i][1] * Y[1][j]) % v
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-
-    M2 = mmul(M, M)
-    aM = [[(a * M[i][j]) % v for j in range(2)] for i in range(2)]
-    c = (f.scale(mu)) % v
-    zero = Poly.zero(field_r)
-    for i in range(2):
-        for j in range(2):
-            val = (M2[i][j] - aM[i][j]) % v
-            if i == j:
-                val = (val + c) % v
-            if val != zero:
-                return True
-    return False
+        phi_f = OrePoly.zero(dom)
+        for c, power in zip(f.coeffs, powers):
+            phi_f = phi_f + power.scale(dom.embed_fr(c))
+        terms.append(phi_f)
+    basis_r = [dom.embed_fr(field_r.from_pvector([int(i == k) for i in range(m)])) for k in range(m)]
+    cols = [term.scale(b) for term in terms for b in basis_r] + [pi**t]
+    flat = [[x for j in range(d * t + 1) for x in F_f.to_pvector(col.coeff(j))] for col in cols]
+    null = nullspace_mod_p([list(row) for row in zip(*flat)], p)
+    if len(null) != 1 or null[0][-1] == 0:
+        raise InconsistentFrobenius(
+            f"the Frobenius relation at f = {f} has no unique solution "
+            f"(null space of dimension {len(null)})"
+        )
+    scale = pow(null[0][-1], p - 2, p)
+    sol = [(x * scale) % p for x in null[0]]
+    unknowns = [field_r.from_pvector(sol[k * m : (k + 1) * m]) for k in range(len(terms))]
+    return Poly(field_r, unknowns[: deg_a + 1]), (unknowns[-1] if t == 2 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -298,25 +298,6 @@ def poly_xgcd(a: Poly, b: Poly):
     return r0, s0, t0
 
 
-def poly_invmod(a: Poly, modulus: Poly) -> Poly:
-    g, s, _ = poly_xgcd(a % modulus, modulus)
-    if not g.is_one():
-        raise ZeroDivisionError(f"{a} not invertible mod {modulus}")
-    return s % modulus
-
-
-def poly_crt(residues, moduli) -> Poly:
-    """Combine residues to the unique representative mod the product."""
-    acc_r, acc_m = residues[0] % moduli[0], moduli[0]
-    for r, m in zip(residues[1:], moduli[1:]):
-        inv = poly_invmod(acc_m, m)
-        diff = (r - acc_r) % m
-        acc_r = acc_r + acc_m * (inv * diff % m)
-        acc_m = acc_m * m
-        acc_r = acc_r % acc_m
-    return acc_r
-
-
 def valuation(a: Poly, prime: Poly) -> int:
     """Multiplicity of a monic prime in a nonzero polynomial."""
     if a.is_zero():

@@ -1,5 +1,7 @@
+import json
 import pathlib
 import shutil
+import time
 
 import pytest
 
@@ -82,6 +84,15 @@ def test_classify_single_degree_exits_2(capsys, tmp_path):
     assert "two distinct" in err
 
 
+def test_classify_zero_value_exits_2(capsys, tmp_path):
+    eigen = tmp_path / "eigen.csv"
+    eigen.write_text("T+1,T+1\nT,0\n")
+    code, out, err = run(capsys, "classify", str(eigen), "--r", "2")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "line 2" in err
+
+
 def test_classify_chi_witness_file(capsys, tmp_path):
     # generated from chi_beta(-theta, .): values c_P^{-1} * P
     from ffzeta.poly import monic_irreducibles, poly_from_string
@@ -122,6 +133,56 @@ def test_bound_exceeded_names_bound(capsys):
     code, _, err = run(capsys, "lfactors", "carlitz", "--r", "2", "--dmax", "13")
     assert code == 2
     assert "max_enum" in err
+
+
+def test_lfactors_rank2_degree_5_over_f2(capsys):
+    code, out, err = run(capsys, "lfactors", "rank2:T,1", "--r", "2", "--dmax", "5", "--format", "csv")
+    assert code == 0, err
+    rows = out.strip().splitlines()[2:]
+    assert len(rows) == 14  # monic primes of degree <= 5 over F_2
+    assert all(row.endswith(",rank2-charpoly") for row in rows)
+
+
+def test_lfactors_rank2_over_f5_finishes(capsys):
+    from ffzeta.poly import poly_from_string
+
+    F5 = field_make(5, 1)
+    t0 = time.time()
+    code, out, err = run(capsys, "lfactors", "rank2:T,1", "--r", "5", "--dmax", "3", "--format", "json")
+    elapsed = time.time() - t0
+    assert code == 0, err
+    assert elapsed < 30, f"r = 5, dmax = 3 took {elapsed:.1f}s"
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 5 + 10 + 40
+    for row in rows:
+        # denominator 1 - a*u + mu*f*u^2: read a and mu*f from the string
+        f = poly_from_string(F5, row["prime"])
+        terms = _denominator_terms(F5, row["denominator"])
+        a = -terms.get(1, poly_from_string(F5, "0"))
+        muf = terms[2]
+        assert a.deg <= f.deg // 2, row
+        assert muf.deg == f.deg and muf == f.scale(muf.lc()), row
+
+
+def _denominator_terms(field, text):
+    """u-power -> coefficient of a denominator string such as 1+u+(T+1)*u^2."""
+    from ffzeta.poly import poly_from_string
+
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text + "+"):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "+" and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    out = {}
+    for part in parts:
+        if "u" not in part:
+            out[0] = poly_from_string(field, part)
+            continue
+        coeff, _, upart = part.rpartition("*")
+        j = int(upart[2:]) if upart.startswith("u^") else 1
+        out[j] = poly_from_string(field, coeff.strip("()") or "1")
+    return out
 
 
 def test_cache_round_trip_and_corruption(tmp_path, capsys):

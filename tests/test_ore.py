@@ -1,6 +1,6 @@
 import pytest
 
-from ffzeta.errors import BadReduction, InconsistentCRT, NotCyclic, ZeroInput
+from ffzeta.errors import BadReduction, InconsistentFrobenius, NotCyclic, ZeroInput
 from ffzeta.ffield import field_make
 from ffzeta.ore import (
     DrinfeldModule,
@@ -300,6 +300,59 @@ def test_frobenius_charpoly_rank2_consistency_all_small_primes():
         a, mu = frobenius_charpoly(psi, f)
         assert a.deg <= f.deg // 2
         assert mu == F2.one  # r = 2: the unit group is trivial
+
+
+ROUTE_CASES = [
+    (F2, ("T", "1"), 3),
+    (F3, ("T", "1"), 2),
+    (F3, ("2*T", "2"), 2),
+    (F4, ("0", "1"), 1),
+    (F4, ("0", "T"), 1),
+    (F2, ("T+1",), 3),
+    (F3, ("2*T",), 2),
+    (F4, ("T",), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "field,coeffs,dmax",
+    ROUTE_CASES,
+    ids=[f"r{F.q}-rank{len(c)}:{','.join(c)}" for F, c, _ in ROUTE_CASES],
+)
+def test_frobenius_charpoly_agrees_with_torsion(field, coeffs, dmax):
+    """The Ore-relation route against Frobenius on phi[v] (independent oracle):
+    trace = a and det = mu*f mod every degree-1 prime v != f; in rank 1 also
+    against the resultant eigenvalue behind local_factor."""
+    from ffzeta.lseries import local_factor
+
+    betas = [rf(field, c) for c in coeffs]
+    phi = drinfeld_rank2(field, *betas) if len(betas) == 2 else drinfeld_rank1(field, *betas)
+    checked = 0
+    for f in monic_irreducibles(field, dmax):
+        try:
+            red = reduce_mod_prime(phi, f)
+        except BadReduction:
+            continue
+        a, mu = frobenius_charpoly(phi, f)
+        assert a.deg <= (f.deg if phi.rank == 1 else f.deg // 2)
+        if phi.rank == 1:
+            assert mu is None
+            assert local_factor(phi, f).denominator == (Poly.one(field), -a)
+        else:
+            assert mu != field.zero
+        for v in monic_irreducibles(field, 1):
+            if v == f:
+                continue
+            M = frobenius_on_torsion(red, v)
+            if phi.rank == 1:
+                tr = det = M
+            else:
+                tr = (M[0][0] + M[1][1]) % v
+                det = (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % v
+            assert tr == a % v, (str(f), str(v))
+            assert det == (f.scale(mu) if phi.rank == 2 else a) % v, (str(f), str(v))
+            checked += 1
+    assert checked >= 4
 
 
 def test_rank2_cayley_hamilton_on_torsion():

@@ -11,10 +11,8 @@ from ffzeta.poly import (
     is_irreducible,
     monic_irreducibles,
     monic_polys,
-    poly_crt,
     poly_from_string,
     poly_gcd,
-    poly_invmod,
     poly_xgcd,
     ratfunc_from_string,
     resultant,
@@ -85,16 +83,6 @@ def test_gcd_xgcd():
     g2, s, t = poly_xgcd(a, b)
     assert g2 == g
     assert s * a + t * b == g
-
-
-def test_invmod_and_crt():
-    m1 = P(F3, "T")
-    m2 = P(F3, "T+1")
-    inv = poly_invmod(P(F3, "T+2"), m2)
-    assert (inv * P(F3, "T+2")) % m2 == Poly.one(F3)
-    r = poly_crt([P(F3, "1"), P(F3, "2")], [m1, m2])
-    assert r % m1 == P(F3, "1")
-    assert r % m2 == P(F3, "2")
 
 
 def test_valuation():
