@@ -4,8 +4,11 @@ Two representations are used:
 
 * ``FiniteField`` -- an absolute field F_p[x]/(h).  Elements are plain ints
   encoding the digit vector of a residue: ``c0 + c1*p + c2*p^2 + ...``.
-  Multiplication goes through lazily built discrete-log tables when the
-  field is small enough, so inner loops stay cheap.
+  Multiplication goes through discrete-log tables, built on the first
+  product (or inverse, or power) taken in a field that is small enough,
+  so inner loops stay cheap.  Only code that multiplies in a field pays
+  for its table: reducing a Drinfeld module mod f works in F_r[T] and
+  builds none for its residue field A/(f).
 * ``ExtField`` -- a relative extension B[y]/(g) of any field object.
   Elements are tuples of base elements.  This is how ambient splitting
   fields for torsion searches are built; no canonical re-embedding is
@@ -436,24 +439,24 @@ def pk_powmod(F, base, n: int, modulus):
 
 
 def pk_irreducible_rabin(F, g) -> bool:
-    """Deterministic Rabin irreducibility test for monic g over F.
+    """Ben-Or irreducibility test for monic g over F (exact, deterministic).
 
-    Avoids enumerating divisor candidates, which is infeasible over the
-    larger coefficient fields used for ambient torsion extensions.
+    A reducible g of degree e has an irreducible factor of degree i <= e/2,
+    which divides x^(q^i) - x.  So x^(q^i) mod g is built by repeated q-th
+    powering, and g is rejected at the first i with gcd(x^(q^i) - x, g) != 1.
+    Most reducible candidates of a lex search have a small factor and are
+    rejected after a few steps (Gao & Panario, 1997), where Rabin's test
+    always computes x^(q^e).  Avoids enumerating divisor candidates, which is
+    infeasible over the larger coefficient fields of torsion extensions.
     """
     e = len(g) - 1
     if e <= 0:
         return False
-    if e == 1:
-        return True
-    q = F.q
     x = [F.zero, F.one]
-    xq = pk_powmod(F, x, q**e, g)
-    if pk_sub(F, xq, x):
-        return False
-    for ell in prime_factors(e):
-        h = pk_sub(F, pk_powmod(F, x, q ** (e // ell), g), x)
-        if len(pk_gcd(F, h, g)) > 1:
+    x_qi = x
+    for _ in range(e // 2):
+        x_qi = pk_powmod(F, x_qi, F.q, g)
+        if len(pk_gcd(F, pk_sub(F, x_qi, x), g)) > 1:
             return False
     return True
 

@@ -27,7 +27,7 @@ from .errors import (
     ZeroInput,
 )
 from .ffield import ExtField, FiniteField, pk_lex_irreducible
-from .poly import Poly, RatFunc, poly_gcd, valuation
+from .poly import Poly, RatFunc, poly_gcd, poly_xgcd
 
 # ---------------------------------------------------------------------------
 # coefficient domains
@@ -368,17 +368,21 @@ def element_to_residue(field_r, F_f, el) -> Poly:
 
 
 def ratfunc_residue(field_r, F_f, a: RatFunc, f: Poly):
-    """Image of an f-integral rational function in A/(f)."""
-    num, den = a.num, a.den
-    if num.is_zero():
-        return F_f.zero
-    # cancel any shared f-powers (reduced fractions cannot share them)
-    vnum = valuation(num, f)
-    if vnum > 0:
-        return F_f.zero
-    num_el = residue_to_element(field_r, F_f, num % f)
-    den_el = residue_to_element(field_r, F_f, den % f)
-    return F_f.mul(num_el, F_f.inv(den_el))
+    """Image of an f-integral rational function num/den in F_f = A/(f).
+
+    The residue is computed in A = F_r[T]: num mod f, times den^-1 mod f
+    (from the extended gcd) when den is not constant; denominators are
+    monic, so a constant one is 1.  Only the result is mapped into F_f, so
+    no product is taken there and no exp/log table is built.  Raises
+    BadReduction, naming f, when den shares a factor with f.
+    """
+    res = a.num % f
+    if a.den.deg > 0:
+        g, den_inv, _ = poly_xgcd(a.den, f)
+        if g.deg > 0:
+            raise BadReduction(f"{a.to_string()} is not integral at f = {f.to_string()}")
+        res = (res * den_inv) % f
+    return residue_to_element(field_r, F_f, res)
 
 
 def good_model_twist(phi: DrinfeldModule, f: Poly) -> int:
@@ -620,7 +624,7 @@ _EXT_CACHE: dict = {}
 
 
 def _extension_of(F_f, e: int):
-    key = (id(F_f), e)
+    key = (F_f, e)
     if key not in _EXT_CACHE:
         _EXT_CACHE[key] = ExtField(F_f, pk_lex_irreducible(F_f, e), check=False)
     return _EXT_CACHE[key]

@@ -126,3 +126,30 @@ def test_lex_least_modulus_deterministic():
     assert lex_least_modulus(2, 2) == (1, 1, 1)
     assert lex_least_modulus(2, 3) == (1, 1, 0, 1)  # x^3+x+1 beats x^3+x^2+1
     assert lex_least_modulus(3, 2) == (1, 0, 1)  # x^2+1
+
+
+def _mobius(n):
+    out = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_rabin_counts_irreducibles_by_gauss_formula(p, m):
+    # monic irreducibles of degree e over F_q: (1/e) * sum_{d | e} mu(d) q^(e/d)
+    F = field_make(p, m)
+    q = F.q
+    for e in range(1, 5):
+        accepted = 0
+        for enc in range(q**e):
+            tail = [F.element_from_index((enc // q**i) % q) for i in range(e)]
+            accepted += pk_irreducible_rabin(F, tail + [F.one])
+        gauss = sum(_mobius(d) * q ** (e // d) for d in range(1, e + 1) if e % d == 0) // e
+        assert accepted == gauss, (q, e)

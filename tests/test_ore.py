@@ -17,6 +17,7 @@ from ffzeta.ore import (
     frobenius_on_torsion,
     point_module_annihilator,
     ratfunc_domain,
+    ratfunc_residue,
     reduce_mod_prime,
     residue_field,
     residue_to_element,
@@ -141,6 +142,23 @@ def test_reduce_bad_r3():
     beta = rf(F3, "(T+1)/T")  # v_T = -1, not divisible by r-1 = 2
     with pytest.raises(BadReduction):
         reduce_mod_prime(drinfeld_rank1(F3, beta), pf(F3, "T"))
+
+
+def test_reduction_builds_no_residue_table():
+    # reduction and the point module stay in F_r[T]: F_f (512 elements) gets no table
+    f = [g for g in monic_irreducibles(F2, 9) if g.deg == 9][-1]
+    red = reduce_mod_prime(carlitz(F2), f)
+    assert red.dom.field._exp is None
+    assert point_module_annihilator(red, bound=512) == f - Poly.one(F2)
+    assert red.dom.field._exp is None
+
+
+@pytest.mark.parametrize("field", [F3, F4])
+def test_ratfunc_residue_non_integral_raises_bad_reduction(field):
+    # 1/T has a pole at f = T: no residue exists, and the error names f
+    f = pf(field, "T")
+    with pytest.raises(BadReduction, match="f = T"):
+        ratfunc_residue(field, residue_field(field, f), rf(field, "1/T"), f)
 
 
 def test_reduce_good_after_twist_r2():
