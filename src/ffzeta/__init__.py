@@ -31,7 +31,7 @@ from .errors import (
     Unsupported,
     ZeroInput,
 )
-from .ffield import ExtField, FiniteField, field_make
+from .ffield import FiniteField, field_make
 from .laurent import INF, Laurent, one_unit_pow, root_pow_r_minus_1
 from .lseries import (
     CarlitzObject,

@@ -39,6 +39,7 @@ from .ore import drinfeld_rank1, drinfeld_rank2
 from .poly import (
     Poly,
     _irreducibles_of_degree,
+    is_irreducible,
     poly_from_string,
     ratfunc_from_string,
 )
@@ -313,6 +314,8 @@ def cmd_classify(config: RunConfig, eigen_path: str, out_path) -> int:
                 raise ParseError(line, 0, f"line {lineno}: expected 'prime,value'")
             ptext, vtext = line.split(",", 1)
             prime = poly_from_string(field, ptext.strip())
+            if not prime.is_monic() or not is_irreducible(prime):
+                raise ParseError(line, 0, f"line {lineno}: key must be a monic prime of degree >= 1")
             value = ratfunc_from_string(field, vtext.strip())
             if value.is_zero():
                 raise ParseError(line, len(ptext) + 1, f"line {lineno}: eigenvalue must be nonzero")

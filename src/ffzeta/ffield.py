@@ -1,27 +1,27 @@
 """Exact finite-field arithmetic.
 
-Two representations are used:
+``FiniteField`` is the one field class.  A field is F_p, or base[y]/(g)
+over any ``FiniteField`` base: F_r = F_p[y]/(h), a residue field
+A/(f) = F_r[y]/(f), and the extensions of A/(f) that torsion searches need
+are all towers of this one kind.  Elements are plain ints whose
+base-q_base digits are the coordinates over the base, so a base element is
+its own embedding, ``element_from_index`` and ``index_of`` are the
+identity, and the base-p digits of an element are its coordinates over F_p
+(``to_pvector``).  Addition is digit-wise mod p.
 
-* ``FiniteField`` -- an absolute field F_p[x]/(h).  Elements are plain ints
-  encoding the digit vector of a residue: ``c0 + c1*p + c2*p^2 + ...``.
-  Multiplication goes through discrete-log tables, built on the first
-  product (or inverse, or power) taken in a field that is small enough,
-  so inner loops stay cheap.  Only code that multiplies in a field pays
-  for its table: reducing a Drinfeld module mod f works in F_r[T] and
-  builds none for its residue field A/(f).
-* ``ExtField`` -- a relative extension B[y]/(g) of any field object.
-  Elements are tuples of base elements.  This is how ambient splitting
-  fields for torsion searches are built; no canonical re-embedding is
-  ever needed because the base sits inside as the constants.
-
-Both classes expose the same small protocol (``zero``, ``one``, ``add``,
-``mul``, ``inv``, ``pow_``, ``elements`` ...) so polynomial kernels can be
-written once.  All values are immutable; every operation is pure.
+A field over F_p itself (its base is the prime field) with at most
+``TABLE_LIMIT`` elements multiplies through discrete-log tables, built on
+its first product (or inverse, or power), so inner loops stay cheap.  Only
+code that multiplies in a field pays for its table: reducing a Drinfeld
+module mod f works in F_r[T] and builds none for its residue field A/(f).
+Any other field multiplies its coordinate lists through the base
+(``pk_mul``, ``pk_mod``) and inverts with ``pk_xgcd``.  All values are
+immutable; every operation is pure.
 """
 
 from __future__ import annotations
 
-from .errors import BoundExceeded, NotPrime, ZeroInput
+from .errors import BoundExceeded, NotPrime
 
 # Fields with at most this many elements get exp/log tables on first use.
 TABLE_LIMIT = 1 << 16
@@ -56,7 +56,7 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# digit-vector helpers over F_p (used only by FiniteField internals)
+# digit-vector helpers over F_p
 
 
 def _digits(value: int, p: int, m: int) -> list[int]:
@@ -74,57 +74,65 @@ def _undigits(digits, p: int) -> int:
     return value
 
 
-def _dig_mulmod(a, b, modulus, p: int):
-    """Schoolbook product of digit vectors reduced mod a monic modulus."""
-    m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else [0]
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-    for k in range(len(prod) - 1, m - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(m + 1):
-                prod[k - m + j] = (prod[k - m + j] - c * modulus[j]) % p
-    out = prod[:m]
-    out += [0] * (m - len(out))
-    return out
-
-
 class FiniteField:
-    """F_p[x]/(modulus) with int-encoded elements.
+    """base[y]/(modulus) with int-encoded elements.
 
-    ``modulus`` is a monic digit tuple, low degree first, length m+1.
-    The instance doubles as the field *descriptor*: it carries p, m and
-    the modulus, and all arithmetic on encoded elements.
+    ``base`` is a prime p (the field is F_p[y]/(modulus), modulus a digit
+    tuple reduced mod p) or a ``FiniteField``; ``modulus`` is monic, low
+    degree first, with coefficients in the base.  ``p`` is the
+    characteristic, ``m`` the degree over F_p and ``q = p^m``.  A prime
+    field has ``base`` None; any other field keeps its base field object.
     """
 
-    def __init__(self, p: int, modulus: tuple[int, ...], check: bool = True):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        modulus = tuple(c % p for c in modulus)
+    def __init__(self, base, modulus, check: bool = True):
+        if isinstance(base, int):
+            p = base
+            if not is_prime(p):
+                raise NotPrime(f"{p} is not prime")
+            modulus = tuple(c % p for c in modulus)
+            base = FiniteField(p, (0, 1)) if len(modulus) > 2 else None
+        else:
+            p = base.p
+            modulus = tuple(modulus)
         if len(modulus) < 2 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        self.p = p
-        self.m = len(modulus) - 1
-        self.q = p ** self.m
+        self.base = base
         self.modulus = modulus
+        self.p = p
+        self.m = (len(modulus) - 1) * (base.m if base else 1)
+        self.q = p**self.m
         self.zero = 0
         self.one = 1
+        self._q_base = base.q if base else p
+        # a field over F_p itself gets tables; a tower over any other base
+        # (a degree-1 residue field included) multiplies through that base
+        over_fp = base is None or base.base is None
+        self._tabled = over_fp and self.m > 1 and self.q <= TABLE_LIMIT
         self._exp = None
         self._log = None
-        if check and self.m > 1 and not _dig_irreducible(p, modulus):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        self._key = (p if over_fp else base, modulus)
+        if check and len(modulus) > 2 and not pk_irreducible_rabin(base, modulus):
+            raise ValueError(f"modulus {modulus} is reducible over F_{base.q}")
+
+    # -- coordinates over the base ---------------------------------------------
+
+    def coords(self, a: int) -> list[int]:
+        """Coordinates of a over the base, low first, without trailing zeros."""
+        out = []
+        while a:
+            a, c = divmod(a, self._q_base)
+            out.append(c)
+        return out
+
+    def from_coords(self, coords) -> int:
+        return _undigits(coords, self._q_base)
 
     # -- table machinery ----------------------------------------------------
 
     def _slow_mul(self, a: int, b: int) -> int:
-        da = _digits(a, self.p, self.m)
-        db = _digits(b, self.p, self.m)
-        return _undigits(_dig_mulmod(da, db, self.modulus, self.p), self.p)
+        B = self.base
+        prod = pk_mul(B, self.coords(a), self.coords(b))
+        return self.from_coords(pk_mod(B, prod, self.modulus))
 
     def _build_tables(self) -> None:
         q = self.q
@@ -167,7 +175,7 @@ class FiniteField:
         raise AssertionError("no generator found; modulus not irreducible?")
 
     def _ensure_tables(self) -> bool:
-        if self._exp is None and self.q <= TABLE_LIMIT:
+        if self._exp is None and self._tabled:
             self._build_tables()
         return self._exp is not None
 
@@ -221,7 +229,8 @@ class FiniteField:
             return pow(a, self.p - 2, self.p)
         if self._ensure_tables():
             return self._exp[(-self._log[a]) % (self.q - 1)]
-        return self._slow_pow(a, self.q - 2)
+        # s*a + t*modulus = 1 with deg s < deg modulus
+        return self.from_coords(pk_xgcd(self.base, self.coords(a), self.modulus)[1])
 
     def pow_(self, a: int, n: int) -> int:
         if n < 0:
@@ -245,9 +254,6 @@ class FiniteField:
 
     # -- coordinates over F_p ------------------------------------------------
 
-    def pdim(self) -> int:
-        return self.m
-
     def to_pvector(self, a: int) -> list[int]:
         return _digits(a, self.p, self.m)
 
@@ -258,36 +264,10 @@ class FiniteField:
         return f"FiniteField(p={self.p}, m={self.m})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FiniteField) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.p, self.modulus))
-
-
-def _dig_irreducible(p: int, modulus) -> bool:
-    """Trial division of a monic digit-vector polynomial over F_p."""
-    m = len(modulus) - 1
-    for d in range(1, m // 2 + 1):
-        for enc in range(p**d):
-            div = _digits(enc, p, d) + [1]
-            if _dig_rem_is_zero(modulus, div, p):
-                return False
-    return True
-
-
-def _dig_rem_is_zero(num, div, p: int) -> bool:
-    rem = list(num)
-    dn = len(div) - 1
-    for k in range(len(rem) - 1, dn - 1, -1):
-        c = rem[k]
-        if c:
-            for j in range(dn + 1):
-                rem[k - dn + j] = (rem[k - dn + j] - c * div[j]) % p
-    return all(c == 0 for c in rem[:dn])
+        return hash(self._key)
 
 
 def lex_least_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -297,13 +277,7 @@ def lex_least_modulus(p: int, m: int) -> tuple[int, ...]:
     tail c, which makes the choice (and every serialized value built on
     it) reproducible across runs.
     """
-    if m == 1:
-        return (0, 1)
-    for enc in range(p**m):
-        cand = tuple(_digits(enc, p, m)) + (1,)
-        if _dig_irreducible(p, cand):
-            return cand
-    raise AssertionError("no irreducible polynomial found")
+    return tuple(pk_lex_irreducible(FiniteField(p, (0, 1)), m))
 
 
 _FIELD_CACHE: dict[tuple[int, int], FiniteField] = {}
@@ -475,106 +449,3 @@ def pk_lex_irreducible(F, e: int):
         if pk_irreducible_rabin(F, cand):
             return cand
     raise AssertionError("no irreducible polynomial found")
-
-
-class ExtField:
-    """Relative extension base[y]/(modulus); elements are tuples."""
-
-    def __init__(self, base, modulus, check: bool = True):
-        modulus = list(modulus)
-        if len(modulus) < 2 or modulus[-1] != base.one:
-            raise ValueError("modulus must be monic of degree >= 1")
-        if check and not pk_irreducible_rabin(base, modulus):
-            raise ValueError("modulus is reducible")
-        self.base = base
-        self.modulus = modulus
-        self.e = len(modulus) - 1
-        self.p = base.p
-        self.q = base.q**self.e
-        self.zero = (base.zero,) * self.e
-        self.one = tuple([base.one] + [base.zero] * (self.e - 1))
-
-    def embed(self, a):
-        """Embed a base-field element as a constant."""
-        return tuple([a] + [self.base.zero] * (self.e - 1))
-
-    def add(self, a, b):
-        B = self.base
-        return tuple(B.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        B = self.base
-        return tuple(B.neg(x) for x in a)
-
-    def sub(self, a, b):
-        B = self.base
-        return tuple(B.sub(x, y) for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        B = self.base
-        prod = pk_mul(B, list(a), list(b))
-        rem = pk_mod(B, prod, self.modulus)
-        rem += [B.zero] * (self.e - len(rem))
-        return tuple(rem)
-
-    def inv(self, a):
-        B = self.base
-        alist = pk_trim(B, list(a))
-        if not alist:
-            raise ZeroDivisionError("inverse of zero")
-        g, s, _ = pk_xgcd(B, alist, self.modulus)
-        if len(g) != 1:
-            raise ZeroDivisionError("element not invertible")
-        s = pk_scale(B, s, B.inv(g[0]))
-        s = pk_mod(B, s, self.modulus)
-        s += [B.zero] * (self.e - len(s))
-        return tuple(s)
-
-    def pow_(self, a, n: int):
-        if n < 0:
-            return self.pow_(self.inv(a), -n)
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def elements(self):
-        for i in range(self.q):
-            yield self.element_from_index(i)
-
-    def element_from_index(self, i: int):
-        B = self.base
-        out = []
-        for _ in range(self.e):
-            out.append(B.element_from_index(i % B.q))
-            i //= B.q
-        return tuple(out)
-
-    def index_of(self, a) -> int:
-        B = self.base
-        idx = 0
-        for x in reversed(a):
-            idx = idx * B.q + B.index_of(x)
-        return idx
-
-    def pdim(self) -> int:
-        return self.e * self.base.pdim()
-
-    def to_pvector(self, a):
-        out = []
-        for x in a:
-            out.extend(self.base.to_pvector(x))
-        return out
-
-    def from_pvector(self, vec):
-        d = self.base.pdim()
-        return tuple(
-            self.base.from_pvector(vec[i * d : (i + 1) * d]) for i in range(self.e)
-        )
-
-    def __repr__(self):
-        return f"ExtField(q={self.q} over q0={self.base.q})"

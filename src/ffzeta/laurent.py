@@ -216,9 +216,6 @@ class Laurent:
             out[k] = F.neg(F.mul(inv0, acc))
         return Laurent(F, val, out, prec)
 
-    def divide(self, other: "Laurent", prec=None) -> "Laurent":
-        return self * other.inverse(prec)
-
     def __pow__(self, n: int) -> "Laurent":
         if n < 0:
             return self.inverse() ** (-n)

@@ -26,7 +26,7 @@ from .errors import (
     SingularRecursion,
     ZeroInput,
 )
-from .ffield import ExtField, FiniteField, pk_lex_irreducible
+from .ffield import FiniteField, pk_lex_irreducible, pk_powmod
 from .poly import Poly, RatFunc, poly_gcd, poly_xgcd
 
 # ---------------------------------------------------------------------------
@@ -34,16 +34,17 @@ from .poly import Poly, RatFunc, poly_gcd, poly_xgcd
 
 
 class FieldCoeffs:
-    """Ore coefficients in a finite field object (elements are raw values)."""
+    """Ore coefficients in a ``FiniteField`` (elements are ints).
 
-    def __init__(self, field, r: int, fr_embed=None):
+    F_r sits inside every residue field and its extensions as the
+    constants, so an element of F_r is its own image.
+    """
+
+    def __init__(self, field, r: int):
         self.field = field
         self.r = r
         self.zero = field.zero
         self.one = field.one
-        if fr_embed is None:
-            fr_embed = field.embed if isinstance(field, ExtField) else (lambda c: c)
-        self.fr_embed = fr_embed
 
     def add(self, a, b):
         return self.field.add(a, b)
@@ -67,18 +68,17 @@ class FieldCoeffs:
         return a == b
 
     def embed_fr(self, c):
-        return self.fr_embed(c)
+        return c
 
 
 class RingCoeffs:
     """Ore coefficients in an element-object ring (RatFunc, Laurent, matrices)."""
 
-    def __init__(self, zero, one, r: int, embed_fr, div=None, is_zero=None):
+    def __init__(self, zero, one, r: int, embed_fr, is_zero=None):
         self.zero = zero
         self.one = one
         self.r = r
         self._embed = embed_fr
-        self.div = div
         self._is_zero = is_zero or (lambda a: a == zero)
 
     def add(self, a, b):
@@ -115,7 +115,6 @@ def ratfunc_domain(field_r, r: int | None = None) -> RingCoeffs:
         one,
         r,
         embed_fr=lambda c: RatFunc.const(field_r, c),
-        div=lambda a, b: a / b,
         is_zero=lambda a: a.is_zero(),
     )
 
@@ -340,13 +339,11 @@ _RESIDUE_CACHE: dict = {}
 
 
 def residue_field(field_r, f: Poly):
-    """A/(f) as a concrete field; elements encode residue polynomials."""
+    """A/(f) = F_r[y]/(f); an element's base-r digits are its residue
+    polynomial's coefficients."""
     key = (field_r, f)
     if key not in _RESIDUE_CACHE:
-        if field_r.m == 1:
-            _RESIDUE_CACHE[key] = FiniteField(field_r.p, tuple(f.coeffs), check=False)
-        else:
-            _RESIDUE_CACHE[key] = ExtField(field_r, list(f.coeffs), check=False)
+        _RESIDUE_CACHE[key] = FiniteField(field_r, f.coeffs, check=False)
     return _RESIDUE_CACHE[key]
 
 
@@ -355,16 +352,11 @@ def residue_to_element(field_r, F_f, a: Poly):
     modulus = Poly(field_r, F_f.modulus)
     if a.deg >= modulus.deg:
         a = a % modulus
-    if isinstance(F_f, FiniteField):
-        return F_f.from_pvector(list(a.coeffs) + [0] * (F_f.m - len(a.coeffs)))
-    coeffs = list(a.coeffs) + [field_r.zero] * (F_f.e - len(a.coeffs))
-    return tuple(coeffs)
+    return F_f.from_coords(a.coeffs)
 
 
 def element_to_residue(field_r, F_f, el) -> Poly:
-    if isinstance(F_f, FiniteField):
-        return Poly(field_r, F_f.to_pvector(el))
-    return Poly(field_r, list(el))
+    return Poly(field_r, F_f.coords(el))
 
 
 def ratfunc_residue(field_r, F_f, a: RatFunc, f: Poly):
@@ -487,11 +479,9 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
     # residue polynomials of the coefficients
     a_res = [element_to_residue(field_r, F_f, c) for c in phi.coeffs]
     # columns of the T-action matrix in the basis 1, theta, ..., theta^(d-1)
-    frob_pows = []
-    for i in range(1, phi.rank + 1):
-        frob_pows.append(_powmod_t(field_r, r**i, f))
-    cols = []
     gen = Poly.gen(field_r)
+    frob_pows = [Poly(field_r, pk_powmod(field_r, gen.coeffs, r**i, f.coeffs)) for i in range(1, phi.rank + 1)]
+    cols = []
     basis_pow = Poly.one(field_r)
     frob_of_basis = [Poly.one(field_r)] * phi.rank
     for k in range(d):
@@ -532,17 +522,6 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
             f"point module at f = {f} has annihilator {mu} of degree {mu.deg} < {d}"
         )
     return mu
-
-
-def _powmod_t(field_r, e: int, f: Poly) -> Poly:
-    out = Poly.one(field_r)
-    base = Poly.gen(field_r) % f
-    while e:
-        if e & 1:
-            out = (out * base) % f
-        base = (base * base) % f
-        e >>= 1
-    return out
 
 
 def _apply_poly_to_vector(field_r, p: Poly, apply_map, vec):
@@ -626,7 +605,7 @@ _EXT_CACHE: dict = {}
 def _extension_of(F_f, e: int):
     key = (F_f, e)
     if key not in _EXT_CACHE:
-        _EXT_CACHE[key] = ExtField(F_f, pk_lex_irreducible(F_f, e), check=False)
+        _EXT_CACHE[key] = FiniteField(F_f, pk_lex_irreducible(F_f, e), check=False)
     return _EXT_CACHE[key]
 
 
@@ -651,30 +630,19 @@ class TorsionModule:
         return len(self.coords)
 
 
-def torsion_points(
-    phi: DrinfeldModule,
-    v: Poly,
-    max_ext_pdim: int = 64,
-    k_search_degree: int = 3,
-) -> TorsionModule:
-    """Basis of phi[v] = ker(phi_v) with the A-action.
+def torsion_points(phi: DrinfeldModule, v: Poly, max_ext_pdim: int = 64) -> TorsionModule:
+    """Basis of phi[v] = ker(phi_v) with the A-action, for a reduced module.
 
-    For reduced modules the kernel is cut out over F_f, F_{f^2}, ... by
-    F_p-linear algebra until it reaches its full size r^(rank*deg v); the
-    extension dimension over F_p is capped by ``max_ext_pdim``.  Over k the
-    search is restricted to a small set of rational candidates.
+    The kernel is cut out over F_f, F_{f^2}, ... by F_p-linear algebra
+    until it reaches its full size r^(rank*deg v); the extension dimension
+    over F_p is capped by ``max_ext_pdim``.
     """
-    field_r = phi.field_r
+    if not phi.is_reduced():
+        raise ValueError("torsion_points expects a reduced module")
     if not v.is_monic() or v.deg < 1:
         raise ValueError("v must be a monic prime")
-    if phi.is_reduced():
-        if v == phi.prime:
-            raise ValueError("v must differ from the reduction prime")
-        return _torsion_reduced(phi, v, max_ext_pdim)
-    return _torsion_over_k(phi, v, k_search_degree)
-
-
-def _torsion_reduced(phi: DrinfeldModule, v: Poly, max_ext_pdim: int) -> TorsionModule:
+    if v == phi.prime:
+        raise ValueError("v must differ from the reduction prime")
     field_r = phi.field_r
     F_f = phi.dom.field
     r = phi.r
@@ -685,21 +653,19 @@ def _torsion_reduced(phi: DrinfeldModule, v: Poly, max_ext_pdim: int) -> Torsion
     while True:
         e += 1
         E = F_f if e == 1 else _extension_of(F_f, e)
-        pdim = E.pdim()
+        pdim = E.m
         if pdim > max_ext_pdim:
             raise BoundExceeded(
                 f"splitting search for phi[{v}] exceeded extension dimension "
                 f"{max_ext_pdim} over F_p"
             )
-        embed = (lambda x: x) if e == 1 else E.embed
-        coeffs_e = [embed(c) for c in phi_v.coeffs]
         p = field_r.p
         cols = []
         for idx in range(pdim):
             vec = [0] * pdim
             vec[idx] = 1
             x = E.from_pvector(vec)
-            y = apply_linear(E, coeffs_e, x, r)
+            y = apply_linear(E, phi_v.coeffs, x, r)
             cols.append(E.to_pvector(y))
         rows = [[cols[j][i] for j in range(pdim)] for i in range(pdim)]
         null_basis = nullspace_mod_p(rows, p)
@@ -709,7 +675,7 @@ def _torsion_reduced(phi: DrinfeldModule, v: Poly, max_ext_pdim: int) -> Torsion
         if count > target:
             raise AssertionError("kernel larger than the torsion module; separability bug")
         kernel_points = _span_points(E, null_basis, p)
-        return _build_torsion(phi, v, E, e, kernel_points, embed)
+        return _build_torsion(phi, v, E, e, kernel_points)
 
 
 def _span_points(E, null_basis, p: int):
@@ -727,7 +693,7 @@ def _span_points(E, null_basis, p: int):
     return points
 
 
-def _build_torsion(phi, v, E, e, points, embed):
+def _build_torsion(phi, v, E, e, points):
     field_r = phi.field_r
     r = phi.r
     t = phi.rank
@@ -739,8 +705,7 @@ def _build_torsion(phi, v, E, e, points, embed):
     def phi_action_on(x, a: Poly):
         if a.is_zero():
             return E.zero
-        coeffs = [embed(c) for c in phi.action(a).coeffs]
-        return apply_linear(E, coeffs, x, r)
+        return apply_linear(E, phi.action(a).coeffs, x, r)
 
     basis = []
     # greedy A/(v)-independent points in deterministic order
@@ -781,68 +746,6 @@ def _build_torsion(phi, v, E, e, points, embed):
         action_cols.append(coords[img])
     action_t = [[action_cols[jc][ir] for jc in range(t)] for ir in range(t)]
     return TorsionModule(field_r, v, t, E, e, basis, coords, action_t)
-
-
-def _torsion_over_k(phi: DrinfeldModule, v: Poly, search_degree: int) -> TorsionModule:
-    """Rational torsion search for modules over k: candidates P(theta)/theta^j."""
-    field_r = phi.field_r
-    r = phi.r
-    t = phi.rank
-    target = r ** (t * v.deg)
-    phi_v = phi.action(v)
-    found = {}
-    theta = RatFunc.gen(field_r)
-    for jden in range(0, search_degree):
-        for cand_poly in all_polys_below(field_r, search_degree + 1):
-            cand = RatFunc(cand_poly) / theta**jden
-            if cand in found:
-                continue
-            val = phi_v.evaluate(cand)
-            if val.is_zero():
-                found[cand] = True
-    if len(found) != target:
-        raise BoundExceeded(
-            f"rational torsion search found {len(found)} of {target} points; "
-            "splitting field likely exceeds k"
-        )
-    points = sorted(found.keys(), key=lambda x: x.to_string())
-    residues = all_polys_below(field_r, v.deg)
-
-    def phi_action_on(x, a: Poly):
-        if a.is_zero():
-            return RatFunc.zero(field_r)
-        return phi.action(a).evaluate(x)
-
-    basis = []
-    span = {RatFunc.zero(field_r)}
-    for cand in points:
-        if cand in span:
-            continue
-        basis.append(cand)
-        if len(basis) == t:
-            break
-        new_span = set()
-        for lam in residues:
-            img = phi_action_on(cand, lam) if not lam.is_zero() else RatFunc.zero(field_r)
-            for s in span:
-                new_span.add(s + img)
-        span = new_span
-    coords = {}
-    combos = [()]
-    for _ in range(t):
-        combos = [c + (lam,) for c in combos for lam in residues]
-    for combo in combos:
-        acc = RatFunc.zero(field_r)
-        for i, lam in enumerate(combo):
-            if not lam.is_zero():
-                acc = acc + phi_action_on(basis[i], lam)
-        coords[acc] = combo
-    gen = Poly.gen(field_r)
-    action_t = None
-    if len(coords) == len(points):
-        action_cols = [coords[phi_action_on(b, gen)] for b in basis]
-        action_t = [[action_cols[jc][ir] for jc in range(t)] for ir in range(t)]
-    return TorsionModule(field_r, v, t, None, 0, basis, coords, action_t)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +799,7 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     reduced = phi if phi.is_reduced() else reduce_mod_prime(phi, f)
     dom = reduced.dom
     F_f = dom.field
-    p, m = field_r.p, field_r.pdim()
+    p, m = field_r.p, field_r.m
     d = f.deg
     deg_a = d if t == 1 else d // 2
     pi = OrePoly.tau(dom, d)
@@ -909,9 +812,9 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     if t == 2:
         phi_f = OrePoly.zero(dom)
         for c, power in zip(f.coeffs, powers):
-            phi_f = phi_f + power.scale(dom.embed_fr(c))
+            phi_f = phi_f + power.scale(c)
         terms.append(phi_f)
-    basis_r = [dom.embed_fr(field_r.from_pvector([int(i == k) for i in range(m)])) for k in range(m)]
+    basis_r = [field_r.from_pvector([int(i == k) for i in range(m)]) for k in range(m)]
     cols = [term.scale(b) for term in terms for b in basis_r] + [pi**t]
     flat = [[x for j in range(d * t + 1) for x in F_f.to_pvector(col.coeff(j))] for col in cols]
     null = nullspace_mod_p([list(row) for row in zip(*flat)], p)

@@ -15,15 +15,17 @@ import re
 
 from .errors import BoundExceeded, DomainMismatch, ParseError, ZeroInput
 from .ffield import (
-    FiniteField,
     pk_add,
     pk_divmod,
     pk_eval,
+    pk_gcd,
+    pk_irreducible_rabin,
     pk_mul,
     pk_neg,
     pk_scale,
     pk_sub,
     pk_trim,
+    pk_xgcd,
 )
 
 
@@ -129,12 +131,6 @@ class Poly:
     def scale(self, c) -> "Poly":
         return Poly(self.field, pk_scale(self.field, self.coeffs, c), self.var)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by X^k."""
-        if self.is_zero() or k == 0:
-            return self if k == 0 else self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs, self.var)
-
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
@@ -173,12 +169,6 @@ class Poly:
         """Evaluate at a field element of the coefficient field."""
         return pk_eval(self.field, self.coeffs, x)
 
-    def compose(self, other: "Poly") -> "Poly":
-        acc = Poly.zero(other.field, other.var)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.const(other.field, c, other.var)
-        return acc
-
     def frob_power(self, r: int) -> "Poly":
         """Exact r-th power: (sum a_i X^i)^r = sum a_i^r X^(i*r) in char p."""
         F = self.field
@@ -189,9 +179,6 @@ class Poly:
             if c != F.zero:
                 out[i * r] = F.pow_(c, r)
         return Poly(F, out, self.var)
-
-    def with_var(self, var: str) -> "Poly":
-        return Poly(self.field, self.coeffs, var)
 
     # -- comparisons / hashing ---------------------------------------------------
 
@@ -272,30 +259,19 @@ def poly_from_string(field, text: str, var: str = "T") -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# gcd / crt helpers
+# gcd helpers
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd (zero when both are zero)."""
+    a._check(b)
+    return Poly(a.field, pk_gcd(a.field, a.coeffs, b.coeffs), a.var)
 
 
 def poly_xgcd(a: Poly, b: Poly):
     """Returns (g, s, t) with s*a + t*b = g and g monic."""
-    F, var = a.field, a.var
-    r0, r1 = a, b
-    s0, s1 = Poly.one(F, var), Poly.zero(F, var)
-    t0, t1 = Poly.zero(F, var), Poly.one(F, var)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0.is_zero():
-        c = F.inv(r0.lc())
-        r0, s0, t0 = r0.scale(c), s0.scale(c), t0.scale(c)
-    return r0, s0, t0
+    a._check(b)
+    return tuple(Poly(a.field, c, a.var) for c in pk_xgcd(a.field, a.coeffs, b.coeffs))
 
 
 def valuation(a: Poly, prime: Poly) -> int:
@@ -359,16 +335,8 @@ def monic_irreducibles(field, d_max: int, enum_bound: int = 4096, var: str = "T"
 
 
 def is_irreducible(poly: Poly) -> bool:
-    """Trial division against all lower-degree monic irreducibles."""
-    if poly.deg < 1:
-        return False
-    if poly.deg == 1:
-        return True
-    for k in range(1, poly.deg // 2 + 1):
-        for p in _irreducibles_of_degree(poly.field, k, poly.var):
-            if (poly % p).is_zero():
-                return False
-    return True
+    """Ben-Or's test (``pk_irreducible_rabin``); constants are not irreducible."""
+    return pk_irreducible_rabin(poly.field, poly.monic().coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +403,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
-
-    def is_poly(self) -> bool:
-        return self.den.is_one()
 
     def constant_value(self):
         if not self.is_constant():
@@ -653,17 +618,17 @@ class BivPoly:
             out.append(Poly(F, row, "T"))
         return out
 
-    def eval_theta_in(self, ext, embed, root):
+    def eval_theta_in(self, ext, root):
         """Evaluate theta at an element of an extension field.
 
         Returns the coefficient list (low T-degree first) of a polynomial
-        in T over ``ext``; ``embed`` maps base-field elements into ext.
+        in T over ``ext``; base-field coefficients are elements of ext.
         """
         out = []
         for c in self.tcoeffs:
             acc = ext.zero
             for coeff in reversed(c.coeffs):
-                acc = ext.add(ext.mul(acc, root), embed(coeff))
+                acc = ext.add(ext.mul(acc, root), coeff)
             out.append(acc)
         while out and out[-1] == ext.zero:
             out.pop()

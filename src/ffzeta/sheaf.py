@@ -48,9 +48,6 @@ class TauSheafRank1:
     def from_theta_poly(cls, p: Poly) -> "TauSheafRank1":
         return cls(p.field, BivPoly.from_theta_poly(p))
 
-    def is_unit_sheaf(self) -> bool:
-        return self.den.is_one() and self.num.t_deg == 0 and self.num.tcoeffs[0].is_constant()
-
     def __eq__(self, other):
         if isinstance(other, TauSheafRank1):
             return self.num == other.num and self.den == other.den

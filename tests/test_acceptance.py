@@ -10,7 +10,7 @@ import time
 import pytest
 
 from ffzeta.errors import BadPrime, BadReduction
-from ffzeta.ffield import ExtField, field_make, pk_lex_irreducible
+from ffzeta.ffield import FiniteField, field_make, pk_lex_irreducible
 from ffzeta.laurent import Laurent
 from ffzeta.lseries import (
     EigenSystem,
@@ -250,12 +250,10 @@ def _frobenius_matrix_by_scanning(red, v):
     target = r ** (red.rank * v.deg)
     phi_v = red.action(v)
     for e in range(1, 16):
-        E = F_f if e == 1 else ExtField(F_f, pk_lex_irreducible(F_f, e), check=False)
+        E = F_f if e == 1 else FiniteField(F_f, pk_lex_irreducible(F_f, e), check=False)
         if E.q > (1 << 16):
             raise AssertionError("scan oracle exceeded its bound")
-        embed = (lambda x: x) if e == 1 else E.embed
-        coeffs = [embed(c) for c in phi_v.coeffs]
-        roots = [x for x in E.elements() if apply_linear(E, coeffs, x, r) == E.zero]
+        roots = [x for x in E.elements() if apply_linear(E, phi_v.coeffs, x, r) == E.zero]
         if len(roots) != target:
             continue
         # coordinates: phi_lambda combinations of a greedy basis
@@ -266,7 +264,7 @@ def _frobenius_matrix_by_scanning(red, v):
         def act(x, a):
             if a.is_zero():
                 return E.zero
-            return apply_linear(E, [embed(c) for c in red.action(a).coeffs], x, r)
+            return apply_linear(E, red.action(a).coeffs, x, r)
 
         basis = []
         span = {E.zero}

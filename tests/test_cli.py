@@ -93,6 +93,24 @@ def test_classify_zero_value_exits_2(capsys, tmp_path):
     assert "error:" in err and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "rows,bad_line",
+    [
+        ("1,1\nT,T\n", 1),  # constant key: degree 0
+        ("T,T\nT^2,T^2\n", 2),  # reducible key
+        ("2*T,T\nT^2+1,T^2+1\n", 1),  # irreducible but not monic
+    ],
+    ids=["constant", "reducible", "not-monic"],
+)
+def test_classify_non_prime_key_exits_2(capsys, tmp_path, rows, bad_line):
+    eigen = tmp_path / "eigen.csv"
+    eigen.write_text(rows)
+    code, out, err = run(capsys, "classify", str(eigen), "--r", "3")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and f"line {bad_line}" in err
+
+
 def test_classify_chi_witness_file(capsys, tmp_path):
     # generated from chi_beta(-theta, .): values c_P^{-1} * P
     from ffzeta.poly import monic_irreducibles, poly_from_string

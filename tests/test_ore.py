@@ -234,12 +234,9 @@ def test_point_module_noncyclic_flagged():
 # -- torsion ------------------------------------------------------------------------
 
 
-def test_torsion_carlitz_over_k():
-    # C[T] = {0, theta} for r = 2 (roots of theta*x + x^2)
-    C = carlitz(F2)
-    tor = torsion_points(C, pf(F2, "T"))
-    pts = set(p.to_string() for p in tor.points)
-    assert pts == {"0", "T"}
+def test_torsion_points_requires_reduced_module():
+    with pytest.raises(ValueError, match="reduced"):
+        torsion_points(carlitz(F2), pf(F2, "T"))
 
 
 def test_torsion_sizes_reduced():
@@ -251,7 +248,7 @@ def test_torsion_sizes_reduced():
         assert tor.size() == 3**v.deg
         # phi_v kills every point
         E = tor.ambient
-        coeffs = [E.embed(c) if tor.ext_degree > 1 else c for c in red.action(v).coeffs]
+        coeffs = red.action(v).coeffs
         from ffzeta.ore import apply_linear
 
         for ptx in tor.points:

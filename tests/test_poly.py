@@ -176,10 +176,10 @@ def test_resultant_multiplicative():
 
 def test_resultant_against_root_products():
     # independent oracle: evaluate at explicit roots in the splitting field
-    from ffzeta.ffield import ExtField, pk_lex_irreducible
+    from ffzeta.ffield import FiniteField, pk_lex_irreducible
 
     for d in (2, 3):
-        E = ExtField(F3, pk_lex_irreducible(F3, d))
+        E = FiniteField(F3, pk_lex_irreducible(F3, d))
         for f in monic_irreducibles(F3, d):
             if f.deg != d:
                 continue
@@ -191,13 +191,13 @@ def test_resultant_against_root_products():
                 prod = E.mul(prod, _eval_in(E, g, rt))
             res = resultant(f, g)
             assert res.is_constant()
-            assert E.embed(res.constant_value()) == prod
+            assert res.constant_value() == prod
 
 
 def _eval_in(E, p, x):
     acc = E.zero
     for c in reversed(p.coeffs):
-        acc = E.add(E.mul(acc, x), E.embed(c))
+        acc = E.add(E.mul(acc, x), c)
     return acc
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from ffzeta.errors import BadPrime, ZeroInput
-from ffzeta.ffield import ExtField, field_make, pk_lex_irreducible
+from ffzeta.ffield import FiniteField, field_make, pk_lex_irreducible
 from ffzeta.laurent import Laurent
 from ffzeta.ore import reduce_mod_prime, drinfeld_rank1, frobenius_on_torsion
 from ffzeta.poly import (
@@ -111,17 +111,17 @@ def _root_product_oracle(field, sheaf, f):
         # evaluate each T-coefficient of num at the root
         coeffs = [c.evaluate(root) for c in sheaf.num.tcoeffs]
         return Poly(field, coeffs)
-    E = ExtField(field, pk_lex_irreducible(field, d), check=False)
+    E = FiniteField(field, pk_lex_irreducible(field, d), check=False)
     roots = [x for x in E.elements() if _eval_poly(E, f, x) == E.zero]
     assert len(roots) == d
     acc = [E.one]  # polynomial "1" in T over E
     for rt in roots:
-        fac = sheaf.num.eval_theta_in(E, E.embed, rt)
+        fac = sheaf.num.eval_theta_in(E, rt)
         acc = _polymul_over(E, acc, fac)
     # the product has coefficients in the prime field; project back
     out = []
     for c in acc:
-        match = [a for a in field.elements() if E.embed(a) == c]
+        match = [a for a in field.elements() if a == c]
         assert match, "root product left the base field"
         out.append(match[0])
     return Poly(field, out)
@@ -130,7 +130,7 @@ def _root_product_oracle(field, sheaf, f):
 def _eval_poly(E, p, x):
     acc = E.zero
     for c in reversed(p.coeffs):
-        acc = E.add(E.mul(acc, x), E.embed(c))
+        acc = E.add(E.mul(acc, x), c)
     return acc
 
 
