@@ -113,13 +113,24 @@ class PrimeCache:
         lines = path.read_text().splitlines()
         if not lines or not lines[0].startswith("# ffzeta-primes "):
             raise CacheCorrupt(f"{path}: missing header")
-        head = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+        tokens = lines[0].split()[2:]
+        if not all("=" in tok for tok in tokens):
+            raise CacheCorrupt(f"{path}: unreadable header")
+        head = dict(tok.split("=", 1) for tok in tokens)
+        if head.get("r") != str(field.q) or head.get("d") != str(d):
+            raise CacheCorrupt(f"{path}: header is for another r or d")
         entries = lines[1:]
-        if int(head.get("count", -1)) != len(entries):
+        if head.get("count") != str(len(entries)):
             raise CacheCorrupt(f"{path}: entry count mismatch")
         if head.get("sha256") != self._checksum(entries):
             raise CacheCorrupt(f"{path}: checksum mismatch")
-        return [poly_from_string(field, e) for e in entries]
+        try:
+            primes = [poly_from_string(field, e) for e in entries]
+        except ParseError as exc:
+            raise CacheCorrupt(f"{path}: {exc}") from None
+        if not all(f.deg == d and f.is_monic() for f in primes):
+            raise CacheCorrupt(f"{path}: an entry is not a monic polynomial of degree {d}")
+        return primes
 
     def store(self, field, d: int, primes) -> None:
         entries = [p.to_string() for p in primes]

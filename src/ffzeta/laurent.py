@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotAPower, NotOneUnit, ZeroInput
-from .poly import Poly, RatFunc
+from .poly import Poly, RatFunc, binary_power
 
 INF = math.inf
 
@@ -219,13 +219,7 @@ class Laurent:
     def __pow__(self, n: int) -> "Laurent":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Laurent.one(self.field, INF)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        out = binary_power(self, n, Laurent.one(self.field, INF))
         if out.prec == INF and self.prec != INF:
             out = out.truncate(self.prec)
         return out
@@ -365,14 +359,7 @@ def one_unit_pow_binary(u: Laurent, y: int, prec=None) -> Laurent:
     u = u.truncate(prec)
     if y < 0:
         return one_unit_pow_binary(u.inverse(prec), -y, prec)
-    out = Laurent.one(u.field, prec)
-    base = u
-    while y:
-        if y & 1:
-            out = out * base
-        base = base * base
-        y >>= 1
-    return out
+    return binary_power(u, y, Laurent.one(u.field, prec))
 
 
 def root_pow_r_minus_1(beta: RatFunc, precision: int) -> Laurent:

@@ -318,6 +318,28 @@ def power_sums_enumerated_batch(field_r, e: int, k_max: int, enum_bound: int = 1
 # special polynomials
 
 
+def _series_string(coeffs, power) -> str:
+    """Nonzero terms c*v^j of a series with coefficients in A, lowest j first.
+
+    ``power(j)`` writes v^j for j >= 1 (``u^j`` or ``x^-j``); a coefficient
+    whose text holds "+" or "*" is parenthesised, and the zero series is "0".
+    """
+    terms = []
+    for j, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        cs = c.to_string()
+        if j == 0:
+            terms.append(cs)
+        elif cs == "1":
+            terms.append(power(j))
+        elif "+" in cs or "*" in cs:
+            terms.append(f"({cs})*{power(j)}")
+        else:
+            terms.append(f"{cs}*{power(j)}")
+    return "+".join(terms) if terms else "0"
+
+
 @dataclass(frozen=True)
 class SpecialPolynomial:
     """L(., x/T^i, -i) in A[x^-1]: coeffs[e] is the coefficient of x^-e."""
@@ -345,25 +367,7 @@ class SpecialPolynomial:
         return Poly.zero(self.coeffs[0].field)
 
     def to_string(self) -> str:
-        if self.deg < 0:
-            return "0"
-        terms = []
-        for e in range(self.deg + 1):
-            c = self.coeffs[e]
-            if c.is_zero():
-                continue
-            cs = c.to_string()
-            if e == 0:
-                terms.append(cs)
-            else:
-                xpart = "x^-1" if e == 1 else f"x^-{e}"
-                if cs == "1":
-                    terms.append(xpart)
-                elif "+" in cs or "*" in cs:
-                    terms.append(f"({cs})*{xpart}")
-                else:
-                    terms.append(f"{cs}*{xpart}")
-        return "+".join(terms)
+        return _series_string(self.coeffs, lambda e: f"x^-{e}")
 
     def to_dict(self) -> dict:
         return {
@@ -385,12 +389,8 @@ def special_polynomial(field_r, i: int, kind: str) -> SpecialPolynomial:
     if kind not in ("zeta", "carlitz"):
         raise ValueError("kind must be 'zeta' or 'carlitz'")
     k = i if kind == "zeta" else i + 1
-    r = field_r.q
-    e_bound = k // (r - 1)
     tab = _table_for(field_r, k)
-    coeffs = [tab.value(e, k) for e in range(e_bound + 1)]
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs.pop()
+    coeffs = [tab.value(e, k) for e in range(tab.degree_in_e(k) + 1)]
     return SpecialPolynomial(i=i, kind=kind, coeffs=tuple(coeffs))
 
 
@@ -413,22 +413,7 @@ class LocalFactor:
     provenance: str
 
     def denominator_string(self) -> str:
-        terms = []
-        for j, c in enumerate(self.denominator):
-            if c.is_zero():
-                continue
-            cs = c.to_string()
-            if j == 0:
-                terms.append(cs)
-            else:
-                upart = "u" if j == 1 else f"u^{j}"
-                if cs == "1":
-                    terms.append(upart)
-                elif "+" in cs or "*" in cs:
-                    terms.append(f"({cs})*{upart}")
-                else:
-                    terms.append(f"{cs}*{upart}")
-        return "+".join(terms) if terms else "0"
+        return _series_string(self.denominator, lambda j: "u" if j == 1 else f"u^{j}")
 
     def inverse_series(self, n_terms: int) -> list:
         """Coefficients of 1/denominator as a power series in u."""
@@ -542,10 +527,10 @@ def euler_product_symbolic(obj, field_r, i: int, d_max: int, enum_bound: int = 4
     zero, one = Poly.zero(field_r), Poly.one(field_r)
     # euler side: product of sum_j c_{f^j} f^{ij} x^{-j deg f}
     euler = [one] + [zero] * d_max
+    factor_cache = {f: local_factor(obj, f).inverse_series(d_max // f.deg + 1) for f in primes}
     for f in primes:
-        lf = local_factor(obj, f)
         n_terms = d_max // f.deg + 1
-        series = lf.inverse_series(n_terms)
+        series = factor_cache[f]
         fi = f**i
         factor = [zero] * (d_max + 1)
         factor[0] = one
@@ -562,7 +547,6 @@ def euler_product_symbolic(obj, field_r, i: int, d_max: int, enum_bound: int = 4
         euler = new
     # dirichlet side: c_n * n^i summed over monic n of degree e
     dirichlet = [one if e == 0 else zero for e in range(d_max + 1)]
-    factor_cache = {f: local_factor(obj, f).inverse_series(d_max // f.deg + 1) for f in primes}
     for e in range(1, d_max + 1):
         acc = zero
         for n in monic_polys(field_r, e):
@@ -616,8 +600,8 @@ def euler_product(obj, field_r, s: SInfinityPoint, d_max: int, prec: int = 20):
     neg_s = s.neg(prec=prec + abs(w) * (d_max + 2))
     product = Laurent.one(field_r, prec=INF)
     primes = monic_irreducibles(field_r, d_max)
-    for f in primes:
-        lf = local_factor(obj, f)
+    factors = {f: local_factor(obj, f) for f in primes}
+    for f, lf in factors.items():
         u_f = a_pow_s(f, neg_s)
         den = Laurent.zero(field_r)
         upow = Laurent.one(field_r)
@@ -629,7 +613,7 @@ def euler_product(obj, field_r, s: SInfinityPoint, d_max: int, prec: int = 20):
         product = product * den.inverse(prec)
     product = product.truncate(prec)
     # Dirichlet side
-    factor_cache = {f: local_factor(obj, f).inverse_series(d_max // f.deg + 1) for f in primes}
+    factor_cache = {f: lf.inverse_series(d_max // f.deg + 1) for f, lf in factors.items()}
     dirichlet = Laurent.one(field_r, prec=INF)
     for e in range(1, d_max + 1):
         for n in monic_polys(field_r, e):

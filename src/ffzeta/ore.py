@@ -27,7 +27,7 @@ from .errors import (
     ZeroInput,
 )
 from .ffield import FiniteField, pk_lex_irreducible, pk_powmod
-from .poly import Poly, RatFunc, poly_gcd, poly_xgcd
+from .poly import Poly, RatFunc, binary_power, poly_gcd, poly_xgcd
 
 # ---------------------------------------------------------------------------
 # coefficient domains
@@ -192,16 +192,7 @@ class OrePoly:
         return OrePoly(dom, out)
 
     def __pow__(self, n: int) -> "OrePoly":
-        if n < 0:
-            raise ValueError("negative Ore power")
-        out = OrePoly.const(self.dom, self.dom.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, OrePoly.const(self.dom, self.dom.one))
 
     def scale(self, c) -> "OrePoly":
         dom = self.dom
@@ -610,9 +601,9 @@ def _extension_of(F_f, e: int):
 
 
 class TorsionModule:
-    """phi[v] with an A/(v)-basis, coordinates, and the T-action matrix."""
+    """phi[v] with an A/(v)-basis and the coordinates of every point."""
 
-    def __init__(self, field_r, v, rank, ambient, ext_degree, basis, coords, action_t):
+    def __init__(self, field_r, v, rank, ambient, ext_degree, basis, coords):
         self.field_r = field_r
         self.v = v
         self.rank = rank
@@ -620,7 +611,6 @@ class TorsionModule:
         self.ext_degree = ext_degree
         self.basis = basis
         self.coords = coords  # dict: point -> tuple of residue Polys
-        self.action_t = action_t
 
     @property
     def points(self):
@@ -739,13 +729,7 @@ def _build_torsion(phi, v, E, e, points):
         coords[acc] = combo
     if len(coords) != len(point_set) or set(coords) != point_set:
         raise AssertionError("torsion module is not free over A/(v); bug")
-    gen = Poly.gen(field_r)
-    action_cols = []
-    for b in basis:
-        img = phi_action_on(b, gen)
-        action_cols.append(coords[img])
-    action_t = [[action_cols[jc][ir] for jc in range(t)] for ir in range(t)]
-    return TorsionModule(field_r, v, t, E, e, basis, coords, action_t)
+    return TorsionModule(field_r, v, t, E, e, basis, coords)
 
 
 # ---------------------------------------------------------------------------

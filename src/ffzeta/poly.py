@@ -1,10 +1,12 @@
-"""Dense polynomials over a finite field, rational functions, and resultants.
+"""A = F_r[T]: polynomials, rational functions, F_r[theta][T] and resultants.
 
-``Poly`` is the universal scalar for the whole package: elements of
-A = F_r[T] (tag "T"), primes f, L-factor variables ("u") and special
-polynomial variables ("x") are all instances with different tags.  The
-canonical text encoding writes coefficients as integers 0..r-1 in the
-fixed F_p-basis, e.g. ``T^2+T+1``; this is the wire format everywhere.
+``Poly`` is an element of A; it is the scalar of the whole package (primes
+f, Euler-factor and special-polynomial coefficients, Frobenius
+eigenvalues).  Series in u or x^-1 are coefficient lists of Polys, printed
+by ``lseries``.  The canonical text encoding writes coefficients as
+integers 0..r-1 in the fixed F_p-basis, e.g. ``T^2+T+1``; this is the
+wire format everywhere.  ``binary_power`` is the one square-and-multiply
+loop of the package, shared by every ring whose product is ``*``.
 
 Degree of the zero polynomial is the sentinel -1.
 """
@@ -20,6 +22,7 @@ from .ffield import (
     pk_eval,
     pk_gcd,
     pk_irreducible_rabin,
+    pk_mod,
     pk_mul,
     pk_neg,
     pk_scale,
@@ -29,42 +32,55 @@ from .ffield import (
 )
 
 
+def binary_power(x, n: int, one):
+    """x^n for n >= 0 by square-and-multiply over ``*``, starting from ``one``."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 class Poly:
-    """Immutable dense polynomial over a finite field object."""
+    """Immutable dense polynomial in T over a finite field F_r."""
 
-    __slots__ = ("field", "coeffs", "var")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, coeffs, var: str = "T"):
+    def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = tuple(pk_trim(field, list(coeffs)))
-        self.var = var
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, field, var: str = "T") -> "Poly":
-        return cls(field, (), var)
+    def zero(cls, field) -> "Poly":
+        return cls(field, ())
 
     @classmethod
-    def one(cls, field, var: str = "T") -> "Poly":
-        return cls(field, (field.one,), var)
+    def one(cls, field) -> "Poly":
+        return cls(field, (field.one,))
 
     @classmethod
-    def const(cls, field, c, var: str = "T") -> "Poly":
-        return cls(field, (c,), var)
+    def const(cls, field, c) -> "Poly":
+        return cls(field, (c,))
 
     @classmethod
-    def gen(cls, field, var: str = "T") -> "Poly":
-        return cls(field, (field.zero, field.one), var)
+    def gen(cls, field) -> "Poly":
+        return cls(field, (field.zero, field.one))
 
     @classmethod
-    def from_encoding(cls, field, enc: int, degree: int, var: str = "T") -> "Poly":
-        """Monic polynomial X^degree + tail, tail encoded base q ascending."""
+    def from_encoding(cls, field, enc: int, degree: int) -> "Poly":
+        """Monic polynomial T^degree + tail, tail encoded base q ascending."""
         tail = []
         for _ in range(degree):
             tail.append(field.element_from_index(enc % field.q))
             enc //= field.q
-        return cls(field, tail + [field.one], var)
+        return cls(field, tail + [field.one])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -106,47 +122,34 @@ class Poly:
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.field is not other.field or self.var != other.var:
-            if self.field != other.field or self.var != other.var:
-                raise DomainMismatch(
-                    f"mixed polynomial domains: {self.field}[{self.var}] vs "
-                    f"{other.field}[{other.var}]"
-                )
+        if self.field is not other.field and self.field != other.field:
+            raise DomainMismatch(f"mixed polynomial domains: {self.field}[T] vs {other.field}[T]")
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly(self.field, pk_add(self.field, self.coeffs, other.coeffs), self.var)
+        return Poly(self.field, pk_add(self.field, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly(self.field, pk_sub(self.field, self.coeffs, other.coeffs), self.var)
+        return Poly(self.field, pk_sub(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, pk_neg(self.field, self.coeffs), self.var)
+        return Poly(self.field, pk_neg(self.field, self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly(self.field, pk_mul(self.field, self.coeffs, other.coeffs), self.var)
+        return Poly(self.field, pk_mul(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Poly":
-        return Poly(self.field, pk_scale(self.field, self.coeffs, c), self.var)
+        return Poly(self.field, pk_scale(self.field, self.coeffs, c))
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.one(self.field, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, Poly.one(self.field))
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
         q, r = pk_divmod(self.field, self.coeffs, other.coeffs)
-        return Poly(self.field, q, self.var), Poly(self.field, r, self.var)
+        return Poly(self.field, q), Poly(self.field, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -178,23 +181,19 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             if c != F.zero:
                 out[i * r] = F.pow_(c, r)
-        return Poly(F, out, self.var)
+        return Poly(F, out)
 
     # -- comparisons / hashing ---------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return (
-                self.field == other.field
-                and self.var == other.var
-                and self.coeffs == other.coeffs
-            )
+            return self.field == other.field and self.coeffs == other.coeffs
         if isinstance(other, int) and other in (0, 1):
             return self.is_zero() if other == 0 else self.is_one()
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.var, self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def sort_key(self):
         return (self.deg, self.encoding())
@@ -214,7 +213,7 @@ class Poly:
             if e == 0:
                 terms.append(str(ci))
             else:
-                xpart = self.var if e == 1 else f"{self.var}^{e}"
+                xpart = "T" if e == 1 else f"T^{e}"
                 terms.append(xpart if ci == 1 else f"{ci}*{xpart}")
         return "+".join(terms)
 
@@ -227,7 +226,7 @@ class Poly:
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:([A-Za-z]\w*)(?:\^(\d+))?)?$")
 
 
-def poly_from_string(field, text: str, var: str = "T") -> Poly:
+def poly_from_string(field, text: str) -> Poly:
     """Parse the canonical encoding; raises ParseError with position."""
     s = text.replace(" ", "")
     if not s:
@@ -244,7 +243,7 @@ def poly_from_string(field, text: str, var: str = "T") -> Poly:
         if m.group(2) is None:
             e = 0
         else:
-            if m.group(2) != var:
+            if m.group(2) != "T":
                 raise ParseError(text, pos, f"unknown variable {m.group(2)!r}")
             e = int(m.group(3)) if m.group(3) is not None else 1
         if ci >= field.q:
@@ -255,7 +254,7 @@ def poly_from_string(field, text: str, var: str = "T") -> Poly:
     out = [field.zero] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
-    return Poly(field, out, var)
+    return Poly(field, out)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +264,13 @@ def poly_from_string(field, text: str, var: str = "T") -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd (zero when both are zero)."""
     a._check(b)
-    return Poly(a.field, pk_gcd(a.field, a.coeffs, b.coeffs), a.var)
+    return Poly(a.field, pk_gcd(a.field, a.coeffs, b.coeffs))
 
 
 def poly_xgcd(a: Poly, b: Poly):
     """Returns (g, s, t) with s*a + t*b = g and g monic."""
     a._check(b)
-    return tuple(Poly(a.field, c, a.var) for c in pk_xgcd(a.field, a.coeffs, b.coeffs))
+    return tuple(Poly(a.field, c) for c in pk_xgcd(a.field, a.coeffs, b.coeffs))
 
 
 def valuation(a: Poly, prime: Poly) -> int:
@@ -291,31 +290,31 @@ def valuation(a: Poly, prime: Poly) -> int:
 # monic irreducibles over F_r[T]
 
 
-def monic_polys(field, d: int, var: str = "T"):
+def monic_polys(field, d: int):
     """All monic polynomials of degree d, ascending tail encoding."""
     for enc in range(field.q**d):
-        yield Poly.from_encoding(field, enc, d, var)
+        yield Poly.from_encoding(field, enc, d)
 
 
 _IRRED_CACHE: dict[tuple, list] = {}
 
 
-def _irreducibles_of_degree(field, d: int, var: str = "T") -> list[Poly]:
-    key = (field, d, var)
+def _irreducibles_of_degree(field, d: int) -> list[Poly]:
+    key = (field, d)
     if key in _IRRED_CACHE:
         return _IRRED_CACHE[key]
     smaller = []
     for k in range(1, d // 2 + 1):
-        smaller.extend(_irreducibles_of_degree(field, k, var))
+        smaller.extend(_irreducibles_of_degree(field, k))
     out = []
-    for cand in monic_polys(field, d, var):
+    for cand in monic_polys(field, d):
         if d == 1 or all((cand % p).coeffs for p in smaller):
             out.append(cand)
     _IRRED_CACHE[key] = out
     return out
 
 
-def monic_irreducibles(field, d_max: int, enum_bound: int = 4096, var: str = "T") -> list[Poly]:
+def monic_irreducibles(field, d_max: int, enum_bound: int = 4096) -> list[Poly]:
     """All monic irreducibles of degree <= d_max, sorted by (degree, encoding).
 
     Irreducibility is decided by trial division at desk scale; the
@@ -330,7 +329,7 @@ def monic_irreducibles(field, d_max: int, enum_bound: int = 4096, var: str = "T"
         )
     out = []
     for d in range(1, d_max + 1):
-        out.extend(_irreducibles_of_degree(field, d, var))
+        out.extend(_irreducibles_of_degree(field, d))
     return out
 
 
@@ -350,7 +349,7 @@ class RatFunc:
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
-            den = Poly.one(num.field, num.var)
+            den = Poly.one(num.field)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if not num.is_zero():
@@ -359,7 +358,7 @@ class RatFunc:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
         else:
-            den = Poly.one(num.field, num.var)
+            den = Poly.one(num.field)
         c = den.lc()
         if c != den.field.one:
             ci = den.field.inv(c)
@@ -372,28 +371,24 @@ class RatFunc:
         return cls(p)
 
     @classmethod
-    def const(cls, field, c, var: str = "T") -> "RatFunc":
-        return cls(Poly.const(field, c, var))
+    def const(cls, field, c) -> "RatFunc":
+        return cls(Poly.const(field, c))
 
     @classmethod
-    def zero(cls, field, var: str = "T") -> "RatFunc":
-        return cls(Poly.zero(field, var))
+    def zero(cls, field) -> "RatFunc":
+        return cls(Poly.zero(field))
 
     @classmethod
-    def one(cls, field, var: str = "T") -> "RatFunc":
-        return cls(Poly.one(field, var))
+    def one(cls, field) -> "RatFunc":
+        return cls(Poly.one(field))
 
     @classmethod
-    def gen(cls, field, var: str = "T") -> "RatFunc":
-        return cls(Poly.gen(field, var))
+    def gen(cls, field) -> "RatFunc":
+        return cls(Poly.gen(field))
 
     @property
     def field(self):
         return self.num.field
-
-    @property
-    def var(self):
-        return self.num.var
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -427,19 +422,12 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def inv(self) -> "RatFunc":
-        return RatFunc.one(self.field, self.var) / self
+        return RatFunc.one(self.field) / self
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inv() ** (-n)
-        out = RatFunc.one(self.field, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, RatFunc.one(self.field))
 
     def frob_power(self, r: int) -> "RatFunc":
         return RatFunc(self.num.frob_power(r), self.den.frob_power(r))
@@ -484,7 +472,7 @@ class RatFunc:
         return f"RatFunc({self.to_string()!r})"
 
 
-def ratfunc_from_string(field, text: str, var: str = "T") -> RatFunc:
+def ratfunc_from_string(field, text: str) -> RatFunc:
     s = text.replace(" ", "")
     depth = 0
     split = None
@@ -514,9 +502,9 @@ def ratfunc_from_string(field, text: str, var: str = "T") -> RatFunc:
             t = t[1:-1]
         return t
     if split is None:
-        return RatFunc(poly_from_string(field, strip_parens(s), var))
-    num = poly_from_string(field, strip_parens(s[:split]), var)
-    den = poly_from_string(field, strip_parens(s[split + 1 :]), var)
+        return RatFunc(poly_from_string(field, strip_parens(s)))
+    num = poly_from_string(field, strip_parens(s[:split]))
+    den = poly_from_string(field, strip_parens(s[split + 1 :]))
     if den.is_zero():
         raise ParseError(text, split + 1, "zero denominator")
     return RatFunc(num, den)
@@ -562,9 +550,6 @@ class BivPoly:
     def t_deg(self) -> int:
         return len(self.tcoeffs) - 1
 
-    def theta_deg(self) -> int:
-        return max((c.deg for c in self.tcoeffs), default=-1)
-
     def __add__(self, other: "BivPoly") -> "BivPoly":
         n = max(len(self.tcoeffs), len(other.tcoeffs))
         z = Poly.zero(self.field)
@@ -589,14 +574,7 @@ class BivPoly:
         return BivPoly(self.field, out)
 
     def __pow__(self, n: int) -> "BivPoly":
-        out = BivPoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, BivPoly.one(self.field))
 
     def scale(self, p: Poly) -> "BivPoly":
         return BivPoly(self.field, tuple(c * p for c in self.tcoeffs))
@@ -607,16 +585,6 @@ class BivPoly:
         for c in self.tcoeffs:
             g = poly_gcd(g, c) if not g.is_zero() else c.monic() if not c.is_zero() else g
         return g
-
-    def theta_major(self) -> list[Poly]:
-        """Coefficients of theta^i as polynomials in T (var "T")."""
-        F = self.field
-        dth = self.theta_deg()
-        out = []
-        for i in range(dth + 1):
-            row = [c.coeff(i) for c in self.tcoeffs]
-            out.append(Poly(F, row, "T"))
-        return out
 
     def eval_theta_in(self, ext, root):
         """Evaluate theta at an element of an extension field.
@@ -680,80 +648,28 @@ def bareiss_det(field, rows) -> Poly:
 
 
 def resultant(f: Poly, g) -> Poly:
-    """Res_theta(f, g) for monic nonconstant f; equals prod g(T, root_i).
+    """Res_theta(f, g) = prod g(T, rho) over the roots rho of a monic nonconstant f.
 
-    ``g`` may be a plain Poly in theta (coefficients constant in T) or a
-    BivPoly.  Computed fraction-free as det of multiplication-by-g on
-    F_r[theta]/(f) tensor F_r[T], so the result lives in F_r[T] exactly.
+    ``g`` is a BivPoly sum_j g_j(theta) T^j, or a Poly in theta (constant
+    in T).  The result is the determinant of multiplication by g on
+    A[theta]/(f) in the basis theta^0..theta^(d-1): column i holds
+    sum_j (theta^i g_j mod f) T^j, i.e. the matrix is sum_j M_j T^j with
+    M_j the F_r-matrix of multiplication by g_j on F_r[theta]/(f).  The
+    determinant is taken fraction-free (``bareiss_det``), so it lies in A
+    exactly.
     """
     if isinstance(g, Poly):
-        g = _theta_to_biv(g)
+        g = BivPoly.from_theta_poly(g)
     if g.is_zero():
         raise ZeroInput("resultant with zero polynomial")
     if not f.is_monic() or f.deg < 1:
         raise ValueError("f must be monic and nonconstant")
-    F = f.field
-    d = f.deg
-    # reduce g mod f in the theta direction; residue columns live in A^d
-    theta_rows = _biv_mod_monic(g, f)
-    # column i of the matrix is theta^i * g mod f
-    cols = [theta_rows]
-    for _ in range(d - 1):
-        cols.append(_theta_shift_mod(cols[-1], f))
-    rows = [[cols[j][i] for j in range(d)] for i in range(d)]
+    F, d = f.field, f.deg
+    residues = [pk_mod(F, gj.coeffs, f.coeffs) for gj in g.tcoeffs]  # g_j mod f
+    cols = []
+    for i in range(d):
+        if i:
+            residues = [pk_mod(F, [F.zero] + res, f.coeffs) for res in residues]
+        cols.append([res + [F.zero] * (d - len(res)) for res in residues])
+    rows = [[Poly(F, [res[k] for res in col]) for col in cols] for k in range(d)]
     return bareiss_det(F, rows)
-
-
-def _theta_to_biv(g: Poly) -> "BivPoly":
-    # theta-polynomial with constant T-coefficients -> BivPoly in one T-slot
-    return BivPoly(g.field, (g,))
-
-
-def _biv_mod_monic(g: BivPoly, f: Poly) -> list[Poly]:
-    """Reduce g mod monic f(theta); returns theta-major rows, entries in A."""
-    d = f.deg
-    F = g.field
-    theta_major = g.theta_major()  # Polys in T indexed by theta power
-    # long division in theta: since f has constant coefficients this is
-    # plain reduction of each theta power
-    red = _theta_power_table(f, len(theta_major))
-    out = [Poly.zero(F, "T") for _ in range(d)]
-    for i, pT in enumerate(theta_major):
-        if pT.is_zero():
-            continue
-        for j, c in enumerate(red[i]):
-            if c != F.zero:
-                out[j] = out[j] + pT.scale(c)
-    return out
-
-
-def _theta_power_table(f: Poly, n: int) -> list[list]:
-    """theta^i mod f as F_r-coefficient rows, for i < n."""
-    F = f.field
-    d = f.deg
-    rows = []
-    cur = [F.one] + [F.zero] * (d - 1)
-    for i in range(n):
-        rows.append(list(cur))
-        # multiply by theta
-        lead = cur[-1]
-        nxt = [F.zero] + cur[:-1]
-        if lead != F.zero:
-            for j in range(d):
-                nxt[j] = F.sub(nxt[j], F.mul(lead, f.coeffs[j]))
-        cur = nxt
-    return rows
-
-
-def _theta_shift_mod(col: list[Poly], f: Poly) -> list[Poly]:
-    """Multiply a reduced column by theta and reduce mod monic f."""
-    F = f.field
-    d = f.deg
-    lead = col[-1]
-    out = [Poly.zero(F, "T")] + list(col[:-1])
-    if not lead.is_zero():
-        for j in range(d):
-            c = f.coeffs[j]
-            if c != F.zero:
-                out[j] = out[j] - lead.scale(c)
-    return out[:d]

@@ -3,6 +3,9 @@ name and silently skips a name it cannot find, which would read 0 in its
 per-layer metrics.  This test only reads ``ffbench``: every boundary must
 resolve in the loaded package."""
 
+import ast
+import importlib
+import inspect
 import pathlib
 import sys
 
@@ -27,3 +30,62 @@ def test_tracer_boundaries_resolve():
         if owner is None or not callable(vars(owner).get(attr)):
             missing.append(f"{name}: ffzeta.{modname}.{qualname}")
     assert not missing, missing
+
+
+def _import_from(module, name):
+    """What ``from module import name`` binds: an attribute, else a submodule."""
+    owner = importlib.import_module(module)
+    if hasattr(owner, name):
+        return getattr(owner, name)
+    return importlib.import_module(f"{module}.{name}")
+
+
+def _ffzeta_bindings(tree, path, missing):
+    """Local name -> ffzeta object for every ffzeta import in one file."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ffzeta":
+            for alias in node.names:
+                try:
+                    bound[alias.asname or alias.name] = _import_from(node.module, alias.name)
+                except ImportError:
+                    missing.append(f"{path.name}:{node.lineno}: {node.module}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ffzeta":
+                    module = importlib.import_module(alias.name)  # ``import a.b`` binds ``a``
+                    bound[alias.asname or "ffzeta"] = module if alias.asname else importlib.import_module("ffzeta")
+    return bound
+
+
+def test_ffbench_calls_into_ffzeta_resolve():
+    """Every name ffbench imports from ffzeta exists, and every keyword it
+    passes to an ffzeta function is a parameter of that function.  Only the
+    source is parsed, so nothing is written under ffbench/."""
+    missing, bad_keywords = [], []
+    for path in sorted(TRACING.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = _ffzeta_bindings(tree, path, missing)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.keywords:
+                continue
+            chain, head = [], node.func
+            while isinstance(head, ast.Attribute):
+                chain.insert(0, head.attr)
+                head = head.value
+            if not isinstance(head, ast.Name) or head.id not in bound:
+                continue
+            where = f"{path.name}:{node.lineno}: {'.'.join([head.id] + chain)}"
+            func = bound[head.id]
+            try:
+                for attr in chain:
+                    func = getattr(func, attr)
+            except AttributeError:
+                missing.append(where)
+                continue
+            params = inspect.signature(func).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            bad_keywords += [f"{where}({kw.arg}=)" for kw in node.keywords if kw.arg not in params]
+    assert not missing, missing
+    assert not bad_keywords, bad_keywords

@@ -244,3 +244,55 @@ def test_out_file(tmp_path, capsys):
     code = main(["special", "--r", "2", "--i", "0", "--out", str(out_file)])
     assert code == 0
     assert out_file.read_text().startswith("{")
+
+
+def _foreign_d1_file(cache_dir, capsys):
+    # the degree-2 table copied over the degree-1 one: a valid file for another d
+    run(capsys, "lfactors", "carlitz", "--r", "2", "--dmax", "2", "--cache", str(cache_dir))
+    shutil.copy(cache_dir / "primes_r2_d2.txt", cache_dir / "primes_r2_d1.txt")
+
+
+def _foreign_r_file(cache_dir, capsys):
+    # the r = 3 table copied over the r = 2 one
+    run(capsys, "lfactors", "carlitz", "--r", "3", "--dmax", "1", "--cache", str(cache_dir))
+    cache_dir.joinpath("primes_r2_d1.txt").write_text(cache_dir.joinpath("primes_r3_d1.txt").read_text())
+
+
+def _header_token_without_equals(cache_dir, capsys):
+    run(capsys, "lfactors", "carlitz", "--r", "2", "--dmax", "2", "--cache", str(cache_dir))
+    path = cache_dir / "primes_r2_d2.txt"
+    path.write_text(path.read_text().replace(" count=", " junk count=", 1))
+
+
+def _count_not_a_number(cache_dir, capsys):
+    import re
+
+    run(capsys, "lfactors", "carlitz", "--r", "2", "--dmax", "2", "--cache", str(cache_dir))
+    path = cache_dir / "primes_r2_d2.txt"
+    path.write_text(re.sub(r"count=\d+", "count=x", path.read_text(), count=1))
+
+
+def _entry_of_wrong_degree(cache_dir, capsys):
+    # checksum and count are consistent, but T is no prime of degree 2
+    from ffzeta.poly import poly_from_string
+
+    F2 = field_make(2, 1)
+    PrimeCache(cache_dir).store(F2, 2, [poly_from_string(F2, "T^2+T+1"), poly_from_string(F2, "T")])
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [_foreign_d1_file, _foreign_r_file, _header_token_without_equals, _count_not_a_number, _entry_of_wrong_degree],
+    ids=["foreign-d", "foreign-r", "token-without-equals", "count-not-a-number", "entry-of-wrong-degree"],
+)
+def test_cache_rejects_foreign_or_malformed_file(tmp_path, capsys, spoil):
+    cache_dir = tmp_path / "cache"
+    argv = ["lfactors", "carlitz", "--r", "2", "--dmax", "2", "--format", "csv", "--cache", str(cache_dir)]
+    _, uncached, _ = run(capsys, *argv)  # into an empty cache, so nothing is loaded
+    shutil.rmtree(cache_dir)
+    cache_dir.mkdir()
+    spoil(cache_dir, capsys)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == uncached
+    assert "recomputing" in err

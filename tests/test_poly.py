@@ -239,3 +239,32 @@ def test_bivpoly_roundtrip_and_mul():
     assert g2.tcoeffs[1] == P(F3, "T") and g2.tcoeffs[1] == Poly(F3, [0, 1])
     # (T - theta)^2 has middle coefficient -2*theta = theta over F_3
     assert g2.tcoeffs[1] == Poly(F3, [0, 1])
+
+
+# -- powers ----------------------------------------------------------------------
+
+
+def test_negative_powers_raise_or_invert():
+    # rings without inverses refuse n < 0; fields of fractions and series invert
+    from ffzeta.laurent import Laurent
+    from ffzeta.ore import OrePoly, ratfunc_domain
+    from ffzeta.sheaf import t_minus_theta
+
+    dom = ratfunc_domain(F3)
+    ring_elements = [
+        P(F3, "T+1"),
+        t_minus_theta(F3),
+        OrePoly(dom, [ratfunc_from_string(F3, "T"), dom.one]),
+    ]
+    for x in ring_elements:
+        with pytest.raises(ValueError):
+            x ** -1
+        with pytest.raises(ValueError):
+            x ** -3
+    beta = ratfunc_from_string(F3, "(T+1)/T")
+    assert beta ** -2 == ratfunc_from_string(F3, "T^2/(T^2+2*T+1)")
+    assert (beta ** -3 * beta ** 3).is_one()
+    x = Laurent.from_poly(P(F3, "T^2+2*T+2"))
+    inv = x ** -2
+    assert inv.val == 4
+    assert (inv * x * x).eq_mod(Laurent.one(F3))

@@ -116,3 +116,24 @@ def test_field_axioms(spec, prime_idx, idx):
     assert F.pow_(a, F.q) == a
     assert F.from_pvector(F.to_pvector(a)) == a
     assert F.mul(a, b) == _mul_through_base(F, a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(ORE_FIELDS),  # r in {2, 3, 4, 5, 7, 8, 9}
+    st.integers(0, 10**6),
+    st.lists(st.lists(st.integers(0, 10**6), max_size=6), min_size=1, max_size=4),
+)
+def test_resultant_is_root_product(pm, prime_idx, coeff_lists):
+    from types import SimpleNamespace
+
+    from test_sheaf import _root_product_oracle
+
+    from ffzeta.poly import BivPoly, resultant
+
+    field_r = field_make(*pm)
+    primes = monic_irreducibles(field_r, 3)
+    f = primes[prime_idx % len(primes)]
+    g = BivPoly(field_r, [Poly(field_r, [field_r.element_from_index(k % field_r.q) for k in ks]) for ks in coeff_lists])
+    assume(not g.is_zero())
+    assert resultant(f, g) == _root_product_oracle(field_r, SimpleNamespace(num=g), f)
