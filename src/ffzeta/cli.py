@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .errors import (
     ParseError,
     Unsupported,
 )
-from .ffield import field_make, is_prime
+from .ffield import field_make, is_prime, prime_factors
 from .lseries import (
     CarlitzObject,
     EigenSystem,
@@ -90,6 +91,18 @@ def parse_r(text: str) -> tuple[int, int]:
 # prime table cache
 
 
+def _prime_count(q: int, d: int) -> int:
+    """Gauss's count of monic irreducibles of degree d over F_q:
+    (1/d) sum_(k | d) mu(k) q^(d/k)."""
+    total = 0
+    for k in range(1, d + 1):
+        if d % k == 0:
+            factors = prime_factors(k)
+            if math.prod(factors) == k:  # k squarefree: mu(k) = (-1)^#factors
+                total += (-1) ** len(factors) * q ** (d // k)
+    return total // d
+
+
 class PrimeCache:
     """One file per (r, d): canonical encodings with a checksummed header."""
 
@@ -130,6 +143,15 @@ class PrimeCache:
             raise CacheCorrupt(f"{path}: {exc}") from None
         if not all(f.deg == d and f.is_monic() for f in primes):
             raise CacheCorrupt(f"{path}: an entry is not a monic polynomial of degree {d}")
+        # cheap checks in place of an irreducibility test per entry: a
+        # repeated, unsorted or extra entry is caught, a reducible entry in
+        # place of a prime at the right position is not
+        if not all(a.sort_key() < b.sort_key() for a, b in zip(primes, primes[1:])):
+            raise CacheCorrupt(f"{path}: entries are not strictly ascending")
+        expected = _prime_count(field.q, d)
+        if len(primes) != expected:
+            raise CacheCorrupt(f"{path}: {len(primes)} entries, but F_{field.q}[T] has "
+                               f"{expected} monic primes of degree {d}")
         return primes
 
     def store(self, field, d: int, primes) -> None:

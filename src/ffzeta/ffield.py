@@ -350,17 +350,24 @@ def pk_scale(F, a, c):
 def pk_divmod(F, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
+    a = pk_trim(F, a)
     db = len(b) - 1
-    inv_lead = F.inv(b[-1])
-    quot = [F.zero] * max(0, len(a) - db)
+    if len(a) <= db:
+        return [], a
+    # a is trimmed, so the quotient's top coefficient is nonzero; a monic
+    # divisor needs no inverse of its leading coefficient
+    monic = b[-1] == F.one
+    inv_lead = F.one if monic else F.inv(b[-1])
+    quot = [F.zero] * (len(a) - db)
     for k in range(len(a) - 1, db - 1, -1):
-        c = F.mul(a[k], inv_lead)
+        c = a[k] if monic else F.mul(a[k], inv_lead)
         if c != F.zero:
             quot[k - db] = c
-            for j in range(db + 1):
-                a[k - db + j] = F.sub(a[k - db + j], F.mul(c, b[j]))
-    return pk_trim(F, quot), pk_trim(F, a[:db])
+            # a[k] cancels and is never read again
+            c = F.neg(c)
+            for j in range(db):
+                a[k - db + j] = F.add(a[k - db + j], F.mul(c, b[j]))
+    return quot, pk_trim(F, a[:db])
 
 
 def pk_mod(F, a, b):

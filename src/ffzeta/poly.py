@@ -8,6 +8,12 @@ integers 0..r-1 in the fixed F_p-basis, e.g. ``T^2+T+1``; this is the
 wire format everywhere.  ``binary_power`` is the one square-and-multiply
 loop of the package, shared by every ring whose product is ``*``.
 
+``resultant`` gives every rank-1 Frobenius eigenvalue and character value.
+All of its arithmetic is over F_r: after splitting f at gcd(f, g_t), it is
+det(M_t) times the characteristic polynomial of a block companion matrix,
+taken by a Hessenberg reduction.  ``bareiss_det``, the fraction-free
+determinant over A, is kept only as its test oracle.
+
 Degree of the zero polynomial is the sentinel -1.
 """
 
@@ -621,7 +627,12 @@ class BivPoly:
 
 
 def bareiss_det(field, rows) -> Poly:
-    """Fraction-free determinant of a matrix of Polys over an integral domain."""
+    """Fraction-free determinant of a matrix of Polys over an integral domain.
+
+    No production code calls it: it is the test oracle for ``resultant``,
+    and it stays in this module because the benchmark's tracer binds
+    ``poly.bareiss_det``.
+    """
     n = len(rows)
     if n == 0:
         return Poly.one(field)
@@ -647,16 +658,96 @@ def bareiss_det(field, rows) -> Poly:
     return det if sign == 1 else -det
 
 
+def _det_and_solve(F, rows, d: int):
+    """Gauss-Jordan on the rows of [A | B] over F, A the leading d x d block.
+
+    Returns (det A, the rows of A^-1 B).  A must be invertible.
+    """
+    rows = [list(r) for r in rows]
+    det = F.one
+    for c in range(d):
+        p = next((i for i in range(c, d) if rows[i][c] != F.zero), None)
+        if p is None:
+            raise AssertionError("leading matrix of the resultant is singular")
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = F.neg(det)
+        det = F.mul(det, rows[c][c])
+        inv = F.inv(rows[c][c])
+        pivot = rows[c] = rows[c][:c] + [F.mul(x, inv) for x in rows[c][c:]]
+        for i in range(d):
+            u = rows[i][c]
+            if i != c and u != F.zero:
+                # columns left of c are zero in the pivot row
+                u = F.neg(u)
+                tail = [F.add(x, F.mul(u, y)) for x, y in zip(rows[i][c:], pivot[c:])]
+                rows[i] = rows[i][:c] + tail
+    return det, [r[d:] for r in rows]
+
+
+def _charpoly(F, H) -> list:
+    """det(X*I - H) over F, low degree first (Cohen, GTM 138, Alg. 2.2.9).
+
+    Reduces H to upper Hessenberg form by similarity transforms, then builds
+    the characteristic polynomials of its leading principal blocks by the
+    Hessenberg recurrence.
+    """
+    n = len(H)
+    H = [list(r) for r in H]
+    for m in range(1, n - 1):
+        p = next((i for i in range(m, n) if H[i][m - 1] != F.zero), None)
+        if p is None:
+            continue
+        if p != m:
+            H[p], H[m] = H[m], H[p]
+            for row in H:
+                row[p], row[m] = row[m], row[p]
+        inv = F.inv(H[m][m - 1])
+        Hm = H[m]
+        for i in range(m + 1, n):
+            u = F.mul(H[i][m - 1], inv)
+            if u == F.zero:
+                continue
+            Hi, nu = H[i], F.neg(u)
+            for j in range(m - 1, n):
+                Hi[j] = F.add(Hi[j], F.mul(nu, Hm[j]))
+            for row in H:
+                row[m] = F.add(row[m], F.mul(u, row[i]))
+    # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik * h_(i+1,i)...h_(k,k-1) * p_i
+    polys = [[F.one]]
+    for k in range(n):
+        p = [F.zero] + polys[k]
+        c = F.neg(H[k][k])
+        for e, x in enumerate(polys[k]):
+            p[e] = F.add(p[e], F.mul(c, x))
+        t = F.one
+        for i in range(k - 1, -1, -1):
+            t = F.mul(t, H[i + 1][i])
+            if t == F.zero:
+                break
+            c = F.neg(F.mul(H[i][k], t))
+            if c != F.zero:
+                for e, x in enumerate(polys[i]):
+                    p[e] = F.add(p[e], F.mul(c, x))
+        polys.append(p)
+    return polys[n]
+
+
 def resultant(f: Poly, g) -> Poly:
     """Res_theta(f, g) = prod g(T, rho) over the roots rho of a monic nonconstant f.
 
-    ``g`` is a BivPoly sum_j g_j(theta) T^j, or a Poly in theta (constant
-    in T).  The result is the determinant of multiplication by g on
-    A[theta]/(f) in the basis theta^0..theta^(d-1): column i holds
-    sum_j (theta^i g_j mod f) T^j, i.e. the matrix is sum_j M_j T^j with
-    M_j the F_r-matrix of multiplication by g_j on F_r[theta]/(f).  The
-    determinant is taken fraction-free (``bareiss_det``), so it lies in A
-    exactly.
+    ``g`` is a BivPoly sum_(j<=t) g_j(theta) T^j, or a Poly in theta
+    (constant in T).  The result is det(sum_j M_j T^j), with M_j the
+    F_r-matrix of multiplication by g_j on F_r[theta]/(f), and all of its
+    arithmetic is over F_r:
+
+    - h = gcd(f, g_t) != 1: Res(f, g) = Res(h, g - g_t T^t) * Res(f/h, g),
+      since g_t vanishes on the roots of h and Res is multiplicative in f.
+      For a prime f this drops a top T-coefficient that f divides.
+    - h = 1: M_t is invertible, and with N_j = M_t^-1 M_j (one Gauss-Jordan
+      pass) Res(f, g) = det(M_t) * charpoly(C)(T), C the dt x dt block
+      companion matrix of the N_j, by a Hessenberg reduction.  For t = 0
+      this is det(M_0).
     """
     if isinstance(g, Poly):
         g = BivPoly.from_theta_poly(g)
@@ -664,12 +755,32 @@ def resultant(f: Poly, g) -> Poly:
         raise ZeroInput("resultant with zero polynomial")
     if not f.is_monic() or f.deg < 1:
         raise ValueError("f must be monic and nonconstant")
-    F, d = f.field, f.deg
-    residues = [pk_mod(F, gj.coeffs, f.coeffs) for gj in g.tcoeffs]  # g_j mod f
-    cols = []
+    return _resultant(f, g)
+
+
+def _resultant(f: Poly, g: BivPoly) -> Poly:
+    F, d, t = f.field, f.deg, g.t_deg
+    if d == 0:
+        return Poly.one(F)
+    if g.is_zero():
+        return Poly.zero(F)
+    h = poly_gcd(f, g.tcoeffs[t])
+    if h.deg > 0:
+        return _resultant(h, BivPoly(F, g.tcoeffs[:t])) * _resultant(f.exact_div(h), g)
+    # The M_j are transposed (row i holds theta^i g_j mod f), which leaves
+    # det(sum_j M_j T^j) unchanged; the rows are [M_t | M_0 ... M_(t-1)].
+    residues = [pk_mod(F, gj.coeffs, f.coeffs) for gj in g.tcoeffs[t:] + g.tcoeffs[:t]]
+    rows = []
     for i in range(d):
         if i:
             residues = [pk_mod(F, [F.zero] + res, f.coeffs) for res in residues]
-        cols.append([res + [F.zero] * (d - len(res)) for res in residues])
-    rows = [[Poly(F, [res[k] for res in col]) for col in cols] for k in range(d)]
-    return bareiss_det(F, rows)
+        rows.append([x for res in residues for x in res + [F.zero] * (d - len(res))])
+    det, N = _det_and_solve(F, rows, d)
+    if t == 0:
+        return Poly.const(F, det)
+    n = d * t
+    C = [[F.zero] * n for _ in range(n - d)]
+    for k in range(n - d):
+        C[k][k + d] = F.one
+    C.extend([F.neg(x) for x in row] for row in N)
+    return Poly(F, pk_scale(F, _charpoly(F, C), det))

@@ -296,3 +296,67 @@ def test_cache_rejects_foreign_or_malformed_file(tmp_path, capsys, spoil):
     assert code == 0
     assert out == uncached
     assert "recomputing" in err
+
+
+def _reducible_entry(cache_dir, capsys):
+    # checksum and count are consistent, but T^2 is reducible
+    from ffzeta.poly import poly_from_string
+
+    F2 = field_make(2, 1)
+    PrimeCache(cache_dir).store(F2, 2, [poly_from_string(F2, "T^2+T+1"), poly_from_string(F2, "T^2")])
+
+
+def _repeated_entry(cache_dir, capsys):
+    from ffzeta.poly import poly_from_string
+
+    F2 = field_make(2, 1)
+    PrimeCache(cache_dir).store(F2, 2, [poly_from_string(F2, "T^2+T+1")] * 2)
+
+
+def _swapped_entries(cache_dir, capsys):
+    # both primes of degree 3, out of order
+    from ffzeta.poly import poly_from_string
+
+    F2 = field_make(2, 1)
+    PrimeCache(cache_dir).store(F2, 3, [poly_from_string(F2, "T^3+T^2+1"), poly_from_string(F2, "T^3+T+1")])
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [_reducible_entry, _repeated_entry, _swapped_entries],
+    ids=["reducible-entry", "repeated-entry", "swapped-entries"],
+)
+def test_cache_rejects_a_wrong_prime_list(tmp_path, capsys, spoil):
+    cache_dir = tmp_path / "cache"
+    argv = ["lfactors", "carlitz", "--r", "2", "--dmax", "3", "--format", "csv", "--cache", str(cache_dir)]
+    _, uncached, _ = run(capsys, *argv)  # into an empty cache, so nothing is loaded
+    shutil.rmtree(cache_dir)
+    cache_dir.mkdir()
+    spoil(cache_dir, capsys)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == uncached
+    assert "recomputing" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lfactors", "cbeta:(T+1)/T", "--r", "2", "--dmax", "6"],
+        ["lfactors", "tensorpower:2", "--r", "3", "--dmax", "3"],
+    ],
+    ids=["cbeta", "tensorpower"],
+)
+def test_rank1_rows_take_no_bareiss_route(capsys, monkeypatch, argv):
+    # the Bareiss determinant is the resultant's test oracle only
+    import ffzeta.poly
+
+    _, expected, _ = run(capsys, *argv)
+
+    def refuse(*args):
+        raise AssertionError("bareiss_det reached from production code")
+
+    monkeypatch.setattr(ffzeta.poly, "bareiss_det", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == expected

@@ -8,6 +8,7 @@ from ffzeta.poly import (
     BivPoly,
     Poly,
     RatFunc,
+    bareiss_det,
     is_irreducible,
     monic_irreducibles,
     monic_polys,
@@ -192,6 +193,28 @@ def test_resultant_against_root_products():
             res = resultant(f, g)
             assert res.is_constant()
             assert res.constant_value() == prod
+
+
+def _poly_matrix(field, rows):
+    return [[P(field, x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "rows,det",
+    [
+        ([["T", "1", "0"], ["1", "T", "1"], ["0", "1", "T"]], "T^3+T"),
+        # zero pivots: two row swaps, then one
+        ([["0", "1", "0"], ["0", "0", "1"], ["T", "0", "0"]], "T"),
+        ([["0", "T", "1"], ["1", "1", "0"], ["T", "0", "1"]], "T"),
+        # singular: a row is twice another, and a column is zero
+        ([["T", "T+1", "1"], ["2*T", "2*T+2", "2"], ["1", "T", "T^2"]], "0"),
+        ([["0", "1", "T"], ["0", "T", "1"], ["0", "2", "T^2"]], "0"),
+    ],
+    ids=["3x3", "cyclic-swaps", "swap", "dependent-rows", "zero-column"],
+)
+def test_bareiss_det(rows, det):
+    # determinants over F_3[T] by cofactor expansion by hand
+    assert bareiss_det(F3, _poly_matrix(F3, rows)) == P(F3, det)
 
 
 def _eval_in(E, p, x):

@@ -3,10 +3,29 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ffzeta.ffield import TABLE_LIMIT, FiniteField, field_make, pk_lex_irreducible, pk_mod, pk_mul
+from ffzeta.ffield import (
+    TABLE_LIMIT,
+    FiniteField,
+    field_make,
+    pk_add,
+    pk_divmod,
+    pk_lex_irreducible,
+    pk_mod,
+    pk_mul,
+    pk_trim,
+)
 from ffzeta.lseries import power_sum, power_sum_enumerated
 from ffzeta.ore import FieldCoeffs, OrePoly, ratfunc_residue, residue_field, residue_to_element
-from ffzeta.poly import Poly, RatFunc, monic_irreducibles, poly_gcd
+from ffzeta.poly import (
+    BivPoly,
+    Poly,
+    RatFunc,
+    bareiss_det,
+    monic_irreducibles,
+    monic_polys,
+    poly_gcd,
+    resultant,
+)
 
 # (p, m) for r in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -118,6 +137,27 @@ def test_field_axioms(spec, prime_idx, idx):
     assert F.mul(a, b) == _mul_through_base(F, a, b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(AXIOM_FIELDS),
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 10**18), max_size=7),
+    st.lists(st.integers(0, 10**18), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_divmod_is_euclidean(spec, prime_idx, a_idx, b_idx, monic):
+    # a = q*b + r with deg r < deg b, for monic and non-monic divisors and a
+    # dividend that may carry trailing zeros; q and r come back trimmed
+    F = _axiom_field(spec, prime_idx)
+    a = [k % F.q for k in a_idx]
+    b = [k % F.q for k in b_idx[:-1]] + [F.one] if monic else pk_trim(F, [k % F.q for k in b_idx])
+    assume(b)
+    q, r = pk_divmod(F, a, b)
+    assert pk_add(F, pk_mul(F, q, b), r) == pk_trim(F, a)
+    assert len(r) < len(b)
+    assert q == pk_trim(F, q) and r == pk_trim(F, r)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from(ORE_FIELDS),  # r in {2, 3, 4, 5, 7, 8, 9}
@@ -137,3 +177,42 @@ def test_resultant_is_root_product(pm, prime_idx, coeff_lists):
     g = BivPoly(field_r, [Poly(field_r, [field_r.element_from_index(k % field_r.q) for k in ks]) for ks in coeff_lists])
     assume(not g.is_zero())
     assert resultant(f, g) == _root_product_oracle(field_r, SimpleNamespace(num=g), f)
+
+
+def _resultant_matrix(f, g):
+    """sum_j M_j T^j, M_j the F_r-matrix of multiplication by g_j on F_r[theta]/(f)."""
+    F, d = f.field, f.deg
+
+    def column(i, gj):  # theta^i g_j mod f, padded to d coordinates
+        res = pk_mod(F, pk_mul(F, [F.zero] * i + [F.one], list(gj.coeffs)), list(f.coeffs))
+        return res + [F.zero] * (d - len(res))
+
+    cols = [[column(i, gj) for gj in g.tcoeffs] for i in range(d)]
+    return [[Poly(F, [c[k] for c in cols[i]]) for i in range(d)] for k in range(d)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(ORE_FIELDS),  # r in {2, 3, 4, 5, 7, 8, 9}
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=4),  # tail of a monic f, deg 1..4
+    st.lists(st.lists(st.integers(0, 10**6), max_size=5), min_size=1, max_size=4),  # g_0..g_t
+    st.sampled_from(["as drawn", "times f", "times a factor of f"]),
+)
+def test_resultant_matches_bareiss(pm, f_tail, coeff_lists, top):
+    # f may be reducible or have repeated factors; a top T-coefficient that
+    # shares a factor with f takes the gcd split
+    field_r = field_make(*pm)
+
+    def el(k):
+        return field_r.element_from_index(k % field_r.q)
+
+    f = Poly(field_r, [el(k) for k in f_tail] + [field_r.one])
+    gs = [Poly(field_r, [el(k) for k in ks]) for ks in coeff_lists]
+    if top == "times f":
+        gs[-1] = gs[-1] * f
+    elif top == "times a factor of f":
+        factor = next((h for e in (1, 2) for h in monic_polys(field_r, e) if (f % h).is_zero()), f)
+        gs[-1] = gs[-1] * factor
+    g = BivPoly(field_r, gs)
+    assume(not g.is_zero())
+    assert resultant(f, g) == bareiss_det(field_r, _resultant_matrix(f, g))
