@@ -32,13 +32,12 @@ from .lseries import (
     ZetaA,
     _table_for,
     classify_eigen_system,
-    local_factor_table,
+    local_factor,
     newton_polygon,
     special_polynomial,
 )
 from .ore import drinfeld_rank1, drinfeld_rank2
 from .poly import (
-    Poly,
     _irreducibles_of_degree,
     is_irreducible,
     poly_from_string,
@@ -260,6 +259,8 @@ def parse_i_range(text: str):
             lo_i, hi_i = int(lo), int(hi)
         except ValueError:
             raise ParseError(text, 0, "expected '<lo>..<hi>'") from None
+        if hi_i < lo_i:
+            raise ParseError(text, len(lo) + 2, "range end is below its start")
         return range(lo_i, hi_i + 1)
     try:
         i = int(text)
@@ -270,10 +271,9 @@ def parse_i_range(text: str):
 
 def cmd_special(config: RunConfig, kind: str, i_range, out_path) -> int:
     field = field_make(config.p, config.m)
-    if i_range:
-        if i_range[0] < 0:
-            raise BoundExceeded(f"negative index {i_range[0]} in range")
-        _table_for(field, i_range[-1] + 1)  # one power-sum table for the whole range
+    if i_range[0] < 0:
+        raise BoundExceeded(f"negative index {i_range[0]} in range")
+    _table_for(field, i_range[-1] + 1)  # one power-sum table for the whole range
     rows = []
     for i in i_range:
         sp = special_polynomial(field, i, kind)
@@ -313,8 +313,6 @@ def cmd_lfactors(config: RunConfig, object_text: str, out_path) -> int:
     rows = []
     for f in primes:
         try:
-            from .lseries import local_factor
-
             lf = local_factor(obj, f)
             rows.append((f.to_string(), lf.denominator_string(), lf.provenance))
         except Unsupported:

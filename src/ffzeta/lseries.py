@@ -11,7 +11,11 @@ of r-1 and 0 otherwise.  Its coefficients are binomials mod p and -1, so
 S_e(k) lies in F_p[T] for every r = p^m, and one numpy table of residues
 mod p (``PowerSumTable``) serves prime and prime-power r alike:
 ``FiniteField`` encodes elements as base-p digits, so the residues
-0..p-1 are exactly the constants of F_p inside F_r.  The recursion only
+0..p-1 are exactly the constants of F_p inside F_r.  The binomials
+C(k, j) mod p come from Lucas's theorem: the row of k is derived once, by
+one outer product on the row of k // p, and serves every e.  Rows are
+stored in the smallest unsigned dtype that holds p - 1; each S_e(k) is
+summed in int64 and reduced mod p once, so no p wraps.  The recursion only
 ever lowers k, so once a full row of zeros appears every higher row
 vanishes identically; this makes special-polynomial degrees computable
 far past the reach of enumeration, while direct enumeration remains the
@@ -98,35 +102,42 @@ def a_pow_s(a: Poly, s: SInfinityPoint) -> Laurent:
 # power sums
 
 
-def _binom_table(p: int) -> np.ndarray:
-    t = np.zeros((p, p), dtype=np.int64)
-    for n in range(p):
-        c = 1
-        for k in range(n + 1):
-            t[n, k] = c % p
-            c = c * (n - k) // (k + 1)
-    return t
+def _lucas_rows(p: int, step: int, k_max: int) -> list:
+    """Per k <= k_max, the pairs (k - j, -C(k, j) mod p) over the j in
+    step*N with 0 < j <= k and C(k, j) != 0 mod p, as int64 arrays, j
+    ascending.
 
-
-def _digit_matrix(n_max: int, p: int) -> np.ndarray:
-    ndig = 1
-    while p**ndig <= n_max:
-        ndig += 1
-    vals = np.arange(n_max + 1, dtype=np.int64)
-    digs = np.empty((n_max + 1, ndig), dtype=np.int64)
-    for d in range(ndig):
-        digs[:, d] = vals % p
-        vals = vals // p
-    return digs
+    By Lucas's theorem C(k, j) = C(k // p, j // p) C(k % p, j % p) mod p, so
+    the support of k is {p*j' + t : j' in the support of k // p, t <= k % p}
+    and each row is one outer product on the row of k // p.
+    """
+    pascal = [np.ones(1, dtype=np.int64)]  # C(d, t) mod p, never 0 for d < p
+    for d in range(1, min(p, k_max + 1)):
+        c = pascal[-1]
+        pascal.append(np.concatenate(([1], (c[:-1] + c[1:]) % p, [1])))
+    supports = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+    rows = [(np.zeros(0, dtype=np.int64),) * 2]
+    for k in range(1, k_max + 1):
+        (js, cs), d = supports[k // p], k % p
+        js = (p * js[:, None] + np.arange(d + 1)).ravel()
+        cs = (cs[:, None] * pascal[d]).ravel() % p
+        if k <= k_max // p:
+            supports.append((js, cs))
+        keep = (js > 0) & (js % step == 0)
+        rows.append((k - js[keep], p - cs[keep]))
+    return rows
 
 
 class PowerSumTable:
     """Rows of power sums S_e(k) over F_r, r = p^m, built bottom-up.
 
     Entries are residues mod p, i.e. constants of F_p inside F_r, so the
-    same table serves every r = p^m.  Rows are stored in the smallest
-    dtype that holds p - 1; each product of a binomial with a row is
-    accumulated in int64, so nothing wraps.
+    same table serves every r = p^m.  The binomials come from one Lucas row
+    per k (``_lucas_rows``), derived when the table is made and shared by
+    every row e.  ``_rows[e][k]`` is S_e(k) as an array of the smallest
+    dtype that holds p - 1 (None when it vanishes) and ``_lens[e][k]`` its
+    length.  S_e(k) is accumulated in int64, one sum per weight -C(k, j)
+    mod p, and reduced once, so nothing wraps for any p.
 
     Row e is computed from row e-1 for every k <= k_max; when a row is zero
     across the whole k-range, all later rows are zero too (the recursion
@@ -139,69 +150,48 @@ class PowerSumTable:
         self.r = field_r.q
         self.k_max = k_max
         self._dtype = np.min_scalar_type(self.p - 1)
-        self._digits = _digit_matrix(k_max, self.p)
-        self._binoms = _binom_table(self.p)
-        self._rows: list = []  # per e: list of np arrays or None
-        self._flags: list = []  # per e: np bool array over k
+        self._lucas = _lucas_rows(self.p, self.r - 1, k_max)
+        self._rows: list = [[np.ones(1, dtype=self._dtype)] * (k_max + 1)]  # per e, or None
+        self._lens: list = [np.ones(k_max + 1, dtype=np.int64)]  # per e: len of S_e(k), 0 if zero
         self.zero_row: int | None = None
-        self._build_row0()
-
-    def _build_row0(self):
-        row = [np.ones(1, dtype=self._dtype) for _ in range(self.k_max + 1)]
-        self._rows.append(row)
-        self._flags.append(np.ones(self.k_max + 1, dtype=bool))
-
-    def _binom_row(self, k: int, js: np.ndarray) -> np.ndarray:
-        dk = self._digits[k]
-        dj = self._digits[js]
-        out = np.ones(len(js), dtype=np.int64)
-        for d in range(self._digits.shape[1]):
-            out = out * self._binoms[dk[d], dj[:, d]] % self.p
-        return out
 
     def _ensure_row(self, e: int):
         while len(self._rows) <= e:
             if self.zero_row is not None and len(self._rows) > self.zero_row:
                 self._rows.append(None)
-                self._flags.append(np.zeros(self.k_max + 1, dtype=bool))
+                self._lens.append(np.zeros(self.k_max + 1, dtype=np.int64))
                 continue
             self._build_next_row()
 
     def _build_next_row(self):
         e = len(self._rows)
-        p, r = self.p, self.r
-        prev = self._rows[e - 1]
-        prev_flags = self._flags[e - 1]
+        p, step = self.p, self.r - 1
+        prev, prev_lens = self._rows[e - 1], self._lens[e - 1]
         row = [None] * (self.k_max + 1)
-        flags = np.zeros(self.k_max + 1, dtype=bool)
-        step = r - 1
-        kmin = e * step
-        for k in range(kmin, self.k_max + 1):
-            js = np.arange(step, k - (e - 1) * step + 1, step, dtype=np.int64)
-            if len(js) == 0:
-                continue
-            cs = self._binom_row(k, js)
-            kid = k - js
-            live = (cs != 0) & prev_flags[kid]
+        lens = np.zeros(self.k_max + 1, dtype=np.int64)
+        for k in range(e * step, self.k_max + 1):
+            kids, ws = self._lucas[k]
+            live = prev_lens[kids] > 0
             if not live.any():
                 continue
-            size = 0
-            for j, c in zip(js[live], cs[live]):
-                child = prev[k - j]
-                size = max(size, (k - j) + len(child))
-            acc = np.zeros(size, dtype=np.int64)
-            for j, c in zip(js[live], cs[live]):
-                child = prev[k - j]
-                shift = k - j
-                acc[shift : shift + len(child)] += np.multiply(p - c, child, dtype=np.int64)
-            acc %= p
-            nz = np.nonzero(acc)[0]
-            if len(nz) == 0:
-                continue
-            row[k] = acc[: nz[-1] + 1].astype(self._dtype)
-            flags[k] = True
-        self._flags.append(flags)
-        if not flags.any():
+            kids, ws = kids[live], ws[live]
+            if e == 1:  # S_0 = 1: one term -C(k, j) T^(k-j) per j
+                acc = np.zeros(kids[0] + 1, dtype=np.int64)
+                acc[kids] = ws
+            else:
+                weights, group = np.unique(ws, return_inverse=True)
+                sums = np.zeros((len(weights), int((kids + prev_lens[kids]).max())), dtype=np.int64)
+                views = list(sums)
+                for g, kid in zip(group.tolist(), kids.tolist()):
+                    child = prev[kid]
+                    views[g][kid : kid + len(child)] += child
+                acc = weights @ sums % p
+            nz = np.flatnonzero(acc)
+            if len(nz):
+                row[k] = acc[: nz[-1] + 1].astype(self._dtype)
+                lens[k] = nz[-1] + 1
+        self._lens.append(lens)
+        if not lens.any():
             if self.zero_row is None:
                 self.zero_row = e
             self._rows.append(None)
@@ -214,18 +204,12 @@ class PowerSumTable:
         if self.zero_row is not None and e >= self.zero_row:
             return False
         self._ensure_row(e)
-        return bool(self._flags[e][k])
+        return bool(self._lens[e][k])
 
     def value(self, e: int, k: int) -> Poly:
-        if k > self.k_max:
-            raise ValueError("k exceeds the table bound")
-        if self.zero_row is not None and e >= self.zero_row:
+        if not self.is_nonzero(e, k):
             return Poly.zero(self.field)
-        self._ensure_row(e)
-        arr = self._rows[e][k] if self._rows[e] is not None else None
-        if arr is None:
-            return Poly.zero(self.field)
-        return Poly(self.field, [int(c) for c in arr])
+        return Poly(self.field, self._rows[e][k].tolist())
 
     def degree_in_e(self, k: int) -> int:
         """Largest e with S_e(k) != 0 (the x^-1-degree of the special value)."""

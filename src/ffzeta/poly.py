@@ -20,6 +20,7 @@ Degree of the zero polynomial is the sentinel -1.
 from __future__ import annotations
 
 import re
+from itertools import compress
 
 from .errors import BoundExceeded, DomainMismatch, ParseError, ZeroInput
 from .ffield import (
@@ -50,6 +51,20 @@ def binary_power(x, n: int, one):
         if n:
             x = x * x
     return out
+
+
+_T_POWERS: list[str] = []  # "T^e" at index e >= 1; empty until a Poly is printed
+
+
+def _t_powers(n: int) -> list[str]:
+    """At least n texts "T^e".  The cache grows by a quarter at a time into
+    a new list, never in place, so a list once returned never changes."""
+    global _T_POWERS
+    tp = _T_POWERS
+    if len(tp) < n:
+        tp = tp + [f"T^{e}" if e > 1 else "T" for e in range(len(tp), n + n // 4)]
+        _T_POWERS = tp
+    return tp
 
 
 class Poly:
@@ -207,20 +222,15 @@ class Poly:
     # -- text encoding -------------------------------------------------------------
 
     def to_string(self) -> str:
-        F = self.field
-        if self.is_zero():
+        """Canonical text, highest term first; int codes are the printed digits."""
+        cs = self.coeffs
+        if not cs:
             return "0"
-        terms = []
-        for e in range(self.deg, -1, -1):
-            c = self.coeffs[e]
-            if c == F.zero:
-                continue
-            ci = F.index_of(c)
-            if e == 0:
-                terms.append(str(ci))
-            else:
-                xpart = "T" if e == 1 else f"T^{e}"
-                terms.append(xpart if ci == 1 else f"{ci}*{xpart}")
+        tp = _t_powers(len(cs))
+        terms = [tp[e] if c == 1 else f"{c}*{tp[e]}" for e, c in compress(enumerate(cs), cs) if e]
+        terms.reverse()
+        if cs[0]:
+            terms.append(str(cs[0]))
         return "+".join(terms)
 
     __str__ = to_string

@@ -10,14 +10,20 @@ import pathlib
 import sys
 
 import ffzeta.cli  # noqa: F401  (loads every module the benchmark runs)
+from ffzeta.ffield import field_make
+from ffzeta.lseries import special_polynomial
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "ffbench" / "tracing.py"
 
 
-def _boundaries():
+def _tracing():
     namespace = {}  # executed from source, so no bytecode is written under ffbench/
     exec(compile(TRACING.read_text(), str(TRACING), "exec"), namespace)
-    return namespace["BOUNDARIES"]
+    return namespace
+
+
+def _boundaries():
+    return _tracing()["BOUNDARIES"]
 
 
 def test_tracer_boundaries_resolve():
@@ -30,6 +36,16 @@ def test_tracer_boundaries_resolve():
         if owner is None or not callable(vars(owner).get(attr)):
             missing.append(f"{name}: ffzeta.{modname}.{qualname}")
     assert not missing, missing
+
+
+def test_cache_snapshot_sees_the_power_sum_table():
+    """The tracer reads ``lseries.power_table.rows`` and ``.zero_row`` from
+    the table's ``_rows`` and ``zero_row``; a reshaped table must keep both
+    readable, or those metrics silently read 0."""
+    special_polynomial(field_make(3, 1), 60, "zeta")
+    caches = _tracing()["cache_snapshot"]()
+    assert caches["table_rows"] > 0
+    assert caches["zero_row"] > 0
 
 
 def _import_from(module, name):

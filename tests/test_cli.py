@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import shutil
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from ffzeta.cli import PrimeCache, main, parse_object_spec, parse_r
+from ffzeta.cli import PrimeCache, main, parse_i_range, parse_object_spec, parse_r
 from ffzeta.errors import CacheCorrupt, NotPrime, ParseError
 from ffzeta.ffield import field_make
 
@@ -69,11 +70,42 @@ def test_determinism_across_runs(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_empty_range_succeeds(capsys):
-    code, out, _ = run(capsys, "special", "--r", "2", "--i", "4..2", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1] == "i,kind,polynomial,degree,newton"  # header only
+def test_reversed_range_exits_2(capsys):
+    # a reversed range is a precondition failure, not an empty answer
+    with pytest.raises(ParseError):
+        parse_i_range("5..2")
+    assert list(parse_i_range("2..2")) == [2]
+    code, out, err = run(capsys, "special", "--r", "3", "--i", "5..2")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "5..2" in err
+
+
+# sha256 of stdout, recorded from the implementation that built every power
+# sum pair by pair and formatted Polys term by term; they pin the output of
+# the faster routes, so never regenerate them from the code under test
+SPECIAL_DIGESTS = [
+    (["--r", "3", "--format", "csv", "--i", "0..400"],
+     "e19a72a29e1a214c942e9a9139ef108f4d031e881d1ce5bc86c36a3e83bd1c47"),
+    (["--r", "2^2", "--i", "0..250"],
+     "44919b9f16ab0c12bd5425bd0510cc4e7475bfb63018cbf3cf29aa6e51112bbd"),
+    (["--r", "5", "--kind", "carlitz", "--format", "json", "--i", "0..200"],
+     "bb29ece136eee60303988f5783460befe86e621684fbab0e87d852cefea2f18d"),
+    (["--r", "3^2", "--i", "0..200"],
+     "cb23baa68f57bf4e9f3f9294e3d9df25a0dad3a628cde48ee8110544ab5a72b1"),
+    # S_2(168) at r = 13 once wrapped an int8 row
+    (["--r", "13", "--i", "0..340"],
+     "f2f3efba4a3b4980f72fd6e2289c2e188d4f6085b31ad9064c80d8e7b35a6e85"),
+    (["--r", "2", "--kind", "carlitz", "--i", "0..300"],
+     "541b687b95e274d3fd007182ae8778a56ba02d6696372c3e4a04dff1a65d6b50"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SPECIAL_DIGESTS, ids=[" ".join(a) for a, _ in SPECIAL_DIGESTS])
+def test_special_output_digests(capsys, argv, digest):
+    code, out, err = run(capsys, "special", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_classify_single_degree_exits_2(capsys, tmp_path):

@@ -124,6 +124,7 @@ def test_power_sum_matches_enumeration_exhaustively():
     "p,e,k_max",
     [
         (13, 2, 340),  # products c * S_1 reach 12 * 12 and must not wrap
+        (17, 2, 300),  # products c * S_1 reach 16 * 16 = 256, past a uint8 row
         (131, 1, 400),  # residues up to 130 must fit the row storage
     ],
 )

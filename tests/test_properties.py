@@ -1,5 +1,6 @@
 """Property tests: library results against brute-force oracles."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from ffzeta.poly import (
     bareiss_det,
     monic_irreducibles,
     monic_polys,
+    poly_from_string,
     poly_gcd,
     resultant,
 )
@@ -36,6 +38,49 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 
 def test_power_sum_matches_enumeration(pm, e, k):
     field = field_make(*pm)
     assert power_sum(field, e, k) == power_sum_enumerated(field, e, k)
+
+
+def _to_string_oracle(f: Poly) -> str:
+    """The canonical encoding written term by term through ``index_of``."""
+    F = f.field
+    if f.is_zero():
+        return "0"
+    terms = []
+    for e in range(f.deg, -1, -1):
+        c = f.coeffs[e]
+        if c == F.zero:
+            continue
+        ci = F.index_of(c)
+        if e == 0:
+            terms.append(str(ci))
+        else:
+            xpart = "T" if e == 1 else f"T^{e}"
+            terms.append(xpart if ci == 1 else f"{ci}*{xpart}")
+    return "+".join(terms)
+
+
+def _check_to_string(f: Poly) -> None:
+    text = f.to_string()
+    assert text == _to_string_oracle(f)
+    assert poly_from_string(f.field, text) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS), st.lists(st.integers(0, 10**6), max_size=40))
+def test_to_string_matches_term_by_term_oracle(pm, idx):
+    field = field_make(*pm)
+    _check_to_string(Poly(field, [field.element_from_index(k % field.q) for k in idx]))
+
+
+@pytest.mark.parametrize("pm", FIELDS, ids=lambda pm: f"r{pm[0] ** pm[1]}")
+def test_to_string_edge_cases(pm):
+    # zero, constants, coefficient 1, and every coefficient 0..r-1, which
+    # for r = 4, 8, 9, 16 includes codes >= p
+    field = field_make(*pm)
+    top = field.q - 1
+    for coeffs in ([], [1], [top], [0, 1], [0, top], [1, 1, 0, 1], [top, 0, 0, 1],
+                   list(range(field.q)), list(range(field.q))[::-1]):
+        _check_to_string(Poly(field, coeffs))
 
 
 # r in {2, 3, 4, 5, 7, 8, 9}: residue fields over F_p (prime r, with tables)
