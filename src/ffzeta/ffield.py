@@ -114,6 +114,12 @@ class FiniteField:
         if check and len(modulus) > 2 and not pk_irreducible_rabin(base, modulus):
             raise ValueError(f"modulus {modulus} is reducible over F_{base.q}")
 
+    @property
+    def table_size(self) -> int:
+        """Entries of the exp/log tables this field builds on its first
+        product, 0 for a field that builds none."""
+        return 2 * self.q - 1 if self._tabled else 0
+
     # -- coordinates over the base ---------------------------------------------
 
     def coords(self, a: int) -> list[int]:

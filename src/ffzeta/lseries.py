@@ -8,26 +8,30 @@ recursion obtained by writing n = T*m + c and expanding binomially:
 
 with S_0(k) = 1, because sum_{c in F_r} c^j is -1 for positive multiples
 of r-1 and 0 otherwise.  Its coefficients are binomials mod p and -1, so
-S_e(k) lies in F_p[T] for every r = p^m, and one numpy table of residues
-mod p (``PowerSumTable``) serves prime and prime-power r alike:
-``FiniteField`` encodes elements as base-p digits, so the residues
-0..p-1 are exactly the constants of F_p inside F_r.  The binomials
-C(k, j) mod p come from Lucas's theorem: the row of k is derived once, by
-one outer product on the row of k // p, and serves every e.  Rows are
-stored in the smallest unsigned dtype that holds p - 1; each S_e(k) is
-summed in int64 and reduced mod p once, so no p wraps.  The recursion only
-ever lowers k, so once a full row of zeros appears every higher row
-vanishes identically; this makes special-polynomial degrees computable
-far past the reach of enumeration, while direct enumeration remains the
-oracle at desk scale.
+S_e(k) lies in F_p[T] for every r = p^m, and one table of residues mod p
+(``PowerSumTable``) serves prime and prime-power r alike: ``FiniteField``
+encodes elements as base-p digits, so the residues 0..p-1 are exactly the
+constants of F_p inside F_r.  The binomials C(k, j) mod p come from
+Lucas's theorem: the row of k is derived once from the row of k // p and
+serves every e.  Each S_e(k) is stored as one packed Python int, a
+fixed-width slot per coefficient (Kronecker substitution), so
+T^(k-j) S_{e-1}(k-j) is one shift, made once per row, and each term of the
+recursion is one big-int add.  The slot width is chosen from p and the
+number of terms so that no slot overflows before it is reduced; a
+reduction folds the high bits of every slot onto its low bits with the
+weight 2^h mod p and, for p < 256, finishes with one ``bytes.translate``.  The recursion only ever lowers k, so once a full row
+of zeros appears every higher row vanishes identically; this makes
+special-polynomial degrees computable far past the reach of enumeration,
+while direct enumeration remains the oracle at desk scale.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     BoundExceeded,
@@ -102,42 +106,104 @@ def a_pow_s(a: Poly, s: SInfinityPoint) -> Laurent:
 # power sums
 
 
+_SLOT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # slot width in bits -> struct code
+_MIN_FOLD_TERMS = 4  # the narrowest slot that sums this many terms between folds
+
+
 def _lucas_rows(p: int, step: int, k_max: int) -> list:
-    """Per k <= k_max, the pairs (k - j, -C(k, j) mod p) over the j in
-    step*N with 0 < j <= k and C(k, j) != 0 mod p, as int64 arrays, j
-    ascending.
+    """Per k <= k_max, the terms of S_e(k) grouped by weight: pairs
+    (w, kids), w ascending, where kids are the k - j over the j in step*N
+    with 0 < j <= k and w = -C(k, j) mod p nonzero.
 
     By Lucas's theorem C(k, j) = C(k // p, j // p) C(k % p, j % p) mod p, so
     the support of k is {p*j' + t : j' in the support of k // p, t <= k % p}
-    and each row is one outer product on the row of k // p.
+    and each row is one product of the row of k // p with a Pascal row.
     """
-    pascal = [np.ones(1, dtype=np.int64)]  # C(d, t) mod p, never 0 for d < p
+    pascal = [[1]]  # C(d, t) mod p, never 0 for d < p
     for d in range(1, min(p, k_max + 1)):
         c = pascal[-1]
-        pascal.append(np.concatenate(([1], (c[:-1] + c[1:]) % p, [1])))
-    supports = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
-    rows = [(np.zeros(0, dtype=np.int64),) * 2]
+        pascal.append([1, *[(a + b) % p for a, b in zip(c, c[1:])], 1])
+    supports = [[(0, 1)]]  # (j, C(k, j) mod p), kept for k <= k_max // p
+    rows = [[]]
     for k in range(1, k_max + 1):
-        (js, cs), d = supports[k // p], k % p
-        js = (p * js[:, None] + np.arange(d + 1)).ravel()
-        cs = (cs[:, None] * pascal[d]).ravel() % p
+        tail = list(enumerate(pascal[k % p]))
+        support = [(p * j + t, c * ct % p) for j, c in supports[k // p] for t, ct in tail]
         if k <= k_max // p:
-            supports.append((js, cs))
-        keep = (js > 0) & (js % step == 0)
-        rows.append((k - js[keep], p - cs[keep]))
+            supports.append(support)
+        groups: dict = {}
+        for j, c in support:
+            if j and j % step == 0:
+                groups.setdefault(p - c, []).append(k - j)
+        rows.append(sorted(groups.items()))
     return rows
+
+
+def _slot_plan(p: int, n_terms: int) -> tuple[int, int]:
+    """Slot width in bits, and the most terms summed between two folds.
+
+    A slot holds a reduced residue (at most p - 1) plus t terms w * c with
+    w, c <= p - 1, so it never overflows while (p-1) + t (p-1)^2 < 2^width.
+    The narrowest width that holds min(n_terms, _MIN_FOLD_TERMS) terms is
+    taken: a wider slot lengthens every add, a narrower one folds after
+    every few terms.
+    """
+    want = min(n_terms, _MIN_FOLD_TERMS)
+    for width in _SLOT_FORMATS:
+        room = ((1 << width) - p) // (p - 1) ** 2
+        if room >= want:
+            return width, min(room, n_terms)
+    raise Unsupported(f"power sums mod {p} do not fit a 64-bit slot")
+
+
+def _fold_plan(p: int, bound: int) -> list:
+    """Folds (h, 2^h mod p), p < 256, that take every slot value <= bound
+    below 256 without changing it mod p.
+
+    A fold replaces each slot value v by (v >> h) (2^h mod p) + (v mod 2^h).
+    The largest value it can leave is computed exactly, and each step takes
+    the h that leaves the least.  h = 8 lowers every bound >= 256, because
+    2^8 mod p < 256, so the plan ends.
+    """
+    plan = []
+    while bound > 255:
+        options = []
+        for h in range(1, bound.bit_length()):
+            c, high, low = (1 << h) % p, bound >> h, (1 << h) - 1
+            options.append((max(high * c + (bound & low), (high - 1) * c + low), h, c))
+        bound, h, c = min(options)
+        plan.append((h, c))
+    return plan
+
+
+def _chunked(groups: list, terms: int) -> list:
+    """The weighted terms of one k, as chunks of at most ``terms`` terms."""
+    flat = [(w, kid) for w, kids in groups for kid in kids]
+    if len(flat) <= terms:
+        return [groups] if flat else []
+    return [
+        [(w, [kid for _, kid in run]) for w, run in groupby(flat[i : i + terms], itemgetter(0))]
+        for i in range(0, len(flat), terms)
+    ]
 
 
 class PowerSumTable:
     """Rows of power sums S_e(k) over F_r, r = p^m, built bottom-up.
 
     Entries are residues mod p, i.e. constants of F_p inside F_r, so the
-    same table serves every r = p^m.  The binomials come from one Lucas row
-    per k (``_lucas_rows``), derived when the table is made and shared by
-    every row e.  ``_rows[e][k]`` is S_e(k) as an array of the smallest
-    dtype that holds p - 1 (None when it vanishes) and ``_lens[e][k]`` its
-    length.  S_e(k) is accumulated in int64, one sum per weight -C(k, j)
-    mod p, and reduced once, so nothing wraps for any p.
+    same table serves every r = p^m.  ``_rows[e][k]`` is S_e(k) packed into
+    one int, coefficient i in bits [i*W, (i+1)*W) (0 when it vanishes), and
+    ``_rows[e]`` is None past the zero row.  The slot width W is 8, 16, 32
+    or 64 bits (``_slot_plan``).
+
+    Row e is summed from row e-1: with U(kid) = T^kid S_{e-1}(kid), i.e.
+    S_{e-1}(kid) << kid*W, each S_e(k) is sum_w w * sum U(kid) over the
+    Lucas terms of k (``_lucas_rows``), so a term costs one big-int add.  A
+    slot receives at most p - 1 plus ``terms`` products w * c <= (p-1)^2
+    before it is reduced, and W is chosen so that this fits: nothing ever
+    carries into the next slot.  The reduction folds every slot with a few
+    shifts and masks (``_fold_plan``) until it is below 256, then maps each
+    byte to its residue with one ``bytes.translate``.  For p > 256 no byte
+    holds a residue, and the slots are reduced one by one.
 
     Row e is computed from row e-1 for every k <= k_max; when a row is zero
     across the whole k-range, all later rows are zero too (the recursion
@@ -146,70 +212,87 @@ class PowerSumTable:
 
     def __init__(self, field_r, k_max: int):
         self.field = field_r
-        self.p = field_r.p
+        self.p = p = field_r.p
         self.r = field_r.q
         self.k_max = k_max
-        self._dtype = np.min_scalar_type(self.p - 1)
-        self._lucas = _lucas_rows(self.p, self.r - 1, k_max)
-        self._rows: list = [[np.ones(1, dtype=self._dtype)] * (k_max + 1)]  # per e, or None
-        self._lens: list = [np.ones(k_max + 1, dtype=np.int64)]  # per e: len of S_e(k), 0 if zero
+        lucas = _lucas_rows(p, self.r - 1, k_max)
+        self._width, terms = _slot_plan(p, max(sum(len(kids) for _, kids in row) for row in lucas))
+        self._chunks = [_chunked(row, terms) for row in lucas]
+        if p < 256:
+            self._plan = _fold_plan(p, (p - 1) * (1 + (p - 1) * terms))
+            self._residues = bytes(v % p for v in range(256))
+        else:
+            self._plan, self._residues = [], None
+        self._folds: list = []  # (h, high mask, low mask, 2^h mod p), masks _fold_bits long
+        self._fold_bits = 0
+        self._rows: list = [[1] * (k_max + 1)]  # per e, or None
         self.zero_row: int | None = None
+
+    def _unpack(self, x: int) -> tuple:
+        n = -(-x.bit_length() // self._width)
+        return struct.unpack(f"<{n}{_SLOT_FORMATS[self._width]}", x.to_bytes(n * self._width // 8, "little"))
+
+    def _reduce(self, acc: int) -> int:
+        """acc with every slot reduced mod p."""
+        for h, high, low, c in self._folds:
+            acc = ((acc >> h) & high) * c + (acc & low)
+        if self._residues is None:
+            p, slots = self.p, self._unpack(acc)
+            packed = struct.pack(f"<{len(slots)}{_SLOT_FORMATS[self._width]}", *[v % p for v in slots])
+            return int.from_bytes(packed, "little")
+        data = acc.to_bytes((acc.bit_length() + 7) // 8, "little")
+        return int.from_bytes(data.translate(self._residues), "little")
+
+    def _cover_folds(self, bits: int) -> None:
+        """Make the fold masks span ints of up to ``bits`` bits."""
+        if bits <= self._fold_bits or not self._plan:
+            return
+        W = self._width
+        slots = -(-bits // W)
+        ones = ((1 << (W * slots)) - 1) // ((1 << W) - 1)  # 1 in every slot
+        self._folds = [(h, ones * ((1 << (W - h)) - 1), ones * ((1 << h) - 1), c) for h, c in self._plan]
+        self._fold_bits = W * slots
 
     def _ensure_row(self, e: int):
         while len(self._rows) <= e:
-            if self.zero_row is not None and len(self._rows) > self.zero_row:
+            if self.zero_row is not None:
                 self._rows.append(None)
-                self._lens.append(np.zeros(self.k_max + 1, dtype=np.int64))
-                continue
-            self._build_next_row()
+            else:
+                self._build_next_row()
 
     def _build_next_row(self):
         e = len(self._rows)
-        p, step = self.p, self.r - 1
-        prev, prev_lens = self._rows[e - 1], self._lens[e - 1]
-        row = [None] * (self.k_max + 1)
-        lens = np.zeros(self.k_max + 1, dtype=np.int64)
-        for k in range(e * step, self.k_max + 1):
-            kids, ws = self._lucas[k]
-            live = prev_lens[kids] > 0
-            if not live.any():
-                continue
-            kids, ws = kids[live], ws[live]
-            if e == 1:  # S_0 = 1: one term -C(k, j) T^(k-j) per j
-                acc = np.zeros(kids[0] + 1, dtype=np.int64)
-                acc[kids] = ws
-            else:
-                weights, group = np.unique(ws, return_inverse=True)
-                sums = np.zeros((len(weights), int((kids + prev_lens[kids]).max())), dtype=np.int64)
-                views = list(sums)
-                for g, kid in zip(group.tolist(), kids.tolist()):
-                    child = prev[kid]
-                    views[g][kid : kid + len(child)] += child
-                acc = weights @ sums % p
-            nz = np.flatnonzero(acc)
-            if len(nz):
-                row[k] = acc[: nz[-1] + 1].astype(self._dtype)
-                lens[k] = nz[-1] + 1
-        self._lens.append(lens)
-        if not lens.any():
-            if self.zero_row is None:
-                self.zero_row = e
-            self._rows.append(None)
-        else:
+        W = self._width
+        shifted = [s << (kid * W) for kid, s in enumerate(self._rows[e - 1])]
+        self._cover_folds(max(map(int.bit_length, shifted)))
+        get, reduce = shifted.__getitem__, self._reduce
+        row = [0] * (self.k_max + 1)
+        for k in range(e * (self.r - 1), self.k_max + 1):
+            acc = 0
+            for chunk in self._chunks[k]:
+                acc = reduce(acc + sum([w * sum(map(get, kids)) for w, kids in chunk]))
+            row[k] = acc
+        if any(row):
             self._rows.append(row)
+        else:
+            self.zero_row = e
+            self._rows.append(None)
 
-    def is_nonzero(self, e: int, k: int) -> bool:
+    def _entry(self, e: int, k: int) -> int:
+        """S_e(k) packed, 0 when it vanishes."""
         if k > self.k_max:
             raise ValueError("k exceeds the table bound")
         if self.zero_row is not None and e >= self.zero_row:
-            return False
+            return 0
         self._ensure_row(e)
-        return bool(self._lens[e][k])
+        row = self._rows[e]
+        return row[k] if row else 0
+
+    def is_nonzero(self, e: int, k: int) -> bool:
+        return self._entry(e, k) != 0
 
     def value(self, e: int, k: int) -> Poly:
-        if not self.is_nonzero(e, k):
-            return Poly.zero(self.field)
-        return Poly(self.field, self._rows[e][k].tolist())
+        return Poly(self.field, self._unpack(self._entry(e, k)))
 
     def degree_in_e(self, k: int) -> int:
         """Largest e with S_e(k) != 0 (the x^-1-degree of the special value)."""
@@ -269,7 +352,8 @@ def power_sums_enumerated_batch(field_r, e: int, k_max: int, enum_bound: int = 1
     """S_e(k) for all k <= k_max by incremental batched enumeration.
 
     Prime fields only; returns a list of Polys indexed by k.  Used as the
-    acceptance-scale oracle against the recursion.
+    acceptance-scale oracle against the recursion.  It needs numpy (the
+    ``dev`` extra), which it imports here so the library never loads it.
     """
     if field_r.m != 1:
         raise ValueError("batch enumeration requires a prime field")
@@ -277,6 +361,8 @@ def power_sums_enumerated_batch(field_r, e: int, k_max: int, enum_bound: int = 1
         raise BoundExceeded(
             f"enumeration of {field_r.q**e} monics exceeds bound {enum_bound}"
         )
+    import numpy as np
+
     p = field_r.p
     count = field_r.q**e
     monics = np.zeros((count, e + 1), dtype=np.int64)

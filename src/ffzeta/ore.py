@@ -17,6 +17,8 @@ is over F_p too.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .errors import (
     BadReduction,
     BoundExceeded,
@@ -326,16 +328,32 @@ def drinfeld_rank2(field_r, g: RatFunc, delta: RatFunc) -> DrinfeldModule:
 # residue fields A/(f) and reduction of modules
 
 
-_RESIDUE_CACHE: dict = {}
+# Residue fields in use, least recently used first.  Their exp/log tables
+# set the memory of a long run over many primes, so the cache holds at most
+# RESIDUE_CACHE_ELEMENTS table entries (a field without tables counts one).
+RESIDUE_CACHE_ELEMENTS = 1 << 18
+_RESIDUE_CACHE: OrderedDict = OrderedDict()
+_residue_cache_elements = 0
+
+
+def _residue_cache_cost(F_f) -> int:
+    return max(1, F_f.table_size)
 
 
 def residue_field(field_r, f: Poly):
     """A/(f) = F_r[y]/(f); an element's base-r digits are its residue
     polynomial's coefficients."""
+    global _residue_cache_elements
     key = (field_r, f)
-    if key not in _RESIDUE_CACHE:
-        _RESIDUE_CACHE[key] = FiniteField(field_r, f.coeffs, check=False)
-    return _RESIDUE_CACHE[key]
+    F_f = _RESIDUE_CACHE.get(key)
+    if F_f is not None:
+        _RESIDUE_CACHE.move_to_end(key)
+        return F_f
+    F_f = _RESIDUE_CACHE[key] = FiniteField(field_r, f.coeffs, check=False)
+    _residue_cache_elements += _residue_cache_cost(F_f)
+    while _residue_cache_elements > RESIDUE_CACHE_ELEMENTS and len(_RESIDUE_CACHE) > 1:
+        _residue_cache_elements -= _residue_cache_cost(_RESIDUE_CACHE.popitem(last=False)[1])
+    return F_f
 
 
 def residue_to_element(field_r, F_f, a: Poly):

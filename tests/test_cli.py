@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import time
 
 import pytest
 
+import ffzeta
 from ffzeta.cli import PrimeCache, main, parse_i_range, parse_object_spec, parse_r
 from ffzeta.errors import CacheCorrupt, NotPrime, ParseError
 from ffzeta.ffield import field_make
@@ -55,6 +59,16 @@ def test_golden_outputs(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_import_loads_no_numpy():
+    # every command starts by importing the CLI; numpy is only a test oracle
+    src = pathlib.Path(ffzeta.__file__).resolve().parents[1]
+    code = "import sys, ffzeta, ffzeta.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_classify_golden(capsys):

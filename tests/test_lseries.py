@@ -1,5 +1,8 @@
+import struct
+
 import pytest
 
+from ffzeta import lseries
 from ffzeta.errors import (
     BoundExceeded,
     InsufficientData,
@@ -133,6 +136,71 @@ def test_power_sum_matches_enumeration_at_large_p(p, e, k_max):
     batch = power_sums_enumerated_batch(field, e, k_max, enum_bound=4096)
     wrong = [k for k in range(k_max + 1) if power_sum(field, e, k) != batch[k]]
     assert wrong == []
+
+
+# every r the fold test runs at, with the largest e batch enumeration checks;
+# p = 17 and 257 leave the 8-bit slot, and no byte holds a residue mod 257
+FOLD_FIELDS = [(2, 1, 5), (3, 1, 4), (2, 2, 0), (5, 1, 2), (7, 1, 2), (2, 3, 0), (3, 2, 0),
+               (13, 1, 2), (2, 4, 0), (17, 1, 2), (257, 1, 1)]
+
+
+def _forced_tables(field, k_max, monkeypatch):
+    """The default table, one that reduces after every term, and one whose
+    slots of 16 bits or more are filled up to the top before they fold."""
+    plan = lseries._slot_plan
+
+    def full_slots(p, n):
+        width = max(16, plan(p, n)[0])
+        return width, ((1 << width) - p) // (p - 1) ** 2
+
+    tables = [PowerSumTable(field, k_max)]
+    monkeypatch.setattr(lseries, "_slot_plan", lambda p, n: (plan(p, 1)[0], 1))
+    tables.append(PowerSumTable(field, k_max))
+    monkeypatch.setattr(lseries, "_slot_plan", full_slots)
+    tables.append(PowerSumTable(field, k_max))
+    monkeypatch.undo()
+    return tables
+
+
+@pytest.mark.parametrize("p,m,e_batch", FOLD_FIELDS, ids=[f"r={p}^{m}" for p, m, _ in FOLD_FIELDS])
+def test_power_sum_table_folds_after_every_term(monkeypatch, p, m, e_batch):
+    field = field_make(p, m, bound=300)
+    r = field.q
+    k_max = 600 if p > 256 else 300  # S_1(k) at r = 257 has two terms from k = 512 on
+    tables = _forced_tables(field, k_max, monkeypatch)
+    default, every_term, full = tables
+    assert max(len(chunks) for chunks in every_term._chunks) > 1  # a reduction per term
+    assert p > 256 or full._plan  # and at least one fold before the byte map
+    default._ensure_row(k_max)
+    for e in range(default.zero_row + 1):
+        for k in range(k_max + 1):
+            got = [t.value(e, k) for t in tables]
+            assert got[1] == got[0] and got[2] == got[0], (r, e, k)
+    for e in range(1, e_batch + 1):
+        batch = power_sums_enumerated_batch(field, e, k_max, enum_bound=4096)
+        assert [default.value(e, k) for k in range(k_max + 1)] == batch, (r, e)
+    if m > 1:  # the r monics of degree 1
+        for k in range(2 * r + 2):
+            assert default.value(1, k) == power_sum_enumerated(field, 1, k), (r, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 131, 251, 257])
+def test_reduce_maps_every_slot_value_to_its_residue(monkeypatch, p):
+    # fill slots with every value they may hold before a reduction, up to
+    # the largest, and reduce them at once: in the library's own slots, and
+    # in full slots of 16 bits or more, which fold before the byte map
+    own = lseries._slot_plan(p, 1 << 20)
+    wide = max(16, own[0])
+    for width, room in (own, (wide, ((1 << wide) - p) // (p - 1) ** 2)):
+        top = (p - 1) * (1 + (p - 1) * room)
+        assert top < 1 << width  # a full slot never carries into the next
+        monkeypatch.setattr(lseries, "_slot_plan", lambda p, n: (width, room))
+        tab = PowerSumTable(field_make(p, 1, bound=300), 0)
+        values = [*range(0, top, max(1, top >> 16)), top, 1]  # a short top slot too
+        code = "<%d%s" % (len(values), lseries._SLOT_FORMATS[width])
+        acc = int.from_bytes(struct.pack(code, *values), "little")
+        tab._cover_folds(acc.bit_length())
+        assert tab._reduce(acc) == int.from_bytes(struct.pack(code, *[v % p for v in values]), "little")
 
 
 def test_power_sum_enumerated_single_matches_batch():

@@ -1,5 +1,8 @@
+from collections import OrderedDict
+
 import pytest
 
+from ffzeta import ore
 from ffzeta.errors import BadReduction, InconsistentFrobenius, NotCyclic, ZeroInput
 from ffzeta.ffield import field_make
 from ffzeta.ore import (
@@ -315,6 +318,25 @@ def test_frobenius_charpoly_rank2_consistency_all_small_primes():
         a, mu = frobenius_charpoly(psi, f)
         assert a.deg <= f.deg // 2
         assert mu == F2.one  # r = 2: the unit group is trivial
+
+
+def test_residue_cache_stays_within_its_bound(monkeypatch):
+    # more residue fields than the bound holds: the least recently used go,
+    # and every result is the one computed with all of them cached
+    psi = drinfeld_rank2(F2, RatFunc.zero(F2), RatFunc.one(F2))
+    primes = monic_irreducibles(F2, 7)
+    expected = [frobenius_charpoly(psi, f) for f in primes]
+    monkeypatch.setattr(ore, "RESIDUE_CACHE_ELEMENTS", 600)
+    monkeypatch.setattr(ore, "_RESIDUE_CACHE", OrderedDict())
+    monkeypatch.setattr(ore, "_residue_cache_elements", 0)
+    got = []
+    for f in primes + primes[::-1]:
+        got.append(frobenius_charpoly(psi, f))
+        held = sum(max(1, F_f.table_size) for F_f in ore._RESIDUE_CACHE.values())
+        assert held == ore._residue_cache_elements <= 600
+    assert got == expected + expected[::-1]
+    assert len(ore._RESIDUE_CACHE) < len(primes)
+    assert any(F_f._exp is not None for F_f in ore._RESIDUE_CACHE.values())
 
 
 ROUTE_CASES = [
