@@ -10,6 +10,7 @@ internal error, 2 precondition failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -403,6 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # what the imports built lives for the whole run: frozen once, it is
+    # not traversed again by every garbage collection the command triggers
+    if not gc.get_freeze_count():
+        gc.freeze()
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -69,6 +70,16 @@ def test_import_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_main_freezes_the_imported_objects_once(capsys):
+    # a second command in the same process freezes nothing more, so the
+    # garbage of one command never becomes immortal in the next
+    run(capsys, "special", "--r", "3", "--i", "0..2")
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    run(capsys, "special", "--r", "3", "--i", "0..2")
+    assert gc.get_freeze_count() == frozen
 
 
 def test_classify_golden(capsys):
