@@ -19,10 +19,11 @@ T^(k-j) S_{e-1}(k-j) is one shift, made once per row, and each term of the
 recursion is one big-int add.  The slot width is chosen from p and the
 number of terms so that no slot overflows before it is reduced; a
 reduction folds the high bits of every slot onto its low bits with the
-weight 2^h mod p and, for p < 256, finishes with one ``bytes.translate``.  The recursion only ever lowers k, so once a full row
-of zeros appears every higher row vanishes identically; this makes
-special-polynomial degrees computable far past the reach of enumeration,
-while direct enumeration remains the oracle at desk scale.
+weight 2^h mod p and, for p < 256, finishes with one ``bytes.translate``.
+The recursion only ever lowers k, so once a full row of zeros appears
+every higher row vanishes identically; this makes special-polynomial
+degrees computable far past the reach of enumeration, while direct
+enumeration remains the oracle at desk scale.
 """
 
 from __future__ import annotations
