@@ -117,25 +117,34 @@ def _lucas_rows(p: int, step: int, k_max: int) -> list:
     with 0 < j <= k and w = -C(k, j) mod p nonzero.
 
     By Lucas's theorem C(k, j) = C(k // p, j // p) C(k % p, j % p) mod p, so
-    the support of k is {p*j' + t : j' in the support of k // p, t <= k % p}
-    and each row is one product of the row of k // p with a Pascal row.
+    the support of k is {p*j' + t : j' in the support of k // p, t <= k % p}.
+    As p*j' + t = p (j' mod step) + t mod step, the supports of the k <=
+    k_max // p are kept by j mod step, and the row of k takes from the class
+    b of k // p only the t = -p*b mod step (+ step, ...) up to k % p: no j
+    off step*N is ever listed for a row.
     """
     pascal = [[1]]  # C(d, t) mod p, never 0 for d < p
     for d in range(1, min(p, k_max + 1)):
         c = pascal[-1]
         pascal.append([1, *[(a + b) % p for a, b in zip(c, c[1:])], 1])
-    supports = [[(0, 1)]]  # (j, C(k, j) mod p), kept for k <= k_max // p
+    supports = [{0: [(0, 1)]}]  # per k <= k_max // p: j mod step -> [(j, C(k, j) mod p)]
     rows = [[]]
     for k in range(1, k_max + 1):
-        tail = list(enumerate(pascal[k % p]))
-        support = [(p * j + t, c * ct % p) for j, c in supports[k // p] for t, ct in tail]
-        if k <= k_max // p:
-            supports.append(support)
+        d, tail, below = k % p, pascal[k % p], supports[k // p]
         groups: dict = {}
-        for j, c in support:
-            if j and j % step == 0:
-                groups.setdefault(p - c, []).append(k - j)
+        for b, pairs in below.items():
+            for t in range(-p * b % step, d + 1, step):
+                ct = tail[t]
+                for j, c in pairs:
+                    if j or t:
+                        groups.setdefault(p - c * ct % p, []).append(k - p * j - t)
         rows.append(sorted(groups.items()))
+        if k <= k_max // p:
+            support: dict = {}
+            for b, pairs in below.items():
+                for t, ct in enumerate(tail):
+                    support.setdefault((p * b + t) % step, []).extend([(p * j + t, c * ct % p) for j, c in pairs])
+            supports.append(support)
     return rows
 
 
@@ -146,13 +155,17 @@ def _slot_plan(p: int, n_terms: int) -> tuple[int, int]:
     w, c <= p - 1, so it never overflows while (p-1) + t (p-1)^2 < 2^width.
     The narrowest width that holds min(n_terms, _MIN_FOLD_TERMS) terms is
     taken: a wider slot lengthens every add, a narrower one folds after
-    every few terms.
+    every few terms.  Where no width holds that many, a 64-bit slot is
+    reduced after as many terms as it holds; only p >= 2^32, whose slot
+    cannot hold one term, is refused.
     """
     want = min(n_terms, _MIN_FOLD_TERMS)
     for width in _SLOT_FORMATS:
         room = ((1 << width) - p) // (p - 1) ** 2
         if room >= want:
             return width, min(room, n_terms)
+    if room >= 1:
+        return width, room
     raise Unsupported(f"power sums mod {p} do not fit a 64-bit slot")
 
 

@@ -331,6 +331,8 @@ def drinfeld_rank2(field_r, g: RatFunc, delta: RatFunc) -> DrinfeldModule:
 # Residue fields in use, least recently used first.  Their exp/log tables
 # set the memory of a long run over many primes, so the cache holds at most
 # RESIDUE_CACHE_ELEMENTS table entries (a field without tables counts one).
+# An evicted field's torsion extensions go with it, since each keeps its
+# base field alive.
 RESIDUE_CACHE_ELEMENTS = 1 << 18
 _RESIDUE_CACHE: OrderedDict = OrderedDict()
 _residue_cache_elements = 0
@@ -352,7 +354,10 @@ def residue_field(field_r, f: Poly):
     F_f = _RESIDUE_CACHE[key] = FiniteField(field_r, f.coeffs, check=False)
     _residue_cache_elements += _residue_cache_cost(F_f)
     while _residue_cache_elements > RESIDUE_CACHE_ELEMENTS and len(_RESIDUE_CACHE) > 1:
-        _residue_cache_elements -= _residue_cache_cost(_RESIDUE_CACHE.popitem(last=False)[1])
+        old = _RESIDUE_CACHE.popitem(last=False)[1]
+        _residue_cache_elements -= _residue_cache_cost(old)
+        for ext_key in [ext_key for ext_key in _EXT_CACHE if ext_key[0] == old]:
+            del _EXT_CACHE[ext_key]
     return F_f
 
 

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import pytest
@@ -10,7 +11,7 @@ from ffzeta.errors import (
     Unsupported,
     ZeroInput,
 )
-from ffzeta.ffield import field_make
+from ffzeta.ffield import FiniteField, field_make
 from ffzeta.laurent import INF, Laurent
 from ffzeta.lseries import (
     CarlitzObject,
@@ -184,7 +185,7 @@ def test_power_sum_table_folds_after_every_term(monkeypatch, p, m, e_batch):
             assert default.value(1, k) == power_sum_enumerated(field, 1, k), (r, k)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 131, 251, 257])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 131, 251, 257, 3000000019, 4294967291])
 def test_reduce_maps_every_slot_value_to_its_residue(monkeypatch, p):
     # fill slots with every value they may hold before a reduction, up to
     # the largest, and reduce them at once: in the library's own slots, and
@@ -193,14 +194,34 @@ def test_reduce_maps_every_slot_value_to_its_residue(monkeypatch, p):
     wide = max(16, own[0])
     for width, room in (own, (wide, ((1 << wide) - p) // (p - 1) ** 2)):
         top = (p - 1) * (1 + (p - 1) * room)
-        assert top < 1 << width  # a full slot never carries into the next
+        assert room >= 1 and top < 1 << width  # a full slot never carries into the next
         monkeypatch.setattr(lseries, "_slot_plan", lambda p, n: (width, room))
-        tab = PowerSumTable(field_make(p, 1, bound=300), 0)
+        tab = PowerSumTable(FiniteField(p, (0, 1)), 0)
         values = [*range(0, top, max(1, top >> 16)), top, 1]  # a short top slot too
         code = "<%d%s" % (len(values), lseries._SLOT_FORMATS[width])
         acc = int.from_bytes(struct.pack(code, *values), "little")
         tab._cover_folds(acc.bit_length())
         assert tab._reduce(acc) == int.from_bytes(struct.pack(code, *[v % p for v in values]), "little")
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (11, 1), (2, 4), (17, 1)])
+def test_lucas_rows_match_the_binomials(p, m):
+    step, k_max = p**m - 1, 3 * p**m + 5
+    for k, groups in enumerate(lseries._lucas_rows(p, step, k_max)):
+        want: dict = {}
+        for j in range(step, k + 1, step):
+            if math.comb(k, j) % p:
+                want.setdefault(-math.comb(k, j) % p, set()).add(k - j)
+        assert [w for w, _ in groups] == sorted(want), (k,)
+        assert all(len(kids) == len(want[w]) and set(kids) == want[w] for w, kids in groups), (k,)
+
+
+def test_slot_plan_takes_the_64_bit_slot_while_it_holds_a_term():
+    # below 2^32 a 64-bit slot holds a residue plus at least one product
+    assert lseries._slot_plan(3000000019, 1 << 20) == (64, 2)
+    assert lseries._slot_plan(4294967291, 1 << 20) == (64, 1)  # the largest prime < 2^32
+    with pytest.raises(Unsupported):
+        lseries._slot_plan(4294967311, 1)  # the least prime > 2^32
 
 
 def test_power_sum_enumerated_single_matches_batch():

@@ -329,11 +329,15 @@ def test_residue_cache_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(ore, "RESIDUE_CACHE_ELEMENTS", 600)
     monkeypatch.setattr(ore, "_RESIDUE_CACHE", OrderedDict())
     monkeypatch.setattr(ore, "_residue_cache_elements", 0)
+    monkeypatch.setattr(ore, "_EXT_CACHE", {})
     got = []
     for f in primes + primes[::-1]:
         got.append(frobenius_charpoly(psi, f))
+        ore._extension_of(ore.residue_field(F2, f), 2)  # as the torsion scan does
         held = sum(max(1, F_f.table_size) for F_f in ore._RESIDUE_CACHE.values())
         assert held == ore._residue_cache_elements <= 600
+        # an evicted field's extensions go with it
+        assert {base for base, _ in ore._EXT_CACHE} == set(ore._RESIDUE_CACHE.values())
     assert got == expected + expected[::-1]
     assert len(ore._RESIDUE_CACHE) < len(primes)
     assert any(F_f._exp is not None for F_f in ore._RESIDUE_CACHE.values())
