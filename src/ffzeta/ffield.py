@@ -9,21 +9,32 @@ its own embedding, ``element_from_index`` and ``index_of`` are the
 identity, and the base-p digits of an element are its coordinates over F_p
 (``to_pvector``).  Addition is digit-wise mod p.
 
-A field over F_p itself (its base is the prime field) with at most
-``TABLE_LIMIT`` elements multiplies through discrete-log tables, built on
-its first product (or inverse, or power), so inner loops stay cheap.  Only
-code that multiplies in a field pays for its table: reducing a Drinfeld
-module mod f works in F_r[T] and builds none for its residue field A/(f).
-Any other field multiplies its coordinate lists through the base
-(``pk_mul``, ``pk_mod``) and inverts with ``pk_xgcd``.  All values are
-immutable; every operation is pure.
+A field keeps two kinds of table, each built lazily by the field itself:
+
+- exp/log tables (``_build_tables``).  A field over F_p itself (its base is
+  the prime field) with m > 1 and at most ``TABLE_LIMIT`` = 2^16 elements
+  builds them on its first product (or inverse, or power), and multiplies
+  through discrete logs from then on.  Only code that multiplies in a field
+  pays for them: reducing a Drinfeld module mod f works in F_r[T] and
+  builds none for its residue field A/(f).  Any other field multiplies its
+  coordinate lists through the base (``pk_mul``, ``pk_mod``) and inverts
+  with ``pk_xgcd``.
+- operation tables (``ops()``): q x q add and mul tables with neg and inv,
+  for fields with q^2 <= ``TABLE_LIMIT`` (q <= 2^8), built on the first
+  call.  Only the F_r kernels call it (the prime sieve, the resultant and
+  the point module), which then index lists instead of calling methods;
+  ``field_make`` never builds them.  A larger field raises Unsupported.
+
+The generic ``pk_*`` kernels serve every field of every tower.  All values
+are immutable; every operation is pure.
 """
 
 from __future__ import annotations
 
-from .errors import BoundExceeded, NotPrime
+from .errors import BoundExceeded, NotPrime, Unsupported
 
-# Fields with at most this many elements get exp/log tables on first use.
+# Fields with at most this many elements get exp/log tables on first use,
+# and fields with at most this many element pairs get operation tables.
 TABLE_LIMIT = 1 << 16
 
 # Default desk bound for field_make: r = p^m must not exceed this.
@@ -110,6 +121,7 @@ class FiniteField:
         self._tabled = over_fp and self.m > 1 and self.q <= TABLE_LIMIT
         self._exp = None
         self._log = None
+        self._ops = None
         self._key = (p if over_fp else base, modulus)
         if check and len(modulus) > 2 and not pk_irreducible_rabin(base, modulus):
             raise ValueError(f"modulus {modulus} is reducible over F_{base.q}")
@@ -184,6 +196,26 @@ class FiniteField:
         if self._exp is None and self._tabled:
             self._build_tables()
         return self._exp is not None
+
+    def ops(self):
+        """Operation tables ``(add, mul, neg, inv)``, built on the first call.
+
+        ``add[a][b]`` and ``mul[a][b]`` are lists of rows, ``neg[a]`` and
+        ``inv[a]`` are lists (``inv[0]`` is None).  Raises Unsupported when
+        q^2 > ``TABLE_LIMIT``.
+        """
+        if self._ops is None:
+            q = self.q
+            if q * q > TABLE_LIMIT:
+                raise Unsupported(f"F_{q} has more than {TABLE_LIMIT} element pairs for operation tables")
+            els = range(q)
+            self._ops = (
+                [[self.add(a, b) for b in els] for a in els],
+                [[self.mul(a, b) for b in els] for a in els],
+                [self.neg(a) for a in els],
+                [None] + [self.inv(a) for a in els[1:]],
+            )
+        return self._ops
 
     # -- ring operations ----------------------------------------------------
 

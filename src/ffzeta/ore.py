@@ -28,8 +28,8 @@ from .errors import (
     SingularRecursion,
     ZeroInput,
 )
-from .ffield import FiniteField, pk_lex_irreducible, pk_powmod
-from .poly import Poly, RatFunc, binary_power, poly_gcd, poly_xgcd
+from .ffield import FiniteField, pk_lex_irreducible
+from .poly import Poly, RatFunc, binary_power, poly_xgcd, theta_multiples
 
 # ---------------------------------------------------------------------------
 # coefficient domains
@@ -428,8 +428,9 @@ def reduce_mod_prime(phi: DrinfeldModule, f: Poly) -> DrinfeldModule:
         if a.is_zero():
             new_coeffs.append(F_f.zero)
             continue
-        a_tw = a * u_pows ** (j * (r**i - 1))
-        new_coeffs.append(ratfunc_residue(field_r, F_f, a_tw, f))
+        if j:
+            a = a * u_pows ** (j * (r**i - 1))
+        new_coeffs.append(ratfunc_residue(field_r, F_f, a, f))
     return DrinfeldModule(field_r, dom, new_coeffs, prime=f, twist=j)
 
 
@@ -437,49 +438,20 @@ def reduce_mod_prime(phi: DrinfeldModule, f: Poly) -> DrinfeldModule:
 # point module annihilator (A-module structure of F_f under the action)
 
 
-def _vector_minpoly(field_r, apply_map, seed, dim: int) -> Poly:
-    """Minimal monic polynomial of a vector under a linear map over F_r."""
-    F = field_r
-    # echelon rows: (vector, combination coefficients), pivot position map
-    rows = []
-    pivots = {}
-    vec = list(seed)
-    combo = [F.one]
-    while True:
-        v = list(vec)
-        c = list(combo)
-        for piv, (rv, rc) in pivots.items():
-            if v[piv] != F.zero:
-                factor = v[piv]
-                v = [F.sub(x, F.mul(factor, y)) for x, y in zip(v, rv)]
-                n = max(len(c), len(rc))
-                c = [
-                    F.sub(
-                        c[k] if k < len(c) else F.zero,
-                        F.mul(factor, rc[k] if k < len(rc) else F.zero),
-                    )
-                    for k in range(n)
-                ]
-        piv = next((k for k, x in enumerate(v) if x != F.zero), None)
-        if piv is None:
-            return Poly(F, c).monic()
-        inv = F.inv(v[piv])
-        v = [F.mul(x, inv) for x in v]
-        c = [F.mul(x, inv) for x in c]
-        pivots[piv] = (v, c)
-        if len(pivots) > dim:
-            raise AssertionError("minimal polynomial search exceeded dimension")
-        vec = apply_map(vec)
-        combo = [F.zero] + combo
-
-
 def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
     """Monic annihilator of the cyclic A-module phi(F_f).
 
-    Brute-force route: T acts on F_f = F_r[T]/(f) as the F_r-linear map
-    x -> theta*x + sum a_i x^(r^i); the annihilator is its minimal
-    polynomial, computed by exhausting Krylov spaces.  Non-cyclic modules
-    (impossible for rank 1 by the theory) raise NotCyclic for inspection.
+    T acts on F_f = F_r[theta]/(f) as the F_r-linear map
+    x -> theta*x + sum a_i x^(r^i).  On the basis e_k = theta^k its k-th
+    column is theta^(k+1) plus the sum over i of a_i*theta^(k r^i), the k-th
+    entries of the theta-multiples of 1 with step 1 and of a_i with step r^i
+    (``theta_multiples``), so no polynomial is multiplied or reduced.  The
+    annihilator is the map's minimal polynomial mu, by Krylov elimination:
+    start from mu = 1 and, for each e_k that mu(T) does not kill, multiply
+    mu by the minimal polynomial of mu(T)e_k, which makes mu the lcm of mu
+    and the minimal polynomial of e_k.  All of it indexes F_r's operation
+    tables.  Non-cyclic modules (impossible for rank 1 by the theory) raise
+    NotCyclic for inspection.
     """
     if not phi.is_reduced():
         raise ValueError("point_module_annihilator expects a reduced module")
@@ -489,63 +461,64 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
     r = phi.r
     if field_r.q**d > bound:
         raise BoundExceeded(f"residue field size {field_r.q**d} exceeds bound {bound}")
+    add, mul, neg, inv = field_r.ops()
     F_f = phi.dom.field
-    # residue polynomials of the coefficients
-    a_res = [element_to_residue(field_r, F_f, c) for c in phi.coeffs]
     # columns of the T-action matrix in the basis 1, theta, ..., theta^(d-1)
-    gen = Poly.gen(field_r)
-    frob_pows = [Poly(field_r, pk_powmod(field_r, gen.coeffs, r**i, f.coeffs)) for i in range(1, phi.rank + 1)]
-    cols = []
-    basis_pow = Poly.one(field_r)
-    frob_of_basis = [Poly.one(field_r)] * phi.rank
-    for k in range(d):
-        acc = (gen * basis_pow) % f
-        for i in range(1, phi.rank + 1):
-            ai = a_res[i]
-            if ai.is_zero():
-                continue
-            acc = acc + (ai * frob_of_basis[i - 1]) % f
-        cols.append([acc.coeff(j) for j in range(d)])
-        basis_pow = (basis_pow * gen) % f
-        frob_of_basis = [(fb * fp) % f for fb, fp in zip(frob_of_basis, frob_pows)]
+    cols = theta_multiples(field_r, f.coeffs, [1], 1, d + 1)[1:]
+    for i in range(1, phi.rank + 1):
+        if phi.coeffs[i] != F_f.zero:
+            orbit = theta_multiples(field_r, f.coeffs, F_f.coords(phi.coeffs[i]), r**i, d)
+            cols = [[add[x][y] for x, y in zip(col, o)] for col, o in zip(cols, orbit)]
 
     def apply_map(vec):
-        out = [field_r.zero] * d
-        for jcol, x in enumerate(vec):
-            if x == field_r.zero:
-                continue
-            col = cols[jcol]
-            for irow in range(d):
-                if col[irow] != field_r.zero:
-                    out[irow] = field_r.add(out[irow], field_r.mul(col[irow], x))
+        out = [0] * d
+        for x, col in zip(vec, cols):
+            if x:
+                mx = mul[x]
+                out = [add[y][mx[z]] for y, z in zip(out, col)]
         return out
 
-    mu = Poly.one(field_r)
-    for seed_idx in range(d):
-        if mu.deg == d:
+    def minpoly(vec):
+        # echelon rows [vector | combination], scaled to 1 at their pivot;
+        # the row of T^j vec carries the combination e_j
+        rows = []
+        for j in range(d + 1):
+            row = vec + [0] * j + [1] + [0] * (d - j)
+            for piv, prow in rows:
+                if row[piv]:
+                    nc = mul[neg[row[piv]]]
+                    row = [add[x][nc[y]] for x, y in zip(row, prow)]
+            piv = next((k for k in range(d) if row[k]), None)
+            if piv is None:
+                return row[d : d + j + 1]  # monic: e_j was never scaled
+            scale = mul[inv[row[piv]]]
+            rows.append((piv, [scale[x] for x in row]))
+            vec = apply_map(vec)
+        raise AssertionError("minimal polynomial search exceeded dimension")
+
+    mu = [1]
+    for k in range(d):
+        if len(mu) > d:
             break
-        seed = [field_r.zero] * d
-        seed[seed_idx] = field_r.one
-        # skip seeds already killed by the accumulated annihilator
-        if _apply_poly_to_vector(field_r, mu, apply_map, seed) == [field_r.zero] * d:
-            continue
-        chi = _vector_minpoly(field_r, apply_map, seed, d)
-        mu = (mu * chi).exact_div(poly_gcd(mu, chi))
+        # mu(T) e_k by Horner
+        vec = [0] * d
+        vec[k] = 1
+        for c in mu[-2::-1]:
+            vec = apply_map(vec)
+            vec[k] = add[vec[k]][c]
+        if any(vec):
+            chi = minpoly(vec)
+            prod = [0] * (len(mu) + len(chi) - 1)
+            for i, c in enumerate(mu):
+                mc = mul[c]
+                prod[i : i + len(chi)] = [add[x][mc[y]] for x, y in zip(prod[i:], chi)]
+            mu = prod
+    mu = Poly(field_r, mu)
     if mu.deg < d:
         raise NotCyclic(
             f"point module at f = {f} has annihilator {mu} of degree {mu.deg} < {d}"
         )
     return mu
-
-
-def _apply_poly_to_vector(field_r, p: Poly, apply_map, vec):
-    acc = [field_r.zero] * len(vec)
-    power = list(vec)
-    for c in p.coeffs:
-        if c != field_r.zero:
-            acc = [field_r.add(a, field_r.mul(c, x)) for a, x in zip(acc, power)]
-        power = apply_map(power)
-    return acc
 
 
 # ---------------------------------------------------------------------------

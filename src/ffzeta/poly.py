@@ -8,17 +8,25 @@ integers 0..r-1 in the fixed F_p-basis, e.g. ``T^2+T+1``; this is the
 wire format everywhere.  ``binary_power`` is the one square-and-multiply
 loop of the package, shared by every ring whose product is ``*``.
 
+The monic primes f come from a sieve (``monic_irreducibles``): the
+products of smaller primes with monic cofactors mark their encodings, and
+the unmarked encodings are the primes.
+
 ``resultant`` gives every rank-1 Frobenius eigenvalue and character value.
 All of its arithmetic is over F_r: after splitting f at gcd(f, g_t), it is
 det(M_t) times the characteristic polynomial of a block companion matrix,
 taken by a Hessenberg reduction.  ``bareiss_det``, the fraction-free
-determinant over A, is kept only as its test oracle.
+determinant over A, is kept only as its test oracle.  The sieve, the
+resultant and the point module (``ore``) index F_r's operation tables
+(``FiniteField.ops``); ``theta_multiples`` lists theta-multiples of a
+residue mod f for the last two.
 
 Degree of the zero polynomial is the sentinel -1.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from itertools import compress
 
@@ -316,16 +324,31 @@ _IRRED_CACHE: dict[tuple, list] = {}
 
 
 def _irreducibles_of_degree(field, d: int) -> list[Poly]:
+    """Monic primes of degree d, ascending tail encoding, by a sieve.
+
+    Every product g*h of a prime g of degree k <= d/2 and a monic h of
+    degree d - k marks its encoding in q^d flags; the unmarked encodings
+    are the primes.
+    """
     key = (field, d)
     if key in _IRRED_CACHE:
         return _IRRED_CACHE[key]
-    smaller = []
+    q = field.q
+    add, mul, _, _ = field.ops()
+    weights = [q**i for i in range(d)]  # zip with these drops the leading 1
+    composite = bytearray(q**d)
     for k in range(1, d // 2 + 1):
-        smaller.extend(_irreducibles_of_degree(field, k))
-    out = []
-    for cand in monic_polys(field, d):
-        if d == 1 or all((cand % p).coeffs for p in smaller):
-            out.append(cand)
+        for g in _irreducibles_of_degree(field, k):
+            multiples = [[mul[c][x] for x in g.coeffs] for c in range(1, q)]
+            # g*(T*h + c) = T*(g*h) + c*g: grow h one coefficient at a time
+            prods = [list(g.coeffs)]
+            for _ in range(d - k):
+                shifted = [[0] + v for v in prods]
+                prods = shifted + [[add[x][y] for x, y in zip(s, cg)] + s[k + 1 :]
+                                   for cg in multiples for s in shifted]
+            for v in prods:
+                composite[sum(map(operator.mul, v, weights))] = 1
+    out = [Poly.from_encoding(field, enc, d) for enc, c in enumerate(composite) if not c]
     _IRRED_CACHE[key] = out
     return out
 
@@ -333,8 +356,9 @@ def _irreducibles_of_degree(field, d: int) -> list[Poly]:
 def monic_irreducibles(field, d_max: int, enum_bound: int = 4096) -> list[Poly]:
     """All monic irreducibles of degree <= d_max, sorted by (degree, encoding).
 
-    Irreducibility is decided by trial division at desk scale; the
-    enumeration refuses to run past ``enum_bound`` candidates per degree.
+    Each degree comes from a sieve over the monic polynomials
+    (``_irreducibles_of_degree``); the enumeration refuses to run past
+    ``enum_bound`` candidates per degree.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -668,30 +692,52 @@ def bareiss_det(field, rows) -> Poly:
     return det if sign == 1 else -det
 
 
+def theta_multiples(F, f, v, step: int, count: int) -> list[list[int]]:
+    """v, theta^step * v, theta^(2 step) * v, ... (count vectors) mod f.
+
+    ``f`` is a monic coefficient list of degree d over F, and ``v`` a
+    residue mod f, low degree first; every output vector has d entries.
+    Each factor theta shifts the vector up and cancels the top coefficient c
+    with c*f, read from F's operation tables.
+    """
+    add, mul, neg, _ = F.ops()
+    d = len(f) - 1
+    cancel = [[neg[mul[c][x]] for x in f[:d]] for c in range(F.q)]  # -c*(f - theta^d)
+    v = list(v) + [0] * (d - len(v))
+    out = [v]
+    for _ in range(count - 1):
+        for _ in range(step):
+            c = v[-1]
+            # zip stops at d entries, dropping the old top coefficient
+            v = [add[x][y] for x, y in zip([0] + v, cancel[c])] if c else [0] + v[:-1]
+        out.append(v)
+    return out
+
+
 def _det_and_solve(F, rows, d: int):
     """Gauss-Jordan on the rows of [A | B] over F, A the leading d x d block.
 
     Returns (det A, the rows of A^-1 B).  A must be invertible.
     """
+    add, mul, neg, inv = F.ops()
     rows = [list(r) for r in rows]
-    det = F.one
+    det = 1
     for c in range(d):
-        p = next((i for i in range(c, d) if rows[i][c] != F.zero), None)
+        p = next((i for i in range(c, d) if rows[i][c]), None)
         if p is None:
             raise AssertionError("leading matrix of the resultant is singular")
         if p != c:
             rows[c], rows[p] = rows[p], rows[c]
-            det = F.neg(det)
-        det = F.mul(det, rows[c][c])
-        inv = F.inv(rows[c][c])
-        pivot = rows[c] = rows[c][:c] + [F.mul(x, inv) for x in rows[c][c:]]
+            det = neg[det]
+        det = mul[det][rows[c][c]]
+        scale = mul[inv[rows[c][c]]]
+        pivot = rows[c] = rows[c][:c] + [scale[x] for x in rows[c][c:]]
         for i in range(d):
             u = rows[i][c]
-            if i != c and u != F.zero:
+            if i != c and u:
                 # columns left of c are zero in the pivot row
-                u = F.neg(u)
-                tail = [F.add(x, F.mul(u, y)) for x, y in zip(rows[i][c:], pivot[c:])]
-                rows[i] = rows[i][:c] + tail
+                nu = mul[neg[u]]
+                rows[i] = rows[i][:c] + [add[x][nu[y]] for x, y in zip(rows[i][c:], pivot[c:])]
     return det, [r[d:] for r in rows]
 
 
@@ -702,43 +748,42 @@ def _charpoly(F, H) -> list:
     the characteristic polynomials of its leading principal blocks by the
     Hessenberg recurrence.
     """
+    add, mul, neg, inv = F.ops()
     n = len(H)
     H = [list(r) for r in H]
     for m in range(1, n - 1):
-        p = next((i for i in range(m, n) if H[i][m - 1] != F.zero), None)
+        p = next((i for i in range(m, n) if H[i][m - 1]), None)
         if p is None:
             continue
         if p != m:
             H[p], H[m] = H[m], H[p]
             for row in H:
                 row[p], row[m] = row[m], row[p]
-        inv = F.inv(H[m][m - 1])
+        scale = mul[inv[H[m][m - 1]]]
         Hm = H[m]
         for i in range(m + 1, n):
-            u = F.mul(H[i][m - 1], inv)
-            if u == F.zero:
+            u = scale[H[i][m - 1]]
+            if not u:
                 continue
-            Hi, nu = H[i], F.neg(u)
-            for j in range(m - 1, n):
-                Hi[j] = F.add(Hi[j], F.mul(nu, Hm[j]))
+            nu, mu = mul[neg[u]], mul[u]
+            H[i] = H[i][: m - 1] + [add[x][nu[y]] for x, y in zip(H[i][m - 1 :], Hm[m - 1 :])]
             for row in H:
-                row[m] = F.add(row[m], F.mul(u, row[i]))
+                row[m] = add[row[m]][mu[row[i]]]
     # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik * h_(i+1,i)...h_(k,k-1) * p_i
-    polys = [[F.one]]
+    polys = [[1]]
     for k in range(n):
-        p = [F.zero] + polys[k]
-        c = F.neg(H[k][k])
-        for e, x in enumerate(polys[k]):
-            p[e] = F.add(p[e], F.mul(c, x))
-        t = F.one
+        p = [0] + polys[k]
+        terms = [(neg[H[k][k]], polys[k])]
+        t = 1
         for i in range(k - 1, -1, -1):
-            t = F.mul(t, H[i + 1][i])
-            if t == F.zero:
+            t = mul[t][H[i + 1][i]]
+            if not t:
                 break
-            c = F.neg(F.mul(H[i][k], t))
-            if c != F.zero:
-                for e, x in enumerate(polys[i]):
-                    p[e] = F.add(p[e], F.mul(c, x))
+            terms.append((neg[mul[H[i][k]][t]], polys[i]))
+        for c, q in terms:
+            if c:
+                cq = mul[c]
+                p[: len(q)] = [add[x][cq[y]] for x, y in zip(p, q)]
         polys.append(p)
     return polys[n]
 
@@ -779,18 +824,16 @@ def _resultant(f: Poly, g: BivPoly) -> Poly:
         return _resultant(h, BivPoly(F, g.tcoeffs[:t])) * _resultant(f.exact_div(h), g)
     # The M_j are transposed (row i holds theta^i g_j mod f), which leaves
     # det(sum_j M_j T^j) unchanged; the rows are [M_t | M_0 ... M_(t-1)].
-    residues = [pk_mod(F, gj.coeffs, f.coeffs) for gj in g.tcoeffs[t:] + g.tcoeffs[:t]]
-    rows = []
-    for i in range(d):
-        if i:
-            residues = [pk_mod(F, [F.zero] + res, f.coeffs) for res in residues]
-        rows.append([x for res in residues for x in res + [F.zero] * (d - len(res))])
+    orbits = [theta_multiples(F, f.coeffs, pk_mod(F, gj.coeffs, f.coeffs), 1, d)
+              for gj in g.tcoeffs[t:] + g.tcoeffs[:t]]
+    rows = [[x for orbit in orbits for x in orbit[i]] for i in range(d)]
     det, N = _det_and_solve(F, rows, d)
     if t == 0:
         return Poly.const(F, det)
+    _, mul, neg, _ = F.ops()
     n = d * t
-    C = [[F.zero] * n for _ in range(n - d)]
+    C = [[0] * n for _ in range(n - d)]
     for k in range(n - d):
-        C[k][k + d] = F.one
-    C.extend([F.neg(x) for x in row] for row in N)
-    return Poly(F, pk_scale(F, _charpoly(F, C), det))
+        C[k][k + d] = 1
+    C.extend([neg[x] for x in row] for row in N)
+    return Poly(F, [mul[det][x] for x in _charpoly(F, C)])

@@ -1,6 +1,6 @@
 import pytest
 
-from ffzeta.errors import BoundExceeded, NotPrime
+from ffzeta.errors import BoundExceeded, NotPrime, Unsupported
 from ffzeta.ffield import (
     FiniteField,
     field_make,
@@ -30,6 +30,8 @@ def test_field_make_rejects():
     with pytest.raises(BoundExceeded):
         field_make(2, 5)  # 32 > 16
     field_make(2, 5, bound=32)
+    with pytest.raises(Unsupported):
+        field_make(257, 1, bound=300).ops()  # q^2 > TABLE_LIMIT
 
 
 def test_prime_field_arithmetic():
@@ -52,10 +54,17 @@ def test_f4_structure():
         assert f4.pow_(a, f4.q - 1) == 1
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (2, 4)])
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (2, 4), (7, 1)])
 def test_frobenius_fixes_prime_field_and_is_additive(p, m):
     F = FiniteField(p, lex_least_modulus(p, m))
     r = F.q
+    # the operation tables agree with the methods on every pair
+    add, mul, neg, inv = F.ops()
+    for a in F.elements():
+        assert neg[a] == F.neg(a)
+        assert a == 0 or inv[a] == F.inv(a)
+        assert add[a] == [F.add(a, b) for b in F.elements()]
+        assert mul[a] == [F.mul(a, b) for b in F.elements()]
     for a in F.elements():
         # x^r = x for every element of F_r
         assert F.pow_(a, r) == a

@@ -204,34 +204,46 @@ def test_point_module_carlitz_examples():
 
 
 def test_point_module_annihilator_exhaustive_oracle():
-    # brute-force check: phi_g kills every element, no maximal divisor does
-    C = carlitz(F3)
-    for f in monic_irreducibles(F3, 2):
-        red = reduce_mod_prime(C, f)
-        g = point_module_annihilator(red)
-        F_f = red.dom.field
-        phi_g = red.action(g)
-        assert all(phi_g.evaluate(x) == F_f.zero for x in F_f.elements())
-        for div in monic_irreducibles(F3, max(g.deg, 1)):
-            if (g % div).is_zero():
-                smaller = g.exact_div(div)
-                if smaller.deg >= 0 and not smaller.is_constant() or smaller.deg == 0:
-                    phi_s = red.action(smaller) if not smaller.is_zero() else None
-                    if phi_s is not None:
-                        assert any(
-                            phi_s.evaluate(x) != F_f.zero for x in F_f.elements()
-                        )
+    # brute-force check at r in {2, 3, 4, 5}, q^d <= 125, on Carlitz and on
+    # rank2:0,1 where it is cyclic: phi_g kills every element of F_f, and
+    # phi_(g/pi) does not for any prime pi | g
+    checked = 0
+    for field, dmax in ((F2, 6), (F3, 4), (F4, 3), (field_make(5, 1), 3)):
+        rank2 = drinfeld_rank2(field, RatFunc.zero(field), RatFunc.one(field))
+        for phi in (carlitz(field), rank2):
+            for f in monic_irreducibles(field, dmax):
+                red = reduce_mod_prime(phi, f)
+                try:
+                    g = point_module_annihilator(red)
+                except NotCyclic:
+                    assert phi is rank2
+                    continue
+                F_f = red.dom.field
+
+                def kills(a):
+                    phi_a = red.action(a)
+                    return all(phi_a.evaluate(x) == F_f.zero for x in F_f.elements())
+
+                assert kills(g)
+                for pi in monic_irreducibles(field, g.deg):
+                    if (g % pi).is_zero():
+                        assert not kills(g.exact_div(pi))
+                checked += phi is rank2
+    assert checked == 127  # rank2:0,1 is not cyclic at the other 13 primes
 
 
 def test_point_module_noncyclic_flagged():
-    # the rank-2 module theta*x + x^(r^2) at f = T+1 over F_2 acts as identity
-    # twisted by theta; its F_f-points stay cyclic, so instead check the op
-    # accepts rank 2 and returns a divisor of the curve-count polynomial
+    # theta*x + x^(r^2) at f = T over F_2: x -> x^4 = x, so T acts as 1 on
+    # F_2 and the cyclic module has annihilator T+1
     psi = drinfeld_rank2(F2, RatFunc.zero(F2), RatFunc.one(F2))
     red = reduce_mod_prime(psi, pf(F2, "T"))
-    g = point_module_annihilator(red)
-    # F_2 under x -> x^4 = x: T acts as 1, annihilator T+1
-    assert g == pf(F2, "T+1")
+    assert point_module_annihilator(red) == pf(F2, "T+1")
+    # theta*x + theta*x^(r^2) at f = T^2+T+1: on F_4, x^4 = x, so T acts as
+    # theta + theta = 0 and kills all of F_4, which is not cyclic over A
+    psi0 = drinfeld_rank2(F2, RatFunc.zero(F2), RatFunc.gen(F2))
+    red0 = reduce_mod_prime(psi0, pf(F2, "T^2+T+1"))
+    with pytest.raises(NotCyclic, match="annihilator T of degree 1 < 2"):
+        point_module_annihilator(red0)
 
 
 # -- torsion ------------------------------------------------------------------------

@@ -117,8 +117,12 @@ def test_monic_irreducibles_sorted_and_bounded():
 
 
 def test_is_irreducible_matches_enumeration():
-    for field in (F2, F3):
-        for d in (1, 2, 3):
+    # Ben-Or against the sieve, wherever q^d <= 729
+    for pm in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        field = field_make(*pm)
+        for d in range(1, 10):
+            if field.q**d > 729:
+                break
             listed = set(p.coeffs for p in monic_irreducibles(field, d) if p.deg == d)
             for cand in monic_polys(field, d):
                 assert (cand.coeffs in listed) == is_irreducible(cand)
