@@ -46,7 +46,12 @@ class NotCyclic(FFZetaError):
 
 
 class InconsistentFrobenius(FFZetaError):
-    """The Frobenius relation in F_f{tau} has no unique solution; flags a bug."""
+    """The Frobenius relation in F_f{tau} has no unique solution; flags a bug.
+
+    Only the null-space route kept in the test oracles raises it; the
+    library's Hasse-invariant route has no such failure.  It stays exported
+    so that code catching it keeps working.
+    """
 
 
 class SingularRecursion(FFZetaError):

@@ -15,10 +15,14 @@ A field keeps two kinds of table, each built lazily by the field itself:
   the prime field) with m > 1 and at most ``TABLE_LIMIT`` = 2^16 elements
   builds them on its first product (or inverse, or power), and multiplies
   through discrete logs from then on.  Only code that multiplies in a field
-  pays for them: reducing a Drinfeld module mod f works in F_r[T] and
-  builds none for its residue field A/(f).  Any other field multiplies its
-  coordinate lists through the base (``pk_mul``, ``pk_mod``) and inverts
-  with ``pk_xgcd``.
+  pays for them.  In the library that is F_r = F_p[y]/(h) for m > 1, whose
+  products every F_r[T] kernel takes.  Residue fields A/(f) build none:
+  reducing a Drinfeld module mod f, its point module and its Frobenius
+  characteristic polynomial all work in F_r[T].  Only the torsion oracle
+  (``ore.torsion_points``) and the null-space Frobenius oracle of the tests
+  multiply in A/(f) and its extensions, so only they build tables there.
+  Any other field multiplies its coordinate lists through the base
+  (``pk_mul``, ``pk_mod``) and inverts with ``pk_xgcd``.
 - operation tables (``ops()``): q x q add and mul tables with neg and inv,
   for fields with q^2 <= ``TABLE_LIMIT`` (q <= 2^8), built on the first
   call.  Only the F_r kernels call it (the prime sieve, the resultant and

@@ -6,13 +6,13 @@ the associated F_r-linear polynomials sum c_i x^(r^i).  Coefficients live
 in a pluggable domain so the same core serves modules over the rational
 function field, over residue fields A/(f), and over Laurent/matrix rings.
 
-Frobenius data of a reduced module at f come from the Ore ring F_f{tau}
-itself: pi = tau^(deg f) is central and satisfies pi - phi_a = 0 in rank 1
-and Gekeler's relation pi^2 - phi_a*pi + mu*phi_f = 0 in rank 2, which is
-one F_p-linear solve.  Torsion points, found as kernels of the F_r-linear
+Frobenius data of a module at a good prime f come from closed forms in
+A = F_r[T] modulo f: a norm of the leading coefficient and, in rank 2,
+the Hasse invariant, so no product is taken in a residue field and no Ore
+product is formed.  Torsion points, found as kernels of the F_r-linear
 map phi_v over successively larger extensions of the residue field, are
 kept as the independent oracle for those values; all their linear algebra
-is over F_p too.
+is over F_p.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
     BadReduction,
     BoundExceeded,
     DomainMismatch,
-    InconsistentFrobenius,
     NotCyclic,
     SingularRecursion,
     ZeroInput,
@@ -328,11 +327,15 @@ def drinfeld_rank2(field_r, g: RatFunc, delta: RatFunc) -> DrinfeldModule:
 # residue fields A/(f) and reduction of modules
 
 
-# Residue fields in use, least recently used first.  Their exp/log tables
-# set the memory of a long run over many primes, so the cache holds at most
-# RESIDUE_CACHE_ELEMENTS table entries (a field without tables counts one).
-# An evicted field's torsion extensions go with it, since each keeps its
-# base field alive.
+# Residue fields in use, least recently used first.  ``reduce_mod_prime``
+# fills it (the point module and the torsion oracle work on its result);
+# the Frobenius characteristic polynomial works in A mod f and never does.
+# A field's exp/log tables, built only when something multiplies in it (the
+# torsion oracle), would set the memory of a long run over many primes, so
+# the cache holds at most RESIDUE_CACHE_ELEMENTS table entries, counting
+# what a field would build (a field without tables counts one).  An evicted
+# field's torsion extensions go with it, since each keeps its base field
+# alive.
 RESIDUE_CACHE_ELEMENTS = 1 << 18
 _RESIDUE_CACHE: OrderedDict = OrderedDict()
 _residue_cache_elements = 0
@@ -373,14 +376,12 @@ def element_to_residue(field_r, F_f, el) -> Poly:
     return Poly(field_r, F_f.coords(el))
 
 
-def ratfunc_residue(field_r, F_f, a: RatFunc, f: Poly):
-    """Image of an f-integral rational function num/den in F_f = A/(f).
+def residue_mod(a: RatFunc, f: Poly) -> Poly:
+    """num * den^-1 mod f in A, for an f-integral num/den.
 
-    The residue is computed in A = F_r[T]: num mod f, times den^-1 mod f
-    (from the extended gcd) when den is not constant; denominators are
-    monic, so a constant one is 1.  Only the result is mapped into F_f, so
-    no product is taken there and no exp/log table is built.  Raises
-    BadReduction, naming f, when den shares a factor with f.
+    den^-1 mod f comes from the extended gcd when den is not constant;
+    denominators are monic, so a constant one is 1.  Raises BadReduction,
+    naming f, when den shares a factor with f.
     """
     res = a.num % f
     if a.den.deg > 0:
@@ -388,7 +389,7 @@ def ratfunc_residue(field_r, F_f, a: RatFunc, f: Poly):
         if g.deg > 0:
             raise BadReduction(f"{a.to_string()} is not integral at f = {f.to_string()}")
         res = (res * den_inv) % f
-    return residue_to_element(field_r, F_f, res)
+    return res
 
 
 def good_model_twist(phi: DrinfeldModule, f: Poly) -> int:
@@ -415,23 +416,31 @@ def good_model_twist(phi: DrinfeldModule, f: Poly) -> int:
     return j
 
 
-def reduce_mod_prime(phi: DrinfeldModule, f: Poly) -> DrinfeldModule:
-    """Good-reduction model of phi at the monic prime f, of the same rank."""
-    field_r = phi.field_r
+def good_model_residues(phi: DrinfeldModule, f: Poly) -> tuple[int, list[Poly]]:
+    """(j, residues): the twist exponent of ``good_model_twist`` and the
+    coefficients of the twisted model as residues mod f in A."""
     r = phi.r
     j = good_model_twist(phi, f)
-    u_pows = RatFunc.from_poly(f)
-    F_f = residue_field(field_r, f)
-    dom = FieldCoeffs(F_f, r)
-    new_coeffs = []
+    u = RatFunc.from_poly(f)
+    residues = []
     for i, a in enumerate(phi.coeffs):
-        if a.is_zero():
-            new_coeffs.append(F_f.zero)
-            continue
-        if j:
-            a = a * u_pows ** (j * (r**i - 1))
-        new_coeffs.append(ratfunc_residue(field_r, F_f, a, f))
-    return DrinfeldModule(field_r, dom, new_coeffs, prime=f, twist=j)
+        if j and not a.is_zero():
+            a = a * u ** (j * (r**i - 1))
+        residues.append(residue_mod(a, f))
+    return j, residues
+
+
+def reduce_mod_prime(phi: DrinfeldModule, f: Poly) -> DrinfeldModule:
+    """Good-reduction model of phi at the monic prime f, of the same rank.
+
+    The residues are computed in A and only then mapped into F_f, so no
+    product is taken there and no exp/log table is built.
+    """
+    field_r = phi.field_r
+    j, residues = good_model_residues(phi, f)
+    F_f = residue_field(field_r, f)
+    new_coeffs = [residue_to_element(field_r, F_f, a) for a in residues]
+    return DrinfeldModule(field_r, FieldCoeffs(F_f, phi.r), new_coeffs, prime=f, twist=j)
 
 
 # ---------------------------------------------------------------------------
@@ -764,49 +773,62 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     eigenvalue of degree deg f.  Rank 2: returns (a_f, mu) for
     u^2 - a_f*u + mu*f with deg a_f <= deg f / 2 and mu in F_r^*.
 
-    pi = tau^(deg f) is central in F_f{tau} and satisfies pi - phi_a = 0
-    (rank 1) or Gekeler's relation pi^2 - phi_a*pi + mu*phi_f = 0 (rank 2).
-    The relation is F_r-linear in the coefficients of a, in mu and in the
-    coefficient of pi^rank; in F_p coordinates it is one null-space
-    computation whose solution is unique up to scaling, with a nonzero
-    pi^rank coordinate (InconsistentFrobenius otherwise).  Torsion
+    Say the good model at f is theta + g tau + Delta tau^2 (rank 1:
+    theta + beta tau), with d = deg f and every coefficient a residue
+    mod f in A; N(x) = prod_{i<d} x^(r^i) mod f is the norm from A/(f) to
+    F_r, a constant.  Then
+      rank 1:  a = N(beta)^-1 * f;
+      rank 2:  mu = (-1)^d * N(Delta)^-1 and a_f = mu * H mod f, where H
+               is the Hasse invariant f_d of the recursion f_0 = 1,
+               f_1 = g, f_k = g^(r^(k-1)) f_(k-1)
+               - (theta^(r^(k-1)) - theta) Delta^(r^(k-2)) f_(k-2).
+    The residue determines a_f because deg a_f <= d/2 < d.  See Gekeler,
+    *Frobenius distributions of Drinfeld modules over finite fields*
+    (Trans. AMS 360, 2008) and Hsia-Yu, *On characteristic polynomials of
+    geometric Frobenius associated to Drinfeld modules* (Compositio 122,
+    2000).  All of it is O(d) products and r-th powers mod f in A; since
+    c^r = c in F_r, x(T)^r = x(T^r), so an r-th power is ``frob_power(r)``
+    and one reduction.  No residue field is built, so an already-reduced
+    module has its coefficients mapped back to residues.  Torsion
     (``frobenius_on_torsion``) is the independent oracle for these values.
     """
     field_r = phi.field_r
     t = phi.rank
     if t not in (1, 2):
         raise ValueError("only ranks 1 and 2 are supported")
-    reduced = phi if phi.is_reduced() else reduce_mod_prime(phi, f)
-    dom = reduced.dom
-    F_f = dom.field
-    p, m = field_r.p, field_r.m
+    if phi.is_reduced():
+        if phi.prime != f:
+            raise ValueError(f"module reduced at {phi.prime}, not at {f}")
+        F_f = phi.dom.field
+        residues = [element_to_residue(field_r, F_f, c) for c in phi.coeffs]
+    else:
+        residues = good_model_residues(phi, f)[1]
+    r = phi.r
     d = f.deg
-    deg_a = d if t == 1 else d // 2
-    pi = OrePoly.tau(dom, d)
-    powers = [OrePoly.const(dom, dom.one)]  # phi_{T^i}
-    for _ in range(d if t == 2 else deg_a):
-        powers.append(powers[-1] * reduced.phi_T())
-    # one unknown per F_p coordinate: -phi_a * pi^(t-1), then mu * phi_f
-    # (rank 2), then the coefficient of pi^t
-    terms = [-(power * pi ** (t - 1)) for power in powers[: deg_a + 1]]
-    if t == 2:
-        phi_f = OrePoly.zero(dom)
-        for c, power in zip(f.coeffs, powers):
-            phi_f = phi_f + power.scale(c)
-        terms.append(phi_f)
-    basis_r = [field_r.from_pvector([int(i == k) for i in range(m)]) for k in range(m)]
-    cols = [term.scale(b) for term in terms for b in basis_r] + [pi**t]
-    flat = [[x for j in range(d * t + 1) for x in F_f.to_pvector(col.coeff(j))] for col in cols]
-    null = nullspace_mod_p([list(row) for row in zip(*flat)], p)
-    if len(null) != 1 or null[0][-1] == 0:
-        raise InconsistentFrobenius(
-            f"the Frobenius relation at f = {f} has no unique solution "
-            f"(null space of dimension {len(null)})"
-        )
-    scale = pow(null[0][-1], p - 2, p)
-    sol = [(x * scale) % p for x in null[0]]
-    unknowns = [field_r.from_pvector(sol[k * m : (k + 1) * m]) for k in range(len(terms))]
-    return Poly(field_r, unknowns[: deg_a + 1]), (unknowns[-1] if t == 2 else None)
+
+    def conjugates(x: Poly) -> list[Poly]:
+        """x, x^r, ..., x^(r^(d-1)) mod f."""
+        out = [x]
+        for _ in range(d - 1):
+            out.append(out[-1].frob_power(r) % f)
+        return out
+
+    def norm(conj: list[Poly]):
+        out = conj[0]
+        for x in conj[1:]:
+            out = (out * x) % f
+        return out.constant_value()
+
+    if t == 1:
+        return f.scale(field_r.inv(norm(conjugates(residues[1])))), None
+    theta, g, delta = (conjugates(x) for x in residues)
+    mu = field_r.inv(norm(delta))
+    if d % 2:
+        mu = field_r.neg(mu)
+    prev, cur = Poly.one(field_r), g[0]  # f_0, f_1
+    for k in range(2, d + 1):
+        prev, cur = cur, (g[k - 1] * cur - (theta[k - 1] - theta[0]) * delta[k - 2] * prev) % f
+    return cur.scale(mu), mu
 
 
 # ---------------------------------------------------------------------------

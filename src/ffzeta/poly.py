@@ -184,7 +184,8 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        self._check(other)
+        return Poly(self.field, pk_mod(self.field, self.coeffs, other.coeffs))
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)

@@ -1,0 +1,55 @@
+"""Second routes kept only to check the production ones.
+
+``frobenius_charpoly_nullspace`` finds the Frobenius characteristic
+polynomial of a rank-1 or rank-2 module at a good prime f in the Ore ring
+F_f{tau}: pi = tau^(deg f) is central and satisfies pi - phi_a = 0 (rank 1)
+or Gekeler's relation pi^2 - phi_a*pi + mu*phi_f = 0 (rank 2).  The
+relation is F_r-linear in the coefficients of a, in mu and in the
+coefficient of pi^rank; in F_p coordinates it is one null-space computation
+whose solution is unique up to scaling, with a nonzero pi^rank coordinate
+(InconsistentFrobenius otherwise).  It forms O(d^3) residue-field products
+where ``ore.frobenius_charpoly`` takes O(d) products in A.
+"""
+
+from ffzeta.errors import InconsistentFrobenius
+from ffzeta.ore import OrePoly, nullspace_mod_p, reduce_mod_prime
+from ffzeta.poly import Poly
+
+
+def frobenius_charpoly_nullspace(phi, f: Poly):
+    """(a, None) in rank 1 or (a_f, mu) in rank 2, as ``ore.frobenius_charpoly``."""
+    field_r = phi.field_r
+    t = phi.rank
+    if t not in (1, 2):
+        raise ValueError("only ranks 1 and 2 are supported")
+    reduced = phi if phi.is_reduced() else reduce_mod_prime(phi, f)
+    dom = reduced.dom
+    F_f = dom.field
+    p, m = field_r.p, field_r.m
+    d = f.deg
+    deg_a = d if t == 1 else d // 2
+    pi = OrePoly.tau(dom, d)
+    powers = [OrePoly.const(dom, dom.one)]  # phi_{T^i}
+    for _ in range(d if t == 2 else deg_a):
+        powers.append(powers[-1] * reduced.phi_T())
+    # one unknown per F_p coordinate: -phi_a * pi^(t-1), then mu * phi_f
+    # (rank 2), then the coefficient of pi^t
+    terms = [-(power * pi ** (t - 1)) for power in powers[: deg_a + 1]]
+    if t == 2:
+        phi_f = OrePoly.zero(dom)
+        for c, power in zip(f.coeffs, powers):
+            phi_f = phi_f + power.scale(c)
+        terms.append(phi_f)
+    basis_r = [field_r.from_pvector([int(i == k) for i in range(m)]) for k in range(m)]
+    cols = [term.scale(b) for term in terms for b in basis_r] + [pi**t]
+    flat = [[x for j in range(d * t + 1) for x in F_f.to_pvector(col.coeff(j))] for col in cols]
+    null = nullspace_mod_p([list(row) for row in zip(*flat)], p)
+    if len(null) != 1 or null[0][-1] == 0:
+        raise InconsistentFrobenius(
+            f"the Frobenius relation at f = {f} has no unique solution "
+            f"(null space of dimension {len(null)})"
+        )
+    scale = pow(null[0][-1], p - 2, p)
+    sol = [(x * scale) % p for x in null[0]]
+    unknowns = [field_r.from_pvector(sol[k * m : (k + 1) * m]) for k in range(len(terms))]
+    return Poly(field_r, unknowns[: deg_a + 1]), (unknowns[-1] if t == 2 else None)

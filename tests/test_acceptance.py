@@ -49,6 +49,8 @@ from ffzeta.sheaf import (
     unit_sheaf,
 )
 
+from oracles import frobenius_charpoly_nullspace
+
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
@@ -303,9 +305,11 @@ def test_c09_rank2_local_factors():
         assert a == expected_a[f.to_string()], f"a at {f} is {a}"
         assert mu == F2.one
         assert a.deg <= f.deg // 2
-    # the values solved from the Ore relation pi^2 - a*pi + mu*f = 0 are
-    # re-derived by the scanning oracle at f = T, v = T+1 (fully independent
-    # route): trace and determinant of Frobenius on phi[v]
+        # the Ore relation pi^2 - a*pi + mu*f = 0, solved by null space
+        assert frobenius_charpoly_nullspace(psi, f) == (a, mu)
+    # the values from the Hasse invariant are re-derived by the scanning
+    # oracle at f = T, v = T+1 (fully independent route): trace and
+    # determinant of Frobenius on phi[v]
     red = reduce_mod_prime(psi, pf(F2, "T"))
     M = _frobenius_matrix_by_scanning(red, pf(F2, "T+1"))
     v = pf(F2, "T+1")
@@ -318,7 +322,8 @@ def test_c09_rank2_local_factors():
     for f in monic_irreducibles(F2, 2):
         a, mu = frobenius_charpoly(C, f)
         assert a == f and mu is None
-    print("PASS criterion 9: rank-2 charpoly data from the Ore relation match the hand values, scan oracle agrees; rank-1 degenerate gives 1-fu")
+        assert frobenius_charpoly_nullspace(C, f) == (a, mu)
+    print("PASS criterion 9: rank-2 charpoly data from the Hasse invariant match the hand values, scan oracle agrees; rank-1 degenerate gives 1-fu")
 
 
 def test_c10_zero_regularity():

@@ -417,3 +417,39 @@ def test_rank1_rows_take_no_bareiss_route(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out == expected
+
+
+@pytest.mark.parametrize(
+    "r,dmax",
+    # r = 3 stops at the largest degree the default --max-enum admits
+    [("2", "9"), ("3", "7")],
+    ids=["r2", "r3"],
+)
+def test_rank2_rows_build_no_residue_field(capsys, monkeypatch, r, dmax):
+    # the Hasse-invariant route works in F_r[T] mod f: no residue field is
+    # built or cached, no exp/log table, no Ore product and no null space
+    from collections import Counter, OrderedDict
+
+    from ffzeta import ore
+    from ffzeta.ffield import FiniteField
+
+    counts = Counter()
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(FiniteField, "_build_tables")
+    counting(ore.OrePoly, "__mul__")
+    counting(ore, "nullspace_mod_p")
+    monkeypatch.setattr(ore, "_RESIDUE_CACHE", OrderedDict())
+    code, out, err = run(capsys, "lfactors", "rank2:0,1", "--r", r, "--dmax", dmax, "--format", "csv")
+    assert code == 0, err
+    assert out.count(",rank2-charpoly") > 100
+    assert counts == {}
+    assert not ore._RESIDUE_CACHE

@@ -3,7 +3,7 @@ from collections import OrderedDict
 import pytest
 
 from ffzeta import ore
-from ffzeta.errors import BadReduction, InconsistentFrobenius, NotCyclic, ZeroInput
+from ffzeta.errors import BadReduction, NotCyclic, ZeroInput
 from ffzeta.ffield import field_make
 from ffzeta.ore import (
     DrinfeldModule,
@@ -20,13 +20,13 @@ from ffzeta.ore import (
     frobenius_on_torsion,
     point_module_annihilator,
     ratfunc_domain,
-    ratfunc_residue,
     reduce_mod_prime,
-    residue_field,
+    residue_mod,
     residue_to_element,
     torsion_points,
 )
 from ffzeta.poly import Poly, RatFunc, monic_irreducibles, poly_from_string, ratfunc_from_string
+from oracles import frobenius_charpoly_nullspace
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -161,7 +161,7 @@ def test_ratfunc_residue_non_integral_raises_bad_reduction(field):
     # 1/T has a pole at f = T: no residue exists, and the error names f
     f = pf(field, "T")
     with pytest.raises(BadReduction, match="f = T"):
-        ratfunc_residue(field, residue_field(field, f), rf(field, "1/T"), f)
+        residue_mod(rf(field, "1/T"), f)
 
 
 def test_reduce_good_after_twist_r2():
@@ -312,6 +312,7 @@ def test_frobenius_charpoly_rank1_recovers_carlitz_factor():
         a, mu = frobenius_charpoly(C, f)
         assert a == f
         assert mu is None
+        assert frobenius_charpoly_nullspace(C, f) == (a, mu)
 
 
 def test_frobenius_charpoly_rank2_supersingular_at_T():
@@ -322,6 +323,7 @@ def test_frobenius_charpoly_rank2_supersingular_at_T():
     a, mu = frobenius_charpoly(psi, pf(F2, "T"))
     assert a.is_zero()
     assert mu == F2.one
+    assert frobenius_charpoly_nullspace(psi, pf(F2, "T")) == (a, mu)
 
 
 def test_frobenius_charpoly_rank2_consistency_all_small_primes():
@@ -330,21 +332,32 @@ def test_frobenius_charpoly_rank2_consistency_all_small_primes():
         a, mu = frobenius_charpoly(psi, f)
         assert a.deg <= f.deg // 2
         assert mu == F2.one  # r = 2: the unit group is trivial
+        assert frobenius_charpoly_nullspace(psi, f) == (a, mu)
+
+
+def test_frobenius_charpoly_rejects_a_module_reduced_elsewhere():
+    red = reduce_mod_prime(carlitz(F2), pf(F2, "T"))
+    with pytest.raises(ValueError):
+        frobenius_charpoly(red, pf(F2, "T+1"))
 
 
 def test_residue_cache_stays_within_its_bound(monkeypatch):
     # more residue fields than the bound holds: the least recently used go,
     # and every result is the one computed with all of them cached
-    psi = drinfeld_rank2(F2, RatFunc.zero(F2), RatFunc.one(F2))
+    C = carlitz(F2)
     primes = monic_irreducibles(F2, 7)
-    expected = [frobenius_charpoly(psi, f) for f in primes]
+
+    def annihilator(f):
+        return point_module_annihilator(reduce_mod_prime(C, f))
+
+    expected = [annihilator(f) for f in primes]
     monkeypatch.setattr(ore, "RESIDUE_CACHE_ELEMENTS", 600)
     monkeypatch.setattr(ore, "_RESIDUE_CACHE", OrderedDict())
     monkeypatch.setattr(ore, "_residue_cache_elements", 0)
     monkeypatch.setattr(ore, "_EXT_CACHE", {})
     got = []
     for f in primes + primes[::-1]:
-        got.append(frobenius_charpoly(psi, f))
+        got.append(annihilator(f))
         ore._extension_of(ore.residue_field(F2, f), 2)  # as the torsion scan does
         held = sum(max(1, F_f.table_size) for F_f in ore._RESIDUE_CACHE.values())
         assert held == ore._residue_cache_elements <= 600
@@ -373,9 +386,10 @@ ROUTE_CASES = [
     ids=[f"r{F.q}-rank{len(c)}:{','.join(c)}" for F, c, _ in ROUTE_CASES],
 )
 def test_frobenius_charpoly_agrees_with_torsion(field, coeffs, dmax):
-    """The Ore-relation route against Frobenius on phi[v] (independent oracle):
-    trace = a and det = mu*f mod every degree-1 prime v != f; in rank 1 also
-    against the resultant eigenvalue behind local_factor."""
+    """The Hasse-invariant route against Frobenius on phi[v] (independent
+    oracle): trace = a and det = mu*f mod every degree-1 prime v != f; also
+    against the Ore-relation null space, on the module and on its reduction,
+    and in rank 1 against the resultant eigenvalue behind local_factor."""
     from ffzeta.lseries import local_factor
 
     betas = [rf(field, c) for c in coeffs]
@@ -387,6 +401,8 @@ def test_frobenius_charpoly_agrees_with_torsion(field, coeffs, dmax):
         except BadReduction:
             continue
         a, mu = frobenius_charpoly(phi, f)
+        assert frobenius_charpoly(red, f) == (a, mu)
+        assert frobenius_charpoly_nullspace(phi, f) == (a, mu)
         assert a.deg <= (f.deg if phi.rank == 1 else f.deg // 2)
         if phi.rank == 1:
             assert mu is None

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ffzeta.errors import BadReduction
 from ffzeta.ffield import (
     TABLE_LIMIT,
     FiniteField,
@@ -16,7 +17,16 @@ from ffzeta.ffield import (
     pk_trim,
 )
 from ffzeta.lseries import power_sum, power_sum_enumerated
-from ffzeta.ore import FieldCoeffs, OrePoly, ratfunc_residue, residue_field, residue_to_element
+from ffzeta.ore import (
+    FieldCoeffs,
+    OrePoly,
+    drinfeld_rank1,
+    drinfeld_rank2,
+    frobenius_charpoly,
+    residue_field,
+    residue_mod,
+    residue_to_element,
+)
 from ffzeta.poly import (
     BivPoly,
     Poly,
@@ -28,6 +38,7 @@ from ffzeta.poly import (
     poly_gcd,
     resultant,
 )
+from oracles import frobenius_charpoly_nullspace
 
 # (p, m) for r in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -126,7 +137,7 @@ def test_ratfunc_residue_matches_field_division(pm, prime_idx, num_idx, den_idx)
     a = RatFunc(num, den)
     num_el = residue_to_element(field_r, F_f, a.num)
     den_el = residue_to_element(field_r, F_f, a.den)
-    assert ratfunc_residue(field_r, F_f, a, f) == F_f.mul(num_el, F_f.inv(den_el))
+    assert residue_to_element(field_r, F_f, residue_mod(a, f)) == F_f.mul(num_el, F_f.inv(den_el))
 
 
 # fields for the axiom check: F_r for r in {2, ..., 13}, residue fields A/(f)
@@ -261,3 +272,49 @@ def test_resultant_matches_bareiss(pm, f_tail, coeff_lists, top):
     g = BivPoly(field_r, gs)
     assume(not g.is_zero())
     assert resultant(f, g) == bareiss_det(field_r, _resultant_matrix(f, g))
+
+
+def _ratfunc(field_r, idx_num, idx_den):
+    """num/den from index lists: den is monic, of degree len(idx_den)."""
+    def el(k):
+        return field_r.element_from_index(k % field_r.q)
+
+    return RatFunc(Poly(field_r, [el(k) for k in idx_num]),
+                   Poly(field_r, [el(k) for k in idx_den] + [field_r.one]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(FIELDS),  # every r the CLI accepts
+    st.integers(1, 2),  # rank
+    st.integers(0, 10**6),  # the prime f
+    # num, den of beta (rank 1) or of g, Delta (rank 2)
+    st.lists(st.tuples(st.lists(st.integers(0, 10**6), max_size=3),
+                       st.lists(st.integers(0, 10**6), max_size=2)), min_size=2, max_size=2),
+    st.integers(-1, 1),  # e: coefficient i times f^(e (r^i - 1)) needs the twist j = -e
+    st.booleans(),  # leading coefficient times f: a bad prime
+)
+def test_frobenius_charpoly_matches_nullspace_oracle(pm, rank, prime_idx, parts, e, bad):
+    # the Hasse-invariant route against the Ore-relation null space, on
+    # twisted models and at bad primes (both raise BadReduction there);
+    # deg f <= 2, and 1 above r = 9, keeps the oracle's Ore products small
+    field_r = field_make(*pm)
+    r = field_r.q
+    primes = monic_irreducibles(field_r, 1 if r > 9 else 2)
+    f = primes[prime_idx % len(primes)]
+    u = RatFunc.from_poly(f)
+    coeffs = [_ratfunc(field_r, *part) for part in parts[:rank]]
+    assume(not coeffs[-1].is_zero())
+    if e:
+        coeffs = [a * u ** (e * (r**i - 1)) for i, a in enumerate(coeffs, 1)]
+    if bad:
+        coeffs[-1] = coeffs[-1] * u
+    phi = (drinfeld_rank1 if rank == 1 else drinfeld_rank2)(field_r, *coeffs)
+
+    def route(charpoly):
+        try:
+            return charpoly(phi, f)
+        except BadReduction:
+            return "bad"
+
+    assert route(frobenius_charpoly) == route(frobenius_charpoly_nullspace)
