@@ -43,9 +43,9 @@ from .errors import (
 )
 from .errors import BadPrime, BadReduction
 from .laurent import INF, Laurent, one_unit_pow
-from .ore import DrinfeldModule, frobenius_charpoly, good_model_twist
+from .ore import DrinfeldModule, frobenius_charpoly
 from .poly import Poly, RatFunc, monic_irreducibles, monic_polys
-from .sheaf import TauSheafRank1, frobenius_eigenvalue, sheaf_of_drinfeld_rank1
+from .sheaf import TauSheafRank1, frobenius_eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +528,10 @@ class CarlitzObject:
 def local_factor(obj, f: Poly) -> LocalFactor:
     """Euler factor of the object at the monic prime f.
 
-    Dispatch: rank-1 Drinfeld modules use the sheaf eigenvalue of their
-    good twist (factor 1 at genuinely bad primes, which all have
-    potentially good reduction); tau-sheaves use g^f directly; rank-2
-    modules use the Frobenius characteristic polynomial at good primes and
-    raise Unsupported at bad ones.
+    Dispatch: tau-sheaves use their eigenvalue g^f, a resultant.  Drinfeld
+    modules of rank 1 and 2 use ``frobenius_charpoly`` of their good model
+    at f: rank 1 the eigenvalue N(beta)^-1 * f, a norm in F_r, and factor 1
+    at bad primes (all potentially good); rank 2 raises Unsupported there.
     """
     field = f.field
     one = Poly.one(field)
@@ -546,28 +545,16 @@ def local_factor(obj, f: Poly) -> LocalFactor:
         except BadPrime:
             return LocalFactor(prime=f, denominator=(one,), provenance="bad-prime-rule")
         return LocalFactor(prime=f, denominator=(one, -lam), provenance="tau-sheaf-eigenvalue")
-    if isinstance(obj, DrinfeldModule):
-        if obj.rank == 1:
-            beta = obj.coeffs[1]
-            try:
-                j = good_model_twist(obj, f)
-            except BadReduction:
+    if isinstance(obj, DrinfeldModule) and obj.rank in (1, 2):
+        try:
+            a, mu = frobenius_charpoly(obj, f)
+        except BadReduction as exc:
+            if obj.rank == 1:
                 return LocalFactor(prime=f, denominator=(one,), provenance="bad-prime-rule")
-            beta_good = beta * RatFunc.from_poly(f) ** (j * (obj.r - 1))
-            lam = frobenius_eigenvalue(sheaf_of_drinfeld_rank1(beta_good), f).value
-            return LocalFactor(prime=f, denominator=(one, -lam), provenance="rank1-formula")
-        if obj.rank == 2:
-            try:
-                a, mu = frobenius_charpoly(obj, f)
-            except BadReduction as exc:
-                raise Unsupported(
-                    f"rank-2 bad prime {f}: local factor needs a maximal model"
-                ) from exc
-            return LocalFactor(
-                prime=f,
-                denominator=(one, -a, f.scale(mu)),
-                provenance="rank2-charpoly",
-            )
+            raise Unsupported(f"rank-2 bad prime {f}: local factor needs a maximal model") from exc
+        if mu is None:
+            return LocalFactor(prime=f, denominator=(one, -a), provenance="rank1-formula")
+        return LocalFactor(prime=f, denominator=(one, -a, f.scale(mu)), provenance="rank2-charpoly")
     raise TypeError(f"no local factor dispatch for {type(obj).__name__}")
 
 

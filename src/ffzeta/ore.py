@@ -28,7 +28,7 @@ from .errors import (
     ZeroInput,
 )
 from .ffield import FiniteField, pk_lex_irreducible
-from .poly import Poly, RatFunc, binary_power, poly_xgcd, theta_multiples
+from .poly import Poly, RatFunc, binary_power, norm, poly_xgcd, split_valuation, theta_multiples
 
 # ---------------------------------------------------------------------------
 # coefficient domains
@@ -392,14 +392,14 @@ def residue_mod(a: RatFunc, f: Poly) -> Poly:
     return res
 
 
-def good_model_twist(phi: DrinfeldModule, f: Poly) -> int:
+def good_model_twist(phi: DrinfeldModule, f: Poly, v_lead: int | None = None) -> int:
     """Twist exponent j such that u = f^j yields an f-integral unit-leading
     model, or BadReduction.  Twisting by u sends a_i to a_i * u^(r^i - 1),
-    i.e. beta to u^(r-1) * beta in rank 1."""
+    i.e. beta to u^(r-1) * beta in rank 1.  ``v_lead``: v_f(leading), if known."""
     r = phi.r
     t = phi.rank
-    lead = phi.coeffs[-1]
-    v_lead = lead.valuation_at(f)
+    if v_lead is None:
+        v_lead = phi.coeffs[-1].valuation_at(f)
     if v_lead % (r**t - 1) != 0:
         raise BadReduction(
             f"v_f(leading) = {v_lead} is not divisible by r^t-1 = {r**t - 1} at f = {f}"
@@ -775,9 +775,10 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
 
     Say the good model at f is theta + g tau + Delta tau^2 (rank 1:
     theta + beta tau), with d = deg f and every coefficient a residue
-    mod f in A; N(x) = prod_{i<d} x^(r^i) mod f is the norm from A/(f) to
-    F_r, a constant.  Then
-      rank 1:  a = N(beta)^-1 * f;
+    mod f in A; N(x) = Res_theta(f, x) = prod_{i<d} x^(r^i) mod f is the
+    norm from A/(f) to F_r, a Euclidean remainder sequence (``poly.norm``).
+      rank 1:  a = N(beta)^-1 * f; the twist only moves powers of f, so
+               N(beta) = N(num')/N(den'), f divided out of num and den;
       rank 2:  mu = (-1)^d * N(Delta)^-1 and a_f = mu * H mod f, where H
                is the Hasse invariant f_d of the recursion f_0 = 1,
                f_1 = g, f_k = g^(r^(k-1)) f_(k-1)
@@ -786,11 +787,12 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     *Frobenius distributions of Drinfeld modules over finite fields*
     (Trans. AMS 360, 2008) and Hsia-Yu, *On characteristic polynomials of
     geometric Frobenius associated to Drinfeld modules* (Compositio 122,
-    2000).  All of it is O(d) products and r-th powers mod f in A; since
+    2000).  H takes O(d) products and r-th powers mod f in A; since
     c^r = c in F_r, x(T)^r = x(T^r), so an r-th power is ``frob_power(r)``
     and one reduction.  No residue field is built, so an already-reduced
-    module has its coefficients mapped back to residues.  Torsion
-    (``frobenius_on_torsion``) is the independent oracle for these values.
+    module has its coefficients mapped back to residues.  Oracles: torsion
+    (``frobenius_on_torsion``), the Ore-relation null space (tests) and,
+    in rank 1, the tau-sheaf resultant (``sheaf.frobenius_eigenvalue``).
     """
     field_r = phi.field_r
     t = phi.rank
@@ -801,6 +803,13 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
             raise ValueError(f"module reduced at {phi.prime}, not at {f}")
         F_f = phi.dom.field
         residues = [element_to_residue(field_r, F_f, c) for c in phi.coeffs]
+        if t == 1:
+            return f.scale(field_r.inv(norm(f, residues[1]))), None
+    elif t == 1:
+        beta = phi.coeffs[1]
+        (v_num, num), (v_den, den) = (split_valuation(x, f) for x in (beta.num, beta.den))
+        good_model_twist(phi, f, v_num - v_den)
+        return f.scale(field_r.mul(norm(f, den), field_r.inv(norm(f, num)))), None
     else:
         residues = good_model_residues(phi, f)[1]
     r = phi.r
@@ -813,16 +822,8 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
             out.append(out[-1].frob_power(r) % f)
         return out
 
-    def norm(conj: list[Poly]):
-        out = conj[0]
-        for x in conj[1:]:
-            out = (out * x) % f
-        return out.constant_value()
-
-    if t == 1:
-        return f.scale(field_r.inv(norm(conjugates(residues[1])))), None
     theta, g, delta = (conjugates(x) for x in residues)
-    mu = field_r.inv(norm(delta))
+    mu = field_r.inv(norm(f, residues[2]))
     if d % 2:
         mu = field_r.neg(mu)
     prev, cur = Poly.one(field_r), g[0]  # f_0, f_1

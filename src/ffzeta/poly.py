@@ -12,14 +12,14 @@ The monic primes f come from a sieve (``monic_irreducibles``): the
 products of smaller primes with monic cofactors mark their encodings, and
 the unmarked encodings are the primes.
 
-``resultant`` gives every rank-1 Frobenius eigenvalue and character value.
-All of its arithmetic is over F_r: after splitting f at gcd(f, g_t), it is
-det(M_t) times the characteristic polynomial of a block companion matrix,
-taken by a Hessenberg reduction.  ``bareiss_det``, the fraction-free
-determinant over A, is kept only as its test oracle.  The sieve, the
-resultant and the point module (``ore``) index F_r's operation tables
-(``FiniteField.ops``); ``theta_multiples`` lists theta-multiples of a
-residue mod f for the last two.
+``norm``, a Euclidean remainder sequence, gives the norms N(x) in F_r that
+Drinfeld-module Frobenius needs; ``resultant`` gives tau-sheaf eigenvalues
+and chi_beta over F_r: after splitting f at gcd(f, g_t), it is det(M_t)
+times the charpoly of a block companion matrix, by a Hessenberg reduction.
+``bareiss_det``, the fraction-free determinant over A, is kept only as its
+test oracle.  The sieve, the norm, the resultant and the point module
+index F_r's operation tables (``FiniteField.ops``); ``theta_multiples``
+lists theta-multiples of a residue mod f for the last two.
 
 Degree of the zero polynomial is the sentinel -1.
 """
@@ -300,13 +300,18 @@ def poly_xgcd(a: Poly, b: Poly):
 
 def valuation(a: Poly, prime: Poly) -> int:
     """Multiplicity of a monic prime in a nonzero polynomial."""
+    return split_valuation(a, prime)[0]
+
+
+def split_valuation(a: Poly, prime: Poly) -> tuple[int, Poly]:
+    """(v, a / prime^v) for the multiplicity v of a monic prime in a nonzero a."""
     if a.is_zero():
         raise ZeroInput("valuation of zero")
     v = 0
     while True:
         q, r = divmod(a, prime)
         if not r.is_zero():
-            return v
+            return v, a
         a = q
         v += 1
 
@@ -713,6 +718,32 @@ def theta_multiples(F, f, v, step: int, count: int) -> list[list[int]]:
             v = [add[x][y] for x, y in zip([0] + v, cancel[c])] if c else [0] + v[:-1]
         out.append(v)
     return out
+
+
+def norm(f: Poly, x: Poly):
+    """N(x) = Res_theta(f, x) = prod x(rho) over the roots rho of a monic
+    nonconstant f, in F_r, by a Euclidean remainder sequence on F's tables:
+    x mod f = c*m, m monic of degree e, gives N_f(x) = c^d (-1)^(d e) N_m(f),
+    d = deg f; it ends with c^d or 0.  O(d deg x) lookups, then O(d^2)."""
+    if not f.is_monic() or f.deg < 1:
+        raise ValueError("f must be monic and nonconstant")
+    F = f.field
+    add, mul, neg, inv = F.ops()
+    f, x, out = f.coeffs, list(x.coeffs), 1
+    while True:
+        d = len(f) - 1
+        for i in range(len(x) - 1, d - 1, -1):
+            nc = mul[neg[x.pop()]]  # cancel c theta^i with c theta^(i-d) f
+            x[i - d : i] = [add[y][nc[z]] for y, z in zip(x[i - d : i], f)]
+        x = pk_trim(F, x)
+        if not x:
+            return 0
+        out = mul[out][F.pow_(x[-1], d)]
+        if len(x) == 1:
+            return out
+        if d * (len(x) - 1) % 2:
+            out = neg[out]
+        f, x = [mul[inv[x[-1]]][y] for y in x], list(f)
 
 
 def _det_and_solve(F, rows, d: int):

@@ -133,6 +133,33 @@ def test_special_output_digests(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded from the implementation that took each rank-1
+# eigenvalue from the tau-sheaf of the good twist by two resultants; they
+# pin the norm route, so never regenerate them from the code under test.
+# The twisted betas meet twists (j != 0) and bad primes.
+CBETA_DIGESTS = [
+    (["cbeta:(T+1)/T", "--r", "2", "--dmax", "9"],
+     "bc3b4717ab796c4cad5019f2fed12a448adeab114ea3ab5752c9ce14d2ff4812"),
+    (["cbeta:(T+2)/T", "--r", "2^2", "--dmax", "5"],
+     "17caacf2b45f2c4e18dd44e8e62ad916df01bf6a8ee7d64fc0ac797e419840da"),
+    (["cbeta:T^2/(T+1)", "--r", "3", "--dmax", "6", "--format", "csv"],
+     "787422dc3920dda16bcadcb27bbaecea8bb591a73e62ca6e6370845da306682d"),
+    (["cbeta:T^3/(T+1)", "--r", "2^2", "--dmax", "3"],
+     "47bf408c1dfb61f1dc9c1e48c1b81e7f7dccd4d3b81981bd5d11c13fa8a0df4d"),
+    (["cbeta:T^4/(T^2+2)", "--r", "5", "--dmax", "3", "--format", "csv"],
+     "4293416b9d570d161036e86bc4db4ee372daf198b19ad27990b6683ce1e781c1"),
+    (["cbeta:(T+3)/T^6", "--r", "7", "--dmax", "2"],
+     "daec8ca375cc7399a6d9c06b5a555a30be9f4d555da8aa9a26918362036e4cfc"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CBETA_DIGESTS, ids=[" ".join(a) for a, _ in CBETA_DIGESTS])
+def test_cbeta_output_digests(capsys, argv, digest):
+    code, out, err = run(capsys, "lfactors", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classify_single_degree_exits_2(capsys, tmp_path):
     eigen = tmp_path / "eigen.csv"
     eigen.write_text("T,T\nT+1,T+1\n")
@@ -396,27 +423,46 @@ def test_cache_rejects_a_wrong_prime_list(tmp_path, capsys, spoil):
     assert "recomputing" in err
 
 
+# the kernels of the resultant and of good-model residues; cbeta rows take
+# one F_r norm per prime and reach none of them, tensorpower rows are
+# tau-sheaf eigenvalues and keep the resultant
+RESULTANT_ROUTE = ("frobenius_eigenvalue", "resultant", "_det_and_solve", "_charpoly", "poly_xgcd")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,refused,reached",
     [
-        ["lfactors", "cbeta:(T+1)/T", "--r", "2", "--dmax", "6"],
-        ["lfactors", "tensorpower:2", "--r", "3", "--dmax", "3"],
+        (["lfactors", "cbeta:(T+1)/T", "--r", "2", "--dmax", "6"], RESULTANT_ROUTE, ()),
+        (["lfactors", "cbeta:T^2/(T+1)", "--r", "3", "--dmax", "4"], RESULTANT_ROUTE, ()),
+        (["lfactors", "tensorpower:2", "--r", "3", "--dmax", "3"], (), RESULTANT_ROUTE[:4]),
     ],
-    ids=["cbeta", "tensorpower"],
+    ids=["cbeta", "cbeta-twisted", "tensorpower"],
 )
-def test_rank1_rows_take_no_bareiss_route(capsys, monkeypatch, argv):
-    # the Bareiss determinant is the resultant's test oracle only
-    import ffzeta.poly
+def test_rank1_rows_take_no_bareiss_route(capsys, monkeypatch, argv, refused, reached):
+    # the Bareiss determinant is the resultant's test oracle only; each
+    # function is patched in every ffzeta namespace that binds it
+    from ffzeta import poly, sheaf
 
     _, expected, _ = run(capsys, *argv)
+    modules = [m for n, m in sys.modules.items() if n == "ffzeta" or n.startswith("ffzeta.")]
+    calls = set()
+    for name in ("bareiss_det",) + RESULTANT_ROUTE:
+        original = getattr(poly, name, None) or getattr(sheaf, name)
 
-    def refuse(*args):
-        raise AssertionError("bareiss_det reached from production code")
+        def watched(*args, _name=name, _original=original, **kwargs):
+            if _name == "bareiss_det" or _name in refused:
+                raise AssertionError(f"{_name} reached from {argv[1]} rows")
+            calls.add(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(ffzeta.poly, "bareiss_det", refuse)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, watched)
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out == expected
+    assert calls >= set(reached)
 
 
 @pytest.mark.parametrize(

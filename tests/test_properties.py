@@ -16,7 +16,7 @@ from ffzeta.ffield import (
     pk_mul,
     pk_trim,
 )
-from ffzeta.lseries import power_sum, power_sum_enumerated
+from ffzeta.lseries import LocalFactor, local_factor, power_sum, power_sum_enumerated
 from ffzeta.ore import (
     FieldCoeffs,
     OrePoly,
@@ -34,10 +34,12 @@ from ffzeta.poly import (
     bareiss_det,
     monic_irreducibles,
     monic_polys,
+    norm,
     poly_from_string,
     poly_gcd,
     resultant,
 )
+from ffzeta.sheaf import frobenius_eigenvalue, sheaf_of_drinfeld_rank1
 from oracles import frobenius_charpoly_nullspace
 
 # (p, m) for r in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
@@ -283,33 +285,39 @@ def _ratfunc(field_r, idx_num, idx_den):
                    Poly(field_r, [el(k) for k in idx_den] + [field_r.one]))
 
 
+@st.composite
+def twisted_modules(draw, ranks, max_deg):
+    """(phi, f): a Drinfeld module over any r the CLI accepts and a monic
+    prime f of degree <= max_deg (<= max_deg - 1 above r = 9).  Coefficient
+    i is drawn, then twisted by f^(e (r^i - 1)) with e in {-1, 0, 1}, so the
+    good model needs the twist j = -e; a drawn flag multiplies the leading
+    coefficient by f once more: a bad prime, except in rank 1 at r = 2."""
+    field_r = field_make(*draw(st.sampled_from(FIELDS)))
+    rank = draw(st.sampled_from(ranks))
+    r = field_r.q
+    primes = monic_irreducibles(field_r, max_deg if r <= 9 else max_deg - 1)
+    f = primes[draw(st.integers(0, 10**6)) % len(primes)]
+    u = RatFunc.from_poly(f)
+    parts = draw(st.lists(st.tuples(st.lists(st.integers(0, 10**6), max_size=3),
+                                    st.lists(st.integers(0, 10**6), max_size=2)),
+                          min_size=rank, max_size=rank))
+    coeffs = [_ratfunc(field_r, *part) for part in parts]
+    assume(not coeffs[-1].is_zero())
+    e = draw(st.integers(-1, 1))
+    if e:
+        coeffs = [a * u ** (e * (r**i - 1)) for i, a in enumerate(coeffs, 1)]
+    if draw(st.booleans()):
+        coeffs[-1] = coeffs[-1] * u
+    return (drinfeld_rank1 if rank == 1 else drinfeld_rank2)(field_r, *coeffs), f
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from(FIELDS),  # every r the CLI accepts
-    st.integers(1, 2),  # rank
-    st.integers(0, 10**6),  # the prime f
-    # num, den of beta (rank 1) or of g, Delta (rank 2)
-    st.lists(st.tuples(st.lists(st.integers(0, 10**6), max_size=3),
-                       st.lists(st.integers(0, 10**6), max_size=2)), min_size=2, max_size=2),
-    st.integers(-1, 1),  # e: coefficient i times f^(e (r^i - 1)) needs the twist j = -e
-    st.booleans(),  # leading coefficient times f: a bad prime
-)
-def test_frobenius_charpoly_matches_nullspace_oracle(pm, rank, prime_idx, parts, e, bad):
+@given(twisted_modules(ranks=(1, 2), max_deg=2))
+def test_frobenius_charpoly_matches_nullspace_oracle(module):
     # the Hasse-invariant route against the Ore-relation null space, on
     # twisted models and at bad primes (both raise BadReduction there);
     # deg f <= 2, and 1 above r = 9, keeps the oracle's Ore products small
-    field_r = field_make(*pm)
-    r = field_r.q
-    primes = monic_irreducibles(field_r, 1 if r > 9 else 2)
-    f = primes[prime_idx % len(primes)]
-    u = RatFunc.from_poly(f)
-    coeffs = [_ratfunc(field_r, *part) for part in parts[:rank]]
-    assume(not coeffs[-1].is_zero())
-    if e:
-        coeffs = [a * u ** (e * (r**i - 1)) for i, a in enumerate(coeffs, 1)]
-    if bad:
-        coeffs[-1] = coeffs[-1] * u
-    phi = (drinfeld_rank1 if rank == 1 else drinfeld_rank2)(field_r, *coeffs)
+    phi, f = module
 
     def route(charpoly):
         try:
@@ -318,3 +326,51 @@ def test_frobenius_charpoly_matches_nullspace_oracle(pm, rank, prime_idx, parts,
             return "bad"
 
     assert route(frobenius_charpoly) == route(frobenius_charpoly_nullspace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(twisted_modules(ranks=(1,), max_deg=3))
+def test_rank1_local_factor_matches_sheaf_resultant(module):
+    # the norm route of local_factor against the tau-sheaf eigenvalue of the
+    # good twist, two resultants over F_r; bad primes are read off v_f(beta)
+    phi, f = module
+    field_r, beta = phi.field_r, phi.coeffs[1]
+    one = Poly.one(field_r)
+    v = beta.valuation_at(f)
+    if v % (field_r.q - 1):
+        expected = LocalFactor(f, (one,), "bad-prime-rule")
+    else:
+        beta_good = beta * RatFunc.from_poly(f) ** -v
+        lam = frobenius_eigenvalue(sheaf_of_drinfeld_rank1(beta_good), f).value
+        expected = LocalFactor(f, (one, -lam), "rank1-formula")
+    assert local_factor(phi, f) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(FIELDS),  # every r the CLI accepts
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=4),  # tail of a monic f, deg 1..4
+    st.lists(st.integers(0, 10**6), max_size=9),  # x, of degree below or above deg f
+    st.sampled_from(["as drawn", "times f", "constant"]),
+)
+def test_norm_matches_resultant(pm, f_tail, x_idx, shape):
+    # the Euclidean norm against det(M_0), the Gauss-Jordan pass of the
+    # resultant; f may be reducible or have repeated factors
+    field_r = field_make(*pm)
+
+    def el(k):
+        return field_r.element_from_index(k % field_r.q)
+
+    f = Poly(field_r, [el(k) for k in f_tail] + [field_r.one])
+    x = Poly(field_r, [el(k) for k in x_idx])
+    assume(not x.is_zero())
+    if shape == "times f":
+        x = x * f
+    elif shape == "constant":
+        x = Poly.const(field_r, x.lc())
+    n = norm(f, x)
+    assert Poly.const(field_r, n) == resultant(f, x)
+    if shape == "times f":
+        assert n == field_r.zero
+    elif shape == "constant":
+        assert n == field_r.pow_(x.lc(), f.deg)
