@@ -9,25 +9,23 @@ its own embedding, ``element_from_index`` and ``index_of`` are the
 identity, and the base-p digits of an element are its coordinates over F_p
 (``to_pvector``).  Addition is digit-wise mod p.
 
-A field keeps two kinds of table, each built lazily by the field itself:
-
-- exp/log tables (``_build_tables``).  A field over F_p itself (its base is
-  the prime field) with m > 1 and at most ``TABLE_LIMIT`` = 2^16 elements
-  builds them on its first product (or inverse, or power), and multiplies
-  through discrete logs from then on.  Only code that multiplies in a field
-  pays for them.  In the library that is F_r = F_p[y]/(h) for m > 1, whose
-  products every F_r[T] kernel takes.  Residue fields A/(f) build none:
-  reducing a Drinfeld module mod f, its point module and its Frobenius
-  characteristic polynomial all work in F_r[T].  Only the torsion oracle
-  (``ore.torsion_points``) and the null-space Frobenius oracle of the tests
-  multiply in A/(f) and its extensions, so only they build tables there.
-  Any other field multiplies its coordinate lists through the base
-  (``pk_mul``, ``pk_mod``) and inverts with ``pk_xgcd``.
-- operation tables (``ops()``): q x q add and mul tables with neg and inv,
-  for fields with q^2 <= ``TABLE_LIMIT`` (q <= 2^8), built on the first
-  call.  Only the F_r kernels call it (the prime sieve, the resultant and
-  the point module), which then index lists instead of calling methods;
-  ``field_make`` never builds them.  A larger field raises Unsupported.
+A field with q^2 <= ``TABLE_LIMIT`` (q <= 2^8) has one set of operation
+tables, q x q add and mul tables with neg and inv (``ops()``), built by
+``_build_tables`` from its base's tables, with no generator search.  A
+field of degree m > 1 over F_p builds them on its first product (or
+inverse, or power) and indexes them from then on, so only code that
+multiplies in a field pays for them: F_r = F_p[y]/(h) for m > 1, whose
+products every F_r[T] kernel takes, and the residue fields A/(f) and
+their extensions that the torsion oracle (``ore.torsion_points``) and the
+null-space Frobenius oracle of the tests multiply in.  Reducing a
+Drinfeld module mod f, its point module and its Frobenius characteristic
+polynomial all work in F_r[T] and build no residue-field table.  The F_r
+kernels (the prime sieve, ``theta_multiples``, ``poly.norm`` and the
+resultant's elimination) call ``ops()`` themselves, which builds the
+tables of a prime F_r too, and index lists instead of calling methods.  A
+field with m = 1 multiplies ints mod p.  A field with q > 2^8 and m > 1
+multiplies its coordinate lists through the base (``pk_mul``, ``pk_mod``)
+and inverts with ``pk_xgcd``; its ``ops()`` raises Unsupported.
 
 The generic ``pk_*`` kernels serve every field of every tower.  All values
 are immutable; every operation is pure.
@@ -37,8 +35,7 @@ from __future__ import annotations
 
 from .errors import BoundExceeded, NotPrime, Unsupported
 
-# Fields with at most this many elements get exp/log tables on first use,
-# and fields with at most this many element pairs get operation tables.
+# Fields with at most this many element pairs (q^2) get operation tables.
 TABLE_LIMIT = 1 << 16
 
 # Default desk bound for field_make: r = p^m must not exceed this.
@@ -119,22 +116,21 @@ class FiniteField:
         self.zero = 0
         self.one = 1
         self._q_base = base.q if base else p
-        # a field over F_p itself gets tables; a tower over any other base
-        # (a degree-1 residue field included) multiplies through that base
-        over_fp = base is None or base.base is None
-        self._tabled = over_fp and self.m > 1 and self.q <= TABLE_LIMIT
-        self._exp = None
-        self._log = None
+        # products index the tables; a field with m = 1 multiplies ints mod p
+        self._tabled = self.m > 1 and self.q * self.q <= TABLE_LIMIT
         self._ops = None
-        self._key = (p if over_fp else base, modulus)
+        # a field over the prime field is keyed by p, so F_p[y]/(g) is one
+        # field whichever F_p object it was built on
+        self._key = (base if base is not None and base.base is not None else p, modulus)
         if check and len(modulus) > 2 and not pk_irreducible_rabin(base, modulus):
             raise ValueError(f"modulus {modulus} is reducible over F_{base.q}")
 
     @property
     def table_size(self) -> int:
-        """Entries of the exp/log tables this field builds on its first
-        product, 0 for a field that builds none."""
-        return 2 * self.q - 1 if self._tabled else 0
+        """Entries of the operation tables this field builds on its first
+        product (two q x q tables and two of length q), 0 for a field that
+        builds none."""
+        return 2 * self.q * (self.q + 1) if self._tabled else 0
 
     # -- coordinates over the base ---------------------------------------------
 
@@ -157,49 +153,33 @@ class FiniteField:
         return self.from_coords(pk_mod(B, prod, self.modulus))
 
     def _build_tables(self) -> None:
-        q = self.q
-        g = self._find_generator()
-        exp = [1] * (q - 1)
-        acc = 1
-        for i in range(1, q - 1):
-            acc = self._slow_mul(acc, g)
-            exp[i] = acc
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
-
-    def _order(self, a: int) -> int:
-        n = self.q - 1
-        order = n
-        for ell in prime_factors(n):
-            while order % ell == 0 and self._slow_pow(a, order // ell) == 1:
-                order //= ell
-        return order
-
-    def _slow_pow(self, a: int, n: int) -> int:
-        out = 1
-        base = a
-        while n:
-            if n & 1:
-                out = self._slow_mul(out, base)
-            base = self._slow_mul(base, base)
-            n >>= 1
-        return out
-
-    def _find_generator(self) -> int:
-        for cand in range(2, self.q):
-            if self._order(cand) == self.q - 1:
-                return cand
-        if self.q == 2:
-            return 1
-        raise AssertionError("no generator found; modulus not irreducible?")
-
-    def _ensure_tables(self) -> bool:
-        if self._exp is None and self._tabled:
-            self._build_tables()
-        return self._exp is not None
+        q, q_b = self.q, self._q_base
+        els = range(q)
+        if self.base is None:
+            add = [[(a + b) % q for b in els] for a in els]
+            mul = [[a * b % q for b in els] for a in els]
+        else:
+            add_b, mul_b, _, _ = self.base.ops()
+            # a = a0 + y*a' with a0 = a % q_b and a' = a // q_b < a: the low
+            # digit comes from the base table, the others from row a'
+            add = [list(els)]
+            for a in range(1, q):
+                low, high = add_b[a % q_b], add[a // q_b]
+                add.append([low[b % q_b] + q_b * high[b // q_b] for b in els])
+            # b = c + y*b' with c = b % q_b and b' = b // q_b < b gives
+            # a*b = c*a + y*(a*b'), y*x being looked up.  A base element c
+            # has c*a = c*a0 + y*(c*a'), where y*(c*a') is a digit shift
+            # because c*a' has fewer digits than the modulus degree.
+            times_y = [self._slow_mul(q_b, x) for x in els] if q > q_b else []
+            mul = [[0] * q]
+            for a in range(1, q):
+                low, high = mul_b[a % q_b], mul[a // q_b]
+                row = [low[c] + q_b * high[c] for c in range(q_b)]
+                for b in range(q_b, q):
+                    row.append(add[row[b % q_b]][times_y[row[b // q_b]]])
+                mul.append(row)
+        inv = [None] + [row.index(1) for row in mul[1:]]
+        self._ops = (add, mul, [row.index(0) for row in add], inv)
 
     def ops(self):
         """Operation tables ``(add, mul, neg, inv)``, built on the first call.
@@ -209,16 +189,9 @@ class FiniteField:
         q^2 > ``TABLE_LIMIT``.
         """
         if self._ops is None:
-            q = self.q
-            if q * q > TABLE_LIMIT:
-                raise Unsupported(f"F_{q} has more than {TABLE_LIMIT} element pairs for operation tables")
-            els = range(q)
-            self._ops = (
-                [[self.add(a, b) for b in els] for a in els],
-                [[self.mul(a, b) for b in els] for a in els],
-                [self.neg(a) for a in els],
-                [None] + [self.inv(a) for a in els[1:]],
-            )
+            if self.q * self.q > TABLE_LIMIT:
+                raise Unsupported(f"F_{self.q} has more than {TABLE_LIMIT} element pairs for operation tables")
+            self._build_tables()
         return self._ops
 
     # -- ring operations ----------------------------------------------------
@@ -256,12 +229,12 @@ class FiniteField:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return a * b % self.p
+        if self._tabled:
+            return (self._ops or self.ops())[1][a][b]
         if a == 0 or b == 0:
             return 0
-        if self.m == 1:
-            return (a * b) % self.p
-        if self._ensure_tables():
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return self._slow_mul(a, b)
 
     def inv(self, a: int) -> int:
@@ -269,8 +242,8 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        if self._ensure_tables():
-            return self._exp[(-self._log[a]) % (self.q - 1)]
+        if self._tabled:
+            return (self._ops or self.ops())[3][a]
         # s*a + t*modulus = 1 with deg s < deg modulus
         return self.from_coords(pk_xgcd(self.base, self.coords(a), self.modulus)[1])
 
@@ -281,9 +254,15 @@ class FiniteField:
             return 1 if n == 0 else 0
         if self.m == 1:
             return pow(a, n, self.p)
-        if self._ensure_tables():
-            return self._exp[(self._log[a] * n) % (self.q - 1)]
-        return self._slow_pow(a, n % (self.q - 1))
+        n %= self.q - 1
+        out = 1
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return out
 
     def elements(self):
         return range(self.q)

@@ -330,18 +330,20 @@ def drinfeld_rank2(field_r, g: RatFunc, delta: RatFunc) -> DrinfeldModule:
 # Residue fields in use, least recently used first.  ``reduce_mod_prime``
 # fills it (the point module and the torsion oracle work on its result);
 # the Frobenius characteristic polynomial works in A mod f and never does.
-# A field's exp/log tables, built only when something multiplies in it (the
-# torsion oracle), would set the memory of a long run over many primes, so
-# the cache holds at most RESIDUE_CACHE_ELEMENTS table entries, counting
-# what a field would build (a field without tables counts one).  An evicted
-# field's torsion extensions go with it, since each keeps its base field
-# alive.
+# A field's operation tables, built only when something multiplies in it
+# (the torsion oracle), would set the memory of a long run over many
+# primes, so the cache holds at most RESIDUE_CACHE_ELEMENTS table entries,
+# counting what a field would build (``table_size``; a field without tables
+# counts one).  An evicted field's torsion extensions go with it, since
+# each keeps its base field alive; their own tables (each at most
+# TABLE_LIMIT pairs) are not counted.
 RESIDUE_CACHE_ELEMENTS = 1 << 18
 _RESIDUE_CACHE: OrderedDict = OrderedDict()
 _residue_cache_elements = 0
 
 
 def _residue_cache_cost(F_f) -> int:
+    """Operation-table entries F_f builds on its first product, at least 1."""
     return max(1, F_f.table_size)
 
 
@@ -434,7 +436,7 @@ def reduce_mod_prime(phi: DrinfeldModule, f: Poly) -> DrinfeldModule:
     """Good-reduction model of phi at the monic prime f, of the same rank.
 
     The residues are computed in A and only then mapped into F_f, so no
-    product is taken there and no exp/log table is built.
+    product is taken there and no operation table is built.
     """
     field_r = phi.field_r
     j, residues = good_model_residues(phi, f)

@@ -632,22 +632,6 @@ class BivPoly:
             g = poly_gcd(g, c) if not g.is_zero() else c.monic() if not c.is_zero() else g
         return g
 
-    def eval_theta_in(self, ext, root):
-        """Evaluate theta at an element of an extension field.
-
-        Returns the coefficient list (low T-degree first) of a polynomial
-        in T over ``ext``; base-field coefficients are elements of ext.
-        """
-        out = []
-        for c in self.tcoeffs:
-            acc = ext.zero
-            for coeff in reversed(c.coeffs):
-                acc = ext.add(ext.mul(acc, root), coeff)
-            out.append(acc)
-        while out and out[-1] == ext.zero:
-            out.pop()
-        return out
-
     def __eq__(self, other):
         if isinstance(other, BivPoly):
             return self.field == other.field and self.tcoeffs == other.tcoeffs

@@ -473,24 +473,26 @@ def test_rank1_rows_take_no_bareiss_route(capsys, monkeypatch, argv, refused, re
 )
 def test_rank2_rows_build_no_residue_field(capsys, monkeypatch, r, dmax):
     # the Hasse-invariant route works in F_r[T] mod f: no residue field is
-    # built or cached, no exp/log table, no Ore product and no null space
+    # built or cached, no table but F_r's own, no Ore product and no null space
     from collections import Counter, OrderedDict
 
     from ffzeta import ore
-    from ffzeta.ffield import FiniteField
+    from ffzeta.ffield import FiniteField, field_make
 
     counts = Counter()
+    field_r = field_make(int(r), 1)
 
-    def counting(owner, name):
+    def counting(owner, name, counts_call=lambda *args: True):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            counts[name] += 1
+            if counts_call(*args):
+                counts[name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
-    counting(FiniteField, "_build_tables")
+    counting(FiniteField, "_build_tables", lambda field: field is not field_r)
     counting(ore.OrePoly, "__mul__")
     counting(ore, "nullspace_mod_p")
     monkeypatch.setattr(ore, "_RESIDUE_CACHE", OrderedDict())

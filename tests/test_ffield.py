@@ -7,6 +7,8 @@ from ffzeta.ffield import (
     lex_least_modulus,
     pk_irreducible_rabin,
     pk_lex_irreducible,
+    pk_mod,
+    pk_mul,
 )
 
 
@@ -58,12 +60,18 @@ def test_f4_structure():
 def test_frobenius_fixes_prime_field_and_is_additive(p, m):
     F = FiniteField(p, lex_least_modulus(p, m))
     r = F.q
-    # the operation tables agree with the methods on every pair
+    # the operation tables agree with digit-wise addition and with products
+    # of coordinate lists over the base on every pair; mul and inv read them
     add, mul, neg, inv = F.ops()
     for a in F.elements():
         assert neg[a] == F.neg(a)
-        assert a == 0 or inv[a] == F.inv(a)
+        assert a == 0 or mul[a][inv[a]] == 1 == mul[a][F.inv(a)]
         assert add[a] == [F.add(a, b) for b in F.elements()]
+        if F.base is None:
+            assert mul[a] == [a * b % p for b in F.elements()]
+        else:
+            through_base = [pk_mod(F.base, pk_mul(F.base, F.coords(a), F.coords(b)), F.modulus) for b in F.elements()]
+            assert mul[a] == [F.from_coords(c) for c in through_base]
         assert mul[a] == [F.mul(a, b) for b in F.elements()]
     for a in F.elements():
         # x^r = x for every element of F_r

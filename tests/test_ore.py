@@ -1,3 +1,4 @@
+import time
 from collections import OrderedDict
 
 import pytest
@@ -31,6 +32,8 @@ from oracles import frobenius_charpoly_nullspace
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F4 = field_make(2, 2)
+F8 = field_make(2, 3)
+F9 = field_make(3, 2)
 
 
 def rf(field, text):
@@ -148,12 +151,14 @@ def test_reduce_bad_r3():
 
 
 def test_reduction_builds_no_residue_table():
-    # reduction and the point module stay in F_r[T]: F_f (512 elements) gets no table
-    f = [g for g in monic_irreducibles(F2, 9) if g.deg == 9][-1]
+    # reduction and the point module stay in F_r[T]: F_f (256 elements, so
+    # it would build operation tables on its first product) gets none
+    f = [g for g in monic_irreducibles(F2, 8) if g.deg == 8][-1]
     red = reduce_mod_prime(carlitz(F2), f)
-    assert red.dom.field._exp is None
-    assert point_module_annihilator(red, bound=512) == f - Poly.one(F2)
-    assert red.dom.field._exp is None
+    assert red.dom.field.table_size > 0
+    assert red.dom.field._ops is None
+    assert point_module_annihilator(red, bound=256) == f - Poly.one(F2)
+    assert red.dom.field._ops is None
 
 
 @pytest.mark.parametrize("field", [F3, F4])
@@ -343,7 +348,9 @@ def test_frobenius_charpoly_rejects_a_module_reduced_elsewhere():
 
 def test_residue_cache_stays_within_its_bound(monkeypatch):
     # more residue fields than the bound holds: the least recently used go,
-    # and every result is the one computed with all of them cached
+    # and every result is the one computed with all of them cached.  The
+    # bound is counted in operation-table entries, 2*128*129 for each of the
+    # 128-element fields, so it holds two of those at most.
     C = carlitz(F2)
     primes = monic_irreducibles(F2, 7)
 
@@ -351,7 +358,7 @@ def test_residue_cache_stays_within_its_bound(monkeypatch):
         return point_module_annihilator(reduce_mod_prime(C, f))
 
     expected = [annihilator(f) for f in primes]
-    monkeypatch.setattr(ore, "RESIDUE_CACHE_ELEMENTS", 600)
+    monkeypatch.setattr(ore, "RESIDUE_CACHE_ELEMENTS", 70_000)
     monkeypatch.setattr(ore, "_RESIDUE_CACHE", OrderedDict())
     monkeypatch.setattr(ore, "_residue_cache_elements", 0)
     monkeypatch.setattr(ore, "_EXT_CACHE", {})
@@ -360,12 +367,12 @@ def test_residue_cache_stays_within_its_bound(monkeypatch):
         got.append(annihilator(f))
         ore._extension_of(ore.residue_field(F2, f), 2)  # as the torsion scan does
         held = sum(max(1, F_f.table_size) for F_f in ore._RESIDUE_CACHE.values())
-        assert held == ore._residue_cache_elements <= 600
+        assert held == ore._residue_cache_elements <= 70_000
         # an evicted field's extensions go with it
         assert {base for base, _ in ore._EXT_CACHE} == set(ore._RESIDUE_CACHE.values())
     assert got == expected + expected[::-1]
     assert len(ore._RESIDUE_CACHE) < len(primes)
-    assert any(F_f._exp is not None for F_f in ore._RESIDUE_CACHE.values())
+    assert any(F_f._ops is not None for F_f in ore._RESIDUE_CACHE.values())
 
 
 ROUTE_CASES = [
@@ -377,6 +384,8 @@ ROUTE_CASES = [
     (F2, ("T+1",), 3),
     (F3, ("2*T",), 2),
     (F4, ("T",), 2),
+    (F8, ("T",), 1),
+    (F9, ("T",), 1),
 ]
 
 
@@ -422,6 +431,20 @@ def test_frobenius_charpoly_agrees_with_torsion(field, coeffs, dmax):
             assert det == (f.scale(mu) if phi.rank == 2 else a) % v, (str(f), str(v))
             checked += 1
     assert checked >= 4
+
+
+def test_torsion_oracle_in_a_tower_over_a_tower():
+    # F_f = A/(T^2+T+w) is a tower over F_4, and phi[T] lies in an extension
+    # of F_f: every product there goes through F_f's and F_4's tables
+    phi = drinfeld_rank2(F4, RatFunc.zero(F4), RatFunc.one(F4))
+    f, v = pf(F4, "T^2+T+2"), pf(F4, "T")
+    a, mu = frobenius_charpoly(phi, f)
+    start = time.perf_counter()
+    M = frobenius_on_torsion(reduce_mod_prime(phi, f), v)
+    elapsed = time.perf_counter() - start
+    assert (M[0][0] + M[1][1]) % v == a % v
+    assert (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % v == f.scale(mu) % v
+    assert elapsed < 10, f"{elapsed:.1f} s"
 
 
 def test_rank2_cayley_hamilton_on_torsion():

@@ -116,7 +116,7 @@ def _root_product_oracle(field, sheaf, f):
     assert len(roots) == d
     acc = [E.one]  # polynomial "1" in T over E
     for rt in roots:
-        fac = sheaf.num.eval_theta_in(E, rt)
+        fac = _eval_theta_in(E, sheaf.num, rt)
         acc = _polymul_over(E, acc, fac)
     # the product has coefficients in the prime field; project back
     out = []
@@ -132,6 +132,15 @@ def _eval_poly(E, p, x):
     for c in reversed(p.coeffs):
         acc = E.add(E.mul(acc, x), c)
     return acc
+
+
+def _eval_theta_in(E, g, root):
+    """Coefficient list (low T-degree first) over E of the BivPoly g with
+    theta = root."""
+    out = [_eval_poly(E, c, root) for c in g.tcoeffs]
+    while out and out[-1] == E.zero:
+        out.pop()
+    return out
 
 
 def _polymul_over(E, a, b):
