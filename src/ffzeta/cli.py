@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     BoundExceeded,
@@ -24,6 +22,7 @@ from .errors import (
     InsufficientData,
     NotPrime,
     ParseError,
+    Record,
     Unsupported,
 )
 from .ffield import field_make, is_prime, prime_factors
@@ -47,16 +46,12 @@ from .poly import (
 from .sheaf import carlitz_tensor_power
 
 
-@dataclass
-class RunConfig:
-    r_text: str
-    p: int
-    m: int
-    dmax: int
-    prec: int
-    fmt: str
-    cache: str | None
-    max_enum: int
+class RunConfig(Record):
+    __slots__ = ("r_text", "p", "m", "dmax", "prec", "fmt", "cache", "max_enum")
+
+    def __init__(self, r_text: str, p: int, m: int, dmax: int, prec: int, fmt: str, cache: str | None,
+                 max_enum: int):
+        self._set(r_text, p, m, dmax, prec, fmt, cache, max_enum)
 
     def echo(self) -> dict:
         return {
@@ -117,6 +112,8 @@ class PrimeCache:
 
     @staticmethod
     def _checksum(entries) -> str:
+        import hashlib
+
         return hashlib.sha256("\n".join(entries).encode()).hexdigest()
 
     def load(self, field, d: int):

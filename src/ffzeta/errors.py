@@ -1,8 +1,37 @@
-"""Exception types shared across the package.
+"""Exception types and the result-record base shared across the package.
 
 Every error carries a short machine-readable reason in ``args[0]`` so the
 CLI can map failures onto exit codes without string matching.
 """
+
+
+class Record:
+    """Immutable value over its ``__slots__``: equal to a record of its own type with equal fields."""
+
+    # hand-written, not generated: the data-class module and its exec'd methods were 2/3 of the CLI's import
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({body})"
 
 
 class FFZetaError(Exception):

@@ -29,7 +29,6 @@ enumeration remains the oracle at desk scale.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -41,7 +40,7 @@ from .errors import (
     Unsupported,
     ZeroInput,
 )
-from .errors import BadPrime, BadReduction
+from .errors import BadPrime, BadReduction, Record
 from .laurent import INF, Laurent, one_unit_pow
 from .ore import DrinfeldModule, frobenius_charpoly
 from .poly import Poly, RatFunc, monic_irreducibles, monic_polys
@@ -52,20 +51,19 @@ from .sheaf import TauSheafRank1, frobenius_eigenvalue
 # the space S_infinity and exponentiation a^s
 
 
-@dataclass(frozen=True)
-class SInfinityPoint:
+class SInfinityPoint(Record):
     """Point (x, y) with x a nonzero Laurent series and y an exponent.
 
     ``y`` is an exact integer or a pair (residue, p^M) for a truncated
     p-adic exponent.  The group law is (x, y) + (x', y') = (x x', y + y').
     """
 
-    x: Laurent
-    y: object
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if self.x.is_zero_approx():
+    def __init__(self, x: Laurent, y):
+        if x.is_zero_approx():
             raise ZeroInput("x-component of an S_infinity point must be nonzero")
+        self._set(x, y)
 
     @classmethod
     def integer(cls, field_r, i: int) -> "SInfinityPoint":
@@ -424,13 +422,15 @@ def _series_string(coeffs, power) -> str:
     return "+".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class SpecialPolynomial:
+class SpecialPolynomial(Record):
     """L(., x/T^i, -i) in A[x^-1]: coeffs[e] is the coefficient of x^-e."""
 
-    i: int
-    kind: str  # "zeta" (exponent i) or "carlitz" (exponent i+1)
-    coeffs: tuple
+    __slots__ = ("i", "kind", "coeffs")
+
+    def __init__(self, i: int, kind: str, coeffs: tuple):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "kind", kind)  # "zeta" (exponent i) or "carlitz" (exponent i+1)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def exponent(self) -> int:
@@ -488,13 +488,15 @@ def special_degree(field_r, i: int, kind: str) -> int:
 # local factors
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(Record):
     """Euler factor at a prime: the L-factor is 1 / denominator(u)."""
 
-    prime: Poly
-    denominator: tuple  # u-coefficients (Polys in T), constant term 1
-    provenance: str
+    __slots__ = ("prime", "denominator", "provenance")
+
+    def __init__(self, prime: Poly, denominator: tuple, provenance: str):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "denominator", denominator)  # u-coefficients (Polys in T), constant term 1
+        object.__setattr__(self, "provenance", provenance)
 
     def denominator_string(self) -> str:
         return _series_string(self.denominator, lambda j: "u" if j == 1 else f"u^{j}")
@@ -701,11 +703,11 @@ def euler_product(obj, field_r, s: SInfinityPoint, d_max: int, prec: int = 20):
 # translation identity
 
 
-@dataclass(frozen=True)
-class TranslateReport:
-    i: int
-    rows: tuple  # (f, lhs, rhs, status)
-    violations: tuple
+class TranslateReport(Record):
+    __slots__ = ("i", "rows", "violations")
+
+    def __init__(self, i: int, rows: tuple, violations: tuple):
+        self._set(i, rows, violations)  # a row is (f, lhs, rhs, status)
 
     @property
     def all_ok(self) -> bool:
@@ -759,13 +761,13 @@ class EigenSystem:
         return sorted({p.deg for p in self.values})
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str  # "ClassIITranslate" | "ClassIWitness" | "NoMatch"
-    j: int | None
-    j_mod_r_minus_1: int | None
-    table: dict | None  # prime string -> c_P index in F_r^*
-    note: str = ""
+class Classification(Record):
+    __slots__ = ("verdict", "j", "j_mod_r_minus_1", "table", "note")
+
+    def __init__(self, verdict: str, j: int | None, j_mod_r_minus_1: int | None, table: dict | None,
+                 note: str = ""):
+        # verdict: "ClassIITranslate" | "ClassIWitness" | "NoMatch"; table: prime string -> c_P index in F_r^*
+        self._set(verdict, j, j_mod_r_minus_1, table, note)
 
 
 def classify_eigen_system(es: EigenSystem, field_r) -> Classification:
@@ -860,12 +862,11 @@ def newton_polygon(sp: SpecialPolynomial):
 # v-adic congruences
 
 
-@dataclass(frozen=True)
-class VadicReport:
-    i: int
-    j: int
-    modulus: int
-    rows: tuple  # (e, required_prec, disagreement_valuation)
+class VadicReport(Record):
+    __slots__ = ("i", "j", "modulus", "rows")
+
+    def __init__(self, i: int, j: int, modulus: int, rows: tuple):
+        self._set(i, j, modulus, rows)  # a row is (e, required_prec, disagreement_valuation)
 
     @property
     def all_ok(self) -> bool:

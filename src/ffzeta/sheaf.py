@@ -9,9 +9,7 @@ product of g(T, root) over the roots of f, computed as a resultant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import BadPrime, NotAPower, NotAUnitModV, ZeroInput
+from .errors import BadPrime, NotAPower, NotAUnitModV, Record, ZeroInput
 from .laurent import Laurent, root_pow_r_minus_1
 from .ore import TModuleCarlitzPower
 from .poly import BivPoly, Poly, RatFunc, poly_gcd, resultant
@@ -106,13 +104,15 @@ def carlitz_tensor_power(field_r, n: int):
     return sheaf, module
 
 
-@dataclass(frozen=True)
-class GaloisCharacterValue:
+class GaloisCharacterValue(Record):
     """Frobenius value of an abelian character or rank-1 eigenvalue."""
 
-    value: object  # Poly in T, or an F_r element for finite characters
-    at_prime: object
-    modulus: object = None  # a prime v, or None for values constant in T
+    __slots__ = ("value", "at_prime", "modulus")
+
+    def __init__(self, value, at_prime, modulus=None):
+        # value: a Poly in T, or an F_r element for finite characters; modulus: a prime v, or None
+        # for values constant in T
+        self._set(value, at_prime, modulus)
 
 
 def frobenius_eigenvalue(s: TauSheafRank1, f: Poly, v: Poly | None = None) -> GaloisCharacterValue:
@@ -168,11 +168,11 @@ def chi_beta(beta: RatFunc, f: Poly) -> GaloisCharacterValue:
     return GaloisCharacterValue(value=value, at_prime=f, modulus=None)
 
 
-@dataclass(frozen=True)
-class ClassIResult:
-    verdict: str  # "ClassI" | "NotClassI"
-    alpha: Laurent | None
-    obstruction: str | None
+class ClassIResult(Record):
+    __slots__ = ("verdict", "alpha", "obstruction")
+
+    def __init__(self, verdict: str, alpha: Laurent | None, obstruction: str | None):
+        self._set(verdict, alpha, obstruction)  # verdict: "ClassI" | "NotClassI"
 
     def is_class_one(self) -> bool:
         return self.verdict == "ClassI"

@@ -63,13 +63,15 @@ def test_golden_outputs(capsys, golden, argv):
 
 
 def test_import_loads_no_numpy():
-    # every command starts by importing the CLI; numpy is only a test oracle
+    # every command starts by importing the CLI: numpy is only a test oracle,
+    # dataclasses (with inspect) and hashlib cost each run start-up time
     src = pathlib.Path(ffzeta.__file__).resolve().parents[1]
-    code = "import sys, ffzeta, ffzeta.cli; print('numpy' in sys.modules)"
+    heavy = ("numpy", "dataclasses", "inspect", "hashlib", "_hashlib")
+    code = f"import sys, ffzeta, ffzeta.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_main_freezes_the_imported_objects_once(capsys):
@@ -321,6 +323,26 @@ def test_cache_checksum_verifies(tmp_path):
     path.write_text("\n".join(body) + "\n")
     with pytest.raises(CacheCorrupt):
         cache.load(F2, 2)
+
+
+def test_cache_file_format_is_stable(tmp_path):
+    # a file written by earlier versions loads, and storing the same primes
+    # writes the same bytes
+    F2 = field_make(2, 1)
+    text = (
+        "# ffzeta-primes r=2 d=3 count=2 "
+        "sha256=dcf9db54a84dd9f3fafa502bd18207e13eba93b33567507f976dc22b03aa9a2d\n"
+        "T^3+T+1\n"
+        "T^3+T^2+1\n"
+    )
+    path = tmp_path / "primes_r2_d3.txt"
+    path.write_text(text)
+    cache = PrimeCache(tmp_path)
+    primes = cache.load(F2, 3)
+    assert [p.to_string() for p in primes] == ["T^3+T+1", "T^3+T^2+1"]
+    path.unlink()
+    cache.store(F2, 3, primes)
+    assert path.read_bytes() == text.encode()
 
 
 def test_out_file(tmp_path, capsys):

@@ -45,7 +45,7 @@ from ffzeta.poly import (
     poly_from_string,
     ratfunc_from_string,
 )
-from ffzeta.sheaf import carlitz_sheaf, carlitz_tensor_power, chi_beta, unit_sheaf
+from ffzeta.sheaf import GaloisCharacterValue, carlitz_sheaf, carlitz_tensor_power, chi_beta, unit_sheaf
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -96,6 +96,39 @@ def test_a_pow_s_rejects():
         a_pow_s(Poly.zero(F3), s)
     with pytest.raises(ValueError):
         a_pow_s(pf(F3, "2*T"), s)
+
+
+# -- result records -----------------------------------------------------------------
+
+
+_T2, _ONE2 = pf(F2, "T"), Poly.one(F2)
+# a maker of one record per type, each call building it anew, and a field of it
+RECORDS = {
+    "LocalFactor": (lambda: LocalFactor(_T2, (_ONE2, _T2), "sheaf"), "provenance"),
+    "SpecialPolynomial": (lambda: SpecialPolynomial(i=1, kind="zeta", coeffs=(_ONE2, _T2)), "coeffs"),
+    "Classification": (lambda: Classification("NoMatch", None, None, None), "note"),
+    "GaloisCharacterValue": (lambda: GaloisCharacterValue(_T2, pf(F2, "T+1")), "modulus"),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_are_frozen_values(name):
+    make, field = RECORDS[name]
+    a, b = make(), make()
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not a != b
+
+
+def test_record_defaults_and_checks():
+    lf = LocalFactor(_T2, (_ONE2, _T2), "sheaf")
+    assert lf != (_T2, (_ONE2, _T2), "sheaf")
+    assert lf != LocalFactor(_T2, (_ONE2, _T2), "oracle")
+    assert Classification("NoMatch", None, None, None).note == ""
+    assert GaloisCharacterValue(_T2, pf(F2, "T+1")).modulus is None
+    with pytest.raises(ZeroInput):
+        SInfinityPoint(Laurent.zero(F2), 0)
 
 
 # -- power sums -------------------------------------------------------------------
