@@ -34,7 +34,6 @@ from .errors import (
 from .ffield import FiniteField, field_make
 from .laurent import INF, Laurent, one_unit_pow, root_pow_r_minus_1
 from .lseries import (
-    CarlitzObject,
     Classification,
     EigenSystem,
     LocalFactor,
@@ -47,11 +46,8 @@ from .lseries import (
     euler_product,
     euler_product_symbolic,
     local_factor,
-    local_factor_table,
     newton_polygon,
     power_sum,
-    power_sum_enumerated,
-    special_degree,
     special_polynomial,
     translate_identity_check,
     vadic_congruence_check,

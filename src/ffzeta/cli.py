@@ -4,7 +4,8 @@ eigen-system classifier.
 Outputs are deterministic byte-for-byte for a fixed configuration: rows are
 sorted, JSON keys are sorted, and the configuration is echoed verbatim into
 every artifact.  Exit codes: 0 definite result (including NoMatch), 1
-internal error, 2 precondition failure.
+internal error, 2 precondition failure (a bad argument or input file, or an
+OS error on a file the command reads or writes).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .ffield import field_make, is_prime, prime_factors
 from .lseries import (
-    CarlitzObject,
     EigenSystem,
     ZetaA,
     _table_for,
@@ -36,7 +36,7 @@ from .lseries import (
     newton_polygon,
     special_polynomial,
 )
-from .ore import drinfeld_rank1, drinfeld_rank2
+from .ore import carlitz, drinfeld_rank1, drinfeld_rank2
 from .poly import (
     _irreducibles_of_degree,
     is_irreducible,
@@ -194,7 +194,7 @@ def primes_upto(field, d_max: int, cache_dir, max_enum: int):
 
 def parse_object_spec(field, text: str):
     if text == "carlitz":
-        return CarlitzObject(field)
+        return carlitz(field)
     if text == "zeta":
         return ZetaA(field)
     if text.startswith("cbeta:"):
@@ -345,6 +345,8 @@ def cmd_classify(config: RunConfig, eigen_path: str, out_path) -> int:
             prime = poly_from_string(field, ptext.strip())
             if not prime.is_monic() or not is_irreducible(prime):
                 raise ParseError(line, 0, f"line {lineno}: key must be a monic prime of degree >= 1")
+            if prime in values:
+                raise ParseError(line, 0, f"line {lineno}: prime {prime.to_string()} is listed twice")
             value = ratfunc_from_string(field, vtext.strip())
             if value.is_zero():
                 raise ParseError(line, len(ptext) + 1, f"line {lineno}: eigenvalue must be nonzero")
@@ -428,7 +430,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return cmd_classify(config, args.eigenfile, args.out)
         raise AssertionError("unreachable")
-    except (ParseError, BoundExceeded, InsufficientData, NotPrime, FileNotFoundError) as exc:
+    except (ParseError, BoundExceeded, InsufficientData, NotPrime, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FFZetaError as exc:

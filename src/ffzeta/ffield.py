@@ -3,10 +3,10 @@
 ``FiniteField`` is the one field class.  A field is F_p, or base[y]/(g)
 over any ``FiniteField`` base: F_r = F_p[y]/(h), a residue field
 A/(f) = F_r[y]/(f), and the extensions of A/(f) that torsion searches need
-are all towers of this one kind.  Elements are plain ints whose
-base-q_base digits are the coordinates over the base, so a base element is
-its own embedding, ``element_from_index`` and ``index_of`` are the
-identity, and the base-p digits of an element are its coordinates over F_p
+are all towers of this one kind.  Elements are their own codes: plain ints
+0..q-1 whose base-q_base digits are the coordinates over the base, so a
+base element is its own embedding, the int c < q is the element printed as
+c, and the base-p digits of an element are its coordinates over F_p
 (``to_pvector``).  Addition is digit-wise mod p.
 
 A field with q^2 <= ``TABLE_LIMIT`` (q <= 2^8) has one set of operation
@@ -267,12 +267,6 @@ class FiniteField:
     def elements(self):
         return range(self.q)
 
-    def element_from_index(self, i: int) -> int:
-        return i
-
-    def index_of(self, a: int) -> int:
-        return a
-
     # -- coordinates over F_p ------------------------------------------------
 
     def to_pvector(self, a: int) -> list[int]:
@@ -467,13 +461,9 @@ def pk_lex_irreducible(F, e: int):
     """Lex-least monic irreducible of degree e over F (deterministic)."""
     if e == 1:
         return [F.zero, F.one]
-    for enc in range(F.q**e):
-        tail = []
-        k = enc
-        for _ in range(e):
-            tail.append(F.element_from_index(k % F.q))
-            k //= F.q
-        cand = tail + [F.one]
+    q = F.q
+    for enc in range(q**e):
+        cand = [enc // q**i % q for i in range(e)] + [F.one]
         if pk_irreducible_rabin(F, cand):
             return cand
     raise AssertionError("no irreducible polynomial found")

@@ -280,12 +280,11 @@ class Laurent:
                 if c == F.zero:
                     continue
                 e = self.val + i
-                ci = F.index_of(c)
                 if e == 0:
-                    terms.append(str(ci))
+                    terms.append(str(c))
                 else:
                     tp = f"T^{-e}" if e < 0 else f"T^-{e}"
-                    terms.append(tp if ci == 1 else f"{ci}*{tp}")
+                    terms.append(tp if c == 1 else f"{c}*{tp}")
             body = "+".join(terms)
         tail = "" if self.prec == INF else f"+O(T^-{self.prec})"
         return body + tail
@@ -334,7 +333,7 @@ def one_unit_pow(u: Laurent, y, prec=None) -> Laurent:
             break
         c = binom_mod_p(y, j, p)
         if c:
-            out = out + wj.scale(_fp_embed(F, c))
+            out = out + wj.scale(c)
         j += 1
     return out.truncate(prec)
 
@@ -343,23 +342,6 @@ def _not_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n != 1
-
-
-def _fp_embed(F, c: int):
-    """Embed an integer mod p as a field constant."""
-    return F.element_from_index(c % F.p)
-
-
-def one_unit_pow_binary(u: Laurent, y: int, prec=None) -> Laurent:
-    """Independent route: square-and-multiply (negative y via inversion)."""
-    if not u.is_one_unit():
-        raise NotOneUnit(f"{u!r} is not a 1-unit")
-    if prec is None:
-        prec = u.prec if u.prec != INF else DEFAULT_PREC
-    u = u.truncate(prec)
-    if y < 0:
-        return one_unit_pow_binary(u.inverse(prec), -y, prec)
-    return binary_power(u, y, Laurent.one(u.field, prec))
 
 
 def root_pow_r_minus_1(beta: RatFunc, precision: int) -> Laurent:
@@ -385,16 +367,9 @@ def root_pow_r_minus_1(beta: RatFunc, precision: int) -> Laurent:
             f"valuation v_infinity = {v} is not divisible by r-1 = {r - 1}"
         )
     c = beta.leading_unit()
-    a = None
-    for cand in range(1, r):
-        el = F.element_from_index(cand)
-        if F.pow_(el, r - 1) == c:
-            a = el
-            break
+    a = next((x for x in range(1, r) if F.pow_(x, r - 1) == c), None)
     if a is None:
-        raise NotAPower(
-            f"leading coefficient {F.index_of(c)} is not an (r-1)-st power in F_{r}^*"
-        )
+        raise NotAPower(f"leading coefficient {c} is not an (r-1)-st power in F_{r}^*")
     vp = v // (r - 1)
     unit_prec = precision - vp
     if unit_prec <= 0:

@@ -337,8 +337,7 @@ def power_sum(field_r, e: int, k: int) -> Poly:
 
     Returns 0 immediately when k < e(r-1) (the vanishing criterion); the
     nonzero range is read from the ``PowerSumTable`` of F_r, for prime and
-    prime-power r alike, which enumeration cross-checks at desk scale (see
-    power_sum_enumerated).
+    prime-power r alike, which enumeration cross-checks at desk scale.
     """
     if e < 0 or k < 0:
         raise ValueError("e and k must be nonnegative")
@@ -346,18 +345,6 @@ def power_sum(field_r, e: int, k: int) -> Poly:
     if k < e * (r - 1):
         return Poly.zero(field_r)
     return _table_for(field_r, k).value(e, k)
-
-
-def power_sum_enumerated(field_r, e: int, k: int, enum_bound: int = 4096) -> Poly:
-    """Brute-force oracle: enumerate the r^e monics and sum their k-th powers."""
-    if field_r.q**e > enum_bound:
-        raise BoundExceeded(
-            f"enumeration of {field_r.q**e} monics exceeds bound {enum_bound}"
-        )
-    total = Poly.zero(field_r)
-    for n in monic_polys(field_r, e):
-        total = total + n**k
-    return total
 
 
 def power_sums_enumerated_batch(field_r, e: int, k_max: int, enum_bound: int = 1024):
@@ -478,12 +465,6 @@ def special_polynomial(field_r, i: int, kind: str) -> SpecialPolynomial:
     return SpecialPolynomial(i=i, kind=kind, coeffs=tuple(coeffs))
 
 
-def special_degree(field_r, i: int, kind: str) -> int:
-    """deg_x of the special polynomial, via the degrees-only table."""
-    k = i if kind == "zeta" else i + 1
-    return _table_for(field_r, k).degree_in_e(k)
-
-
 # ---------------------------------------------------------------------------
 # local factors
 
@@ -520,27 +501,20 @@ class ZetaA:
         self.field_r = field_r
 
 
-class CarlitzObject:
-    """Dispatch marker for the Carlitz module (factor 1/(1 - f u))."""
-
-    def __init__(self, field_r):
-        self.field_r = field_r
-
-
 def local_factor(obj, f: Poly) -> LocalFactor:
     """Euler factor of the object at the monic prime f.
 
-    Dispatch: tau-sheaves use their eigenvalue g^f, a resultant.  Drinfeld
-    modules of rank 1 and 2 use ``frobenius_charpoly`` of their good model
-    at f: rank 1 the eigenvalue N(beta)^-1 * f, a norm in F_r, and factor 1
-    at bad primes (all potentially good); rank 2 raises Unsupported there.
+    Dispatch: ``ZetaA`` has the factor 1 - u; tau-sheaves use their
+    eigenvalue g^f, a resultant.  Drinfeld modules of rank 1 and 2, the
+    Carlitz module (beta = 1) among them, use ``frobenius_charpoly`` of
+    their good model at f: rank 1 the eigenvalue N(beta)^-1 * f, a norm in
+    F_r, and factor 1 at bad primes (all potentially good); rank 2 raises
+    Unsupported there.
     """
     field = f.field
     one = Poly.one(field)
     if isinstance(obj, ZetaA):
         return LocalFactor(prime=f, denominator=(one, -one), provenance="rank1-formula")
-    if isinstance(obj, CarlitzObject):
-        return LocalFactor(prime=f, denominator=(one, -f), provenance="rank1-formula")
     if isinstance(obj, TauSheafRank1):
         try:
             lam = frobenius_eigenvalue(obj, f).value
@@ -560,17 +534,6 @@ def local_factor(obj, f: Poly) -> LocalFactor:
     raise TypeError(f"no local factor dispatch for {type(obj).__name__}")
 
 
-def local_factor_table(obj, field_r, d_max: int, enum_bound: int = 4096):
-    """(f, LocalFactor-or-Unsupported) rows for all monic primes deg <= d_max."""
-    rows = []
-    for f in monic_irreducibles(field_r, d_max, enum_bound=enum_bound):
-        try:
-            rows.append((f, local_factor(obj, f)))
-        except Unsupported as exc:
-            rows.append((f, exc))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Euler products
 
@@ -579,8 +542,6 @@ def _eigenvalue_degree_slope(obj) -> int:
     """c such that the T-degree of the u-coefficients at f grows like c*deg f."""
     if isinstance(obj, ZetaA):
         return 0
-    if isinstance(obj, CarlitzObject):
-        return 1
     if isinstance(obj, TauSheafRank1):
         return obj.num.t_deg
     if isinstance(obj, DrinfeldModule):
@@ -801,7 +762,7 @@ def classify_eigen_system(es: EigenSystem, field_r) -> Classification:
         table[P] = c.constant_value()
     values = set(table.values())
     jm = j % (r - 1) if r > 2 else 0
-    tbl_out = {P.to_string(): field_r.index_of(c) for P, c in table.items()}
+    tbl_out = {P.to_string(): c for P, c in table.items()}
     if values == {field_r.one}:
         return Classification("ClassIITranslate", j, jm, tbl_out)
     if len(values) > 1:

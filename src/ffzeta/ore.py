@@ -3,8 +3,9 @@
 An Ore polynomial is sum c_i tau^i with tau the r-power Frobenius and the
 twisted rule tau*c = c^r*tau; multiplication corresponds to composition of
 the associated F_r-linear polynomials sum c_i x^(r^i).  Coefficients live
-in a pluggable domain so the same core serves modules over the rational
-function field, over residue fields A/(f), and over Laurent/matrix rings.
+in one of two domains: ``RatFuncCoeffs``, F_r(T) for modules over the
+rational function field, and ``FieldCoeffs``, the int elements of a
+residue field F_f = A/(f) for reduced modules.
 
 Frobenius data of a module at a good prime f come from closed forms in
 A = F_r[T] modulo f: a norm of the leading coefficient and, in rank 2,
@@ -50,9 +51,6 @@ class FieldCoeffs:
     def add(self, a, b):
         return self.field.add(a, b)
 
-    def sub(self, a, b):
-        return self.field.sub(a, b)
-
     def mul(self, a, b):
         return self.field.mul(a, b)
 
@@ -65,28 +63,21 @@ class FieldCoeffs:
     def is_zero(self, a):
         return a == self.field.zero
 
-    def eq(self, a, b):
-        return a == b
-
     def embed_fr(self, c):
         return c
 
 
-class RingCoeffs:
-    """Ore coefficients in an element-object ring (RatFunc, Laurent, matrices)."""
+class RatFuncCoeffs:
+    """Ore coefficients in F_r(T) (``RatFunc`` elements), tau the r-power map."""
 
-    def __init__(self, zero, one, r: int, embed_fr, is_zero=None):
-        self.zero = zero
-        self.one = one
-        self.r = r
-        self._embed = embed_fr
-        self._is_zero = is_zero or (lambda a: a == zero)
+    def __init__(self, field_r):
+        self.field_r = field_r
+        self.r = field_r.q
+        self.zero = RatFunc.zero(field_r)
+        self.one = RatFunc.one(field_r)
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -98,26 +89,10 @@ class RingCoeffs:
         return a.frob_power(self.r)
 
     def is_zero(self, a):
-        return self._is_zero(a)
-
-    def eq(self, a, b):
-        return a == b
+        return a.is_zero()
 
     def embed_fr(self, c):
-        return self._embed(c)
-
-
-def ratfunc_domain(field_r, r: int | None = None) -> RingCoeffs:
-    r = r or field_r.q
-    zero = RatFunc.zero(field_r)
-    one = RatFunc.one(field_r)
-    return RingCoeffs(
-        zero,
-        one,
-        r,
-        embed_fr=lambda c: RatFunc.const(field_r, c),
-        is_zero=lambda a: a.is_zero(),
-    )
+        return RatFunc.const(self.field_r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +188,7 @@ class OrePoly:
 
     def __eq__(self, other):
         if isinstance(other, OrePoly):
-            return self.dom is other.dom and len(self.coeffs) == len(other.coeffs) and all(
-                self.dom.eq(a, b) for a, b in zip(self.coeffs, other.coeffs)
-            )
+            return self.dom is other.dom and self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self):
@@ -303,24 +276,21 @@ class DrinfeldModule:
 
 def carlitz(field_r) -> DrinfeldModule:
     """C_T(x) = theta*x + x^r."""
-    dom = ratfunc_domain(field_r)
-    return DrinfeldModule(field_r, dom, [RatFunc.gen(field_r), RatFunc.one(field_r)])
+    return DrinfeldModule(field_r, RatFuncCoeffs(field_r), [RatFunc.gen(field_r), RatFunc.one(field_r)])
 
 
 def drinfeld_rank1(field_r, beta: RatFunc) -> DrinfeldModule:
     """The twist C^(beta): theta*x + beta*x^r."""
     if beta.is_zero():
         raise ZeroInput("beta must be nonzero")
-    dom = ratfunc_domain(field_r)
-    return DrinfeldModule(field_r, dom, [RatFunc.gen(field_r), beta])
+    return DrinfeldModule(field_r, RatFuncCoeffs(field_r), [RatFunc.gen(field_r), beta])
 
 
 def drinfeld_rank2(field_r, g: RatFunc, delta: RatFunc) -> DrinfeldModule:
     """theta*x + g*x^r + delta*x^(r^2)."""
     if delta.is_zero():
         raise ZeroInput("delta must be nonzero")
-    dom = ratfunc_domain(field_r)
-    return DrinfeldModule(field_r, dom, [RatFunc.gen(field_r), g, delta])
+    return DrinfeldModule(field_r, RatFuncCoeffs(field_r), [RatFunc.gen(field_r), g, delta])
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +508,8 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
 
 def all_polys_below(field_r, degree: int) -> list[Poly]:
     """All polynomials of degree < degree, ascending coefficient encoding."""
-    out = []
-    for enc in range(field_r.q**degree):
-        coeffs = []
-        k = enc
-        for _ in range(degree):
-            coeffs.append(field_r.element_from_index(k % field_r.q))
-            k //= field_r.q
-        out.append(Poly(field_r, coeffs))
-    return out
+    q = field_r.q
+    return [Poly(field_r, [enc // q**i % q for i in range(degree)]) for enc in range(q**degree)]
 
 
 def apply_linear(E, coeffs, x, r: int):
@@ -697,7 +660,7 @@ def _build_torsion(phi, v, E, e, points):
     D = v.deg
     residues = all_polys_below(field_r, D)
     point_set = set(points)
-    ordered = sorted(points, key=E.index_of)
+    ordered = sorted(points)
 
     def phi_action_on(x, a: Poly):
         if a.is_zero():

@@ -12,14 +12,16 @@ The monic primes f come from a sieve (``monic_irreducibles``): the
 products of smaller primes with monic cofactors mark their encodings, and
 the unmarked encodings are the primes.
 
-``norm``, a Euclidean remainder sequence, gives the norms N(x) in F_r that
-Drinfeld-module Frobenius needs; ``resultant`` gives tau-sheaf eigenvalues
-and chi_beta over F_r: after splitting f at gcd(f, g_t), it is det(M_t)
-times the charpoly of a block companion matrix, by a Hessenberg reduction.
-``bareiss_det``, the fraction-free determinant over A, is kept only as its
-test oracle.  The sieve, the norm, the resultant and the point module
-index F_r's operation tables (``FiniteField.ops``); ``theta_multiples``
-lists theta-multiples of a residue mod f for the last two.
+Every norm N(x) = prod x(rho) in F_r over the roots rho of f is ``norm``,
+a Euclidean remainder sequence: Drinfeld-module Frobenius, chi_beta and
+the denominators of tau-sheaf eigenvalues.  ``resultant`` serves only the
+numerators of tau-sheaf eigenvalues, g in F_r[theta][T]: after splitting f
+at gcd(f, g_t), it is det(M_t) times the charpoly of a block companion
+matrix, by a Hessenberg reduction over F_r.  ``bareiss_det``, the
+fraction-free determinant over A, is kept only as its test oracle.  The
+sieve, the norm, the resultant and the point module index F_r's operation
+tables (``FiniteField.ops``); ``theta_multiples`` lists theta-multiples of
+a residue mod f for the last two.
 
 Degree of the zero polynomial is the sentinel -1.
 """
@@ -107,7 +109,7 @@ class Poly:
         """Monic polynomial T^degree + tail, tail encoded base q ascending."""
         tail = []
         for _ in range(degree):
-            tail.append(field.element_from_index(enc % field.q))
+            tail.append(enc % field.q)
             enc //= field.q
         return cls(field, tail + [field.one])
 
@@ -145,7 +147,7 @@ class Poly:
         F = self.field
         enc = 0
         for c in reversed(self.coeffs[:-1]):
-            enc = enc * F.q + F.index_of(c)
+            enc = enc * F.q + c
         return enc
 
     # -- arithmetic ------------------------------------------------------------
@@ -273,8 +275,7 @@ def poly_from_string(field, text: str) -> Poly:
             e = int(m.group(3)) if m.group(3) is not None else 1
         if ci >= field.q:
             raise ParseError(text, pos, f"coefficient {ci} out of range 0..{field.q - 1}")
-        c = field.element_from_index(ci)
-        coeffs[e] = field.add(coeffs.get(e, field.zero), c)
+        coeffs[e] = field.add(coeffs.get(e, field.zero), ci)
         pos += len(chunk) + 1
     out = [field.zero] * (max(coeffs) + 1)
     for e, c in coeffs.items():
@@ -804,13 +805,13 @@ def _charpoly(F, H) -> list:
     return polys[n]
 
 
-def resultant(f: Poly, g) -> Poly:
+def resultant(f: Poly, g: BivPoly) -> Poly:
     """Res_theta(f, g) = prod g(T, rho) over the roots rho of a monic nonconstant f.
 
-    ``g`` is a BivPoly sum_(j<=t) g_j(theta) T^j, or a Poly in theta
-    (constant in T).  The result is det(sum_j M_j T^j), with M_j the
-    F_r-matrix of multiplication by g_j on F_r[theta]/(f), and all of its
-    arithmetic is over F_r:
+    ``g`` is a BivPoly sum_(j<=t) g_j(theta) T^j (for g constant in T this
+    is a norm, which ``norm`` takes).  The result is det(sum_j M_j T^j),
+    with M_j the F_r-matrix of multiplication by g_j on F_r[theta]/(f), and
+    all of its arithmetic is over F_r:
 
     - h = gcd(f, g_t) != 1: Res(f, g) = Res(h, g - g_t T^t) * Res(f/h, g),
       since g_t vanishes on the roots of h and Res is multiplicative in f.
@@ -820,8 +821,6 @@ def resultant(f: Poly, g) -> Poly:
       companion matrix of the N_j, by a Hessenberg reduction.  For t = 0
       this is det(M_0).
     """
-    if isinstance(g, Poly):
-        g = BivPoly.from_theta_poly(g)
     if g.is_zero():
         raise ZeroInput("resultant with zero polynomial")
     if not f.is_monic() or f.deg < 1:

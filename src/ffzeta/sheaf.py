@@ -4,7 +4,9 @@ The twisted action encoded by g sends sum h_i(theta) T^i to
 g * sum h_i^r(theta) T^i.  The sheaf of the Carlitz module is g = T - theta;
 the twist C^(beta) has g = (1/beta)(T - theta).  Tensor products multiply
 the multipliers, and the Frobenius eigenvalue at a monic prime f is the
-product of g(T, root) over the roots of f, computed as a resultant.
+product of g(T, root) over the roots of f: a resultant for the numerator
+in F_r[theta][T] over the norm of the denominator in F_r[theta].  The
+character chi_beta is a ratio of norms, N(den beta) / N(num beta).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from .errors import BadPrime, NotAPower, NotAUnitModV, Record, ZeroInput
 from .laurent import Laurent, root_pow_r_minus_1
 from .ore import TModuleCarlitzPower
-from .poly import BivPoly, Poly, RatFunc, poly_gcd, resultant
+from .poly import BivPoly, Poly, RatFunc, norm, poly_gcd, resultant
 
 
 class TauSheafRank1:
@@ -116,24 +118,19 @@ class GaloisCharacterValue(Record):
 
 
 def frobenius_eigenvalue(s: TauSheafRank1, f: Poly, v: Poly | None = None) -> GaloisCharacterValue:
-    """g^f(T) = prod g(T, root^(r^i)) over the roots of f, via resultants.
+    """g^f(T) = prod g(T, root^(r^i)) over the roots of f: Res(f, num) / N(den).
 
     Raises BadPrime when f meets the numerator or denominator of g (the
     sheaf degenerates there); NotAUnitModV when a v-adic reading is
     requested and v divides the eigenvalue.
     """
-    if not f.is_monic() or f.deg < 1:
-        raise ValueError("f must be a monic prime")
-    field_r = s.field_r
-    den_res = resultant(f, s.den) if not s.den.is_one() else Poly.one(field_r)
-    if den_res.is_zero():
+    den_norm = norm(f, s.den)
+    if not den_norm:
         raise BadPrime(f"f = {f} meets the denominator of g")
     num_res = resultant(f, s.num)
     if num_res.is_zero():
         raise BadPrime(f"f = {f} meets the numerator of g")
-    if not den_res.is_constant():
-        raise AssertionError("denominator norm must be constant in T")
-    value = num_res.scale(field_r.inv(den_res.constant_value()))
+    value = num_res.scale(s.field_r.inv(den_norm))
     if v is not None:
         red = value % v
         if red.is_zero():
@@ -145,27 +142,21 @@ def frobenius_eigenvalue(s: TauSheafRank1, f: Poly, v: Poly | None = None) -> Ga
 def chi_beta(beta: RatFunc, f: Poly) -> GaloisCharacterValue:
     """The F_r^*-valued character with rho_{C^(beta)} = chi_beta * rho_C.
 
-    Returns prod beta(root)^(-1) over the roots of f; BadPrime when beta
-    has a zero or pole at f.  The value is independent of any auxiliary
-    prime v by construction (no v enters the computation).
+    Returns prod beta(root)^(-1) over the roots of f, the ratio of norms
+    N(den) / N(num); BadPrime when beta has a zero or pole at f.  The value
+    is independent of any auxiliary prime v by construction (no v enters
+    the computation).
     """
     if beta.is_zero():
         raise ZeroInput("beta must be nonzero")
-    field_r = beta.field
-    if not f.is_monic() or f.deg < 1:
-        raise ValueError("f must be a monic prime")
-    num_res = resultant(f, beta.num)
-    den_res = resultant(f, beta.den) if not beta.den.is_one() else Poly.one(field_r)
-    if num_res.is_zero():
+    num_norm = norm(f, beta.num)
+    if not num_norm:
         raise BadPrime(f"beta vanishes at f = {f}")
-    if den_res.is_zero():
+    den_norm = norm(f, beta.den)
+    if not den_norm:
         raise BadPrime(f"beta has a pole at f = {f}")
-    if not (num_res.is_constant() and den_res.is_constant()):
-        raise AssertionError("norms of T-free data must be constant")
-    value = field_r.mul(den_res.constant_value(), field_r.inv(num_res.constant_value()))
-    if value == field_r.zero:
-        raise AssertionError("character value must lie in F_r^*")
-    return GaloisCharacterValue(value=value, at_prime=f, modulus=None)
+    field_r = beta.field
+    return GaloisCharacterValue(value=field_r.mul(den_norm, field_r.inv(num_norm)), at_prime=f, modulus=None)
 
 
 class ClassIResult(Record):

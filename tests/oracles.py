@@ -1,5 +1,10 @@
 """Second routes kept only to check the production ones.
 
+``power_sum_enumerated`` sums n^k over the r^e monics n of degree e, the
+brute-force check of ``lseries.power_sum``.  ``one_unit_pow_binary``
+takes 1-unit powers by square-and-multiply, the check of the binomial
+series of ``laurent.one_unit_pow``.
+
 ``frobenius_charpoly_nullspace`` finds the Frobenius characteristic
 polynomial of a rank-1 or rank-2 module at a good prime f in the Ore ring
 F_f{tau}: pi = tau^(deg f) is central and satisfies pi - phi_a = 0 (rank 1)
@@ -11,9 +16,34 @@ whose solution is unique up to scaling, with a nonzero pi^rank coordinate
 where ``ore.frobenius_charpoly`` takes O(d) products in A.
 """
 
-from ffzeta.errors import InconsistentFrobenius
+from ffzeta.errors import BoundExceeded, InconsistentFrobenius, NotOneUnit
+from ffzeta.laurent import DEFAULT_PREC, INF, Laurent
 from ffzeta.ore import OrePoly, nullspace_mod_p, reduce_mod_prime
-from ffzeta.poly import Poly
+from ffzeta.poly import Poly, binary_power, monic_polys
+
+
+def power_sum_enumerated(field_r, e: int, k: int, enum_bound: int = 4096) -> Poly:
+    """Brute-force oracle: enumerate the r^e monics and sum their k-th powers."""
+    if field_r.q**e > enum_bound:
+        raise BoundExceeded(
+            f"enumeration of {field_r.q**e} monics exceeds bound {enum_bound}"
+        )
+    total = Poly.zero(field_r)
+    for n in monic_polys(field_r, e):
+        total = total + n**k
+    return total
+
+
+def one_unit_pow_binary(u: Laurent, y: int, prec=None) -> Laurent:
+    """Independent route: square-and-multiply (negative y via inversion)."""
+    if not u.is_one_unit():
+        raise NotOneUnit(f"{u!r} is not a 1-unit")
+    if prec is None:
+        prec = u.prec if u.prec != INF else DEFAULT_PREC
+    u = u.truncate(prec)
+    if y < 0:
+        return one_unit_pow_binary(u.inverse(prec), -y, prec)
+    return binary_power(u, y, Laurent.one(u.field, prec))
 
 
 def frobenius_charpoly_nullspace(phi, f: Poly):

@@ -270,7 +270,7 @@ def _frobenius_matrix_by_scanning(red, v):
 
         basis = []
         span = {E.zero}
-        for cand in sorted(roots, key=E.index_of):
+        for cand in sorted(roots):
             if cand in span or len(basis) == red.rank:
                 continue
             basis.append(cand)

@@ -197,6 +197,44 @@ def test_classify_non_prime_key_exits_2(capsys, tmp_path, rows, bad_line):
     assert "error:" in err and f"line {bad_line}" in err
 
 
+def test_classify_repeated_prime_exits_2(capsys, tmp_path):
+    # without its third line the file is ClassIITranslate; a repeat of T,
+    # even written another way, must not silently overwrite the first value
+    eigen = tmp_path / "eigen.csv"
+    for repeat in ("T,1", "1*T,1"):
+        eigen.write_text(f"T,T\nT+1,T+1\n{repeat}\nT^2+T+1,T^2+T+1\n")
+        code, out, err = run(capsys, "classify", str(eigen), "--r", "2")
+        assert code == 2, repeat
+        assert out == ""
+        assert "error:" in err and "line 3" in err and "twice" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "{dir}", "--r", "2"],
+        ["lfactors", "carlitz", "--r", "2", "--out", "{dir}"],
+    ],
+    ids=["eigen-file", "out"],
+)
+def test_directory_as_cli_file_exits_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *[a.format(dir=tmp_path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_lfactors_flags_unsupported_rows(capsys):
+    # a rank-2 bad prime is a row of its own: flagged, nothing dropped
+    code, out, err = run(capsys, "lfactors", "rank2:0,1/T", "--r", "2", "--dmax", "1", "--format", "csv")
+    assert code == 0, err
+    assert out.splitlines()[1:] == [
+        "prime,denominator,provenance",
+        "T,UNSUPPORTED,unsupported-bad-prime",
+        "T+1,1+(T+1)*u^2,rank2-charpoly",
+    ]
+
+
 def test_classify_chi_witness_file(capsys, tmp_path):
     # generated from chi_beta(-theta, .): values c_P^{-1} * P
     from ffzeta.poly import monic_irreducibles, poly_from_string
@@ -445,20 +483,21 @@ def test_cache_rejects_a_wrong_prime_list(tmp_path, capsys, spoil):
     assert "recomputing" in err
 
 
-# the kernels of the resultant and of good-model residues; cbeta rows take
-# one F_r norm per prime and reach none of them, tensorpower rows are
-# tau-sheaf eigenvalues and keep the resultant
+# the kernels of the resultant and of good-model residues; carlitz and
+# cbeta rows take one F_r norm per prime and reach none of them,
+# tensorpower rows are tau-sheaf eigenvalues and keep the resultant
 RESULTANT_ROUTE = ("frobenius_eigenvalue", "resultant", "_det_and_solve", "_charpoly", "poly_xgcd")
 
 
 @pytest.mark.parametrize(
     "argv,refused,reached",
     [
-        (["lfactors", "cbeta:(T+1)/T", "--r", "2", "--dmax", "6"], RESULTANT_ROUTE, ()),
-        (["lfactors", "cbeta:T^2/(T+1)", "--r", "3", "--dmax", "4"], RESULTANT_ROUTE, ()),
+        (["lfactors", "cbeta:(T+1)/T", "--r", "2", "--dmax", "6"], RESULTANT_ROUTE, ("norm",)),
+        (["lfactors", "cbeta:T^2/(T+1)", "--r", "3", "--dmax", "4"], RESULTANT_ROUTE, ("norm",)),
         (["lfactors", "tensorpower:2", "--r", "3", "--dmax", "3"], (), RESULTANT_ROUTE[:4]),
+        (["lfactors", "carlitz", "--r", "3", "--dmax", "4"], RESULTANT_ROUTE, ("norm",)),
     ],
-    ids=["cbeta", "cbeta-twisted", "tensorpower"],
+    ids=["cbeta", "cbeta-twisted", "tensorpower", "carlitz"],
 )
 def test_rank1_rows_take_no_bareiss_route(capsys, monkeypatch, argv, refused, reached):
     # the Bareiss determinant is the resultant's test oracle only; each
@@ -468,7 +507,7 @@ def test_rank1_rows_take_no_bareiss_route(capsys, monkeypatch, argv, refused, re
     _, expected, _ = run(capsys, *argv)
     modules = [m for n, m in sys.modules.items() if n == "ffzeta" or n.startswith("ffzeta.")]
     calls = set()
-    for name in ("bareiss_det",) + RESULTANT_ROUTE:
+    for name in ("bareiss_det", "norm") + RESULTANT_ROUTE:
         original = getattr(poly, name, None) or getattr(sheaf, name)
 
         def watched(*args, _name=name, _original=original, **kwargs):

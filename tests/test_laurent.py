@@ -7,10 +7,10 @@ from ffzeta.laurent import (
     Laurent,
     binom_mod_p,
     one_unit_pow,
-    one_unit_pow_binary,
     root_pow_r_minus_1,
 )
 from ffzeta.poly import Poly, RatFunc, poly_from_string, ratfunc_from_string
+from oracles import one_unit_pow_binary
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)

@@ -14,7 +14,6 @@ from ffzeta.errors import (
 from ffzeta.ffield import FiniteField, field_make
 from ffzeta.laurent import INF, Laurent
 from ffzeta.lseries import (
-    CarlitzObject,
     Classification,
     EigenSystem,
     LocalFactor,
@@ -27,17 +26,14 @@ from ffzeta.lseries import (
     euler_product,
     euler_product_symbolic,
     local_factor,
-    local_factor_table,
     newton_polygon,
     power_sum,
-    power_sum_enumerated,
     power_sums_enumerated_batch,
-    special_degree,
     special_polynomial,
     translate_identity_check,
     vadic_congruence_check,
 )
-from ffzeta.ore import drinfeld_rank1, drinfeld_rank2
+from ffzeta.ore import carlitz, drinfeld_rank1, drinfeld_rank2
 from ffzeta.poly import (
     Poly,
     RatFunc,
@@ -46,6 +42,7 @@ from ffzeta.poly import (
     ratfunc_from_string,
 )
 from ffzeta.sheaf import GaloisCharacterValue, carlitz_sheaf, carlitz_tensor_power, chi_beta, unit_sheaf
+from oracles import power_sum_enumerated
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -322,7 +319,7 @@ def test_special_polynomial_degree_bound():
                 sp = special_polynomial(field, i, kind)
                 k = sp.exponent
                 assert sp.deg <= k // (r - 1)
-                assert special_degree(field, i, kind) == max(sp.deg, 0)
+                assert lseries._table_for(field, k).degree_in_e(k) == max(sp.deg, 0)
 
 
 def test_special_polynomial_rejects():
@@ -336,17 +333,11 @@ def test_special_polynomial_rejects():
 
 
 def test_local_factor_carlitz():
-    obj = CarlitzObject(F2)
+    obj = carlitz(F2)
     for f in monic_irreducibles(F2, 2):
         lf = local_factor(obj, f)
         assert lf.denominator == (Poly.one(F2), -f)
         assert lf.provenance == "rank1-formula"
-
-
-def test_local_factor_carlitz_module_matches_marker():
-    phi = drinfeld_rank1(F3, RatFunc.one(F3))
-    for f in monic_irreducibles(F3, 2):
-        assert local_factor(phi, f).denominator == local_factor(CarlitzObject(F3), f).denominator
 
 
 def test_local_factor_bad_prime_is_one():
@@ -384,15 +375,8 @@ def test_local_factor_rank2_and_unsupported():
         local_factor(bad, pf(F2, "T"))
 
 
-def test_local_factor_table_flags_unsupported():
-    bad = drinfeld_rank2(F2, RatFunc.zero(F2), rf(F2, "1/T"))
-    rows = local_factor_table(bad, F2, 1)
-    assert any(isinstance(x, Unsupported) for _, x in rows)
-    assert len(rows) == 2  # nothing dropped
-
-
 def test_local_factor_inverse_series():
-    lf = local_factor(CarlitzObject(F2), pf(F2, "T"))
+    lf = local_factor(carlitz(F2), pf(F2, "T"))
     series = lf.inverse_series(4)
     assert series == [Poly.one(F2), pf(F2, "T"), pf(F2, "T^2"), pf(F2, "T^3")]
 
@@ -405,7 +389,7 @@ def test_euler_product_symbolic_matches_special_polynomial():
         r = field.q
         for i in (0, 1, 2, 3):
             d_max = (i + 1) // (r - 1) + 1
-            euler, dirich = euler_product_symbolic(CarlitzObject(field), field, i, d_max)
+            euler, dirich = euler_product_symbolic(carlitz(field), field, i, d_max)
             sp = special_polynomial(field, i, "carlitz")
             for e in range(d_max + 1):
                 assert euler[e] == dirich[e]
@@ -416,18 +400,18 @@ def test_euler_product_symbolic_zeta_translation():
     # zeta at i+1 = carlitz at i, both via Euler products
     for i in (0, 1, 2):
         ez, _ = euler_product_symbolic(ZetaA(F2), F2, i + 1, 4)
-        ec, _ = euler_product_symbolic(CarlitzObject(F2), F2, i, 4)
+        ec, _ = euler_product_symbolic(carlitz(F2), F2, i, 4)
         assert ez == ec
 
 
 def test_euler_product_dmax_zero():
-    euler, dirich = euler_product_symbolic(CarlitzObject(F2), F2, 1, 0)
+    euler, dirich = euler_product_symbolic(carlitz(F2), F2, 1, 0)
     assert euler == [Poly.one(F2)] and dirich == [Poly.one(F2)]
 
 
 def test_euler_product_laurent_agreement():
     s = SInfinityPoint(Laurent.t_power(F3, -2), -2)  # x = theta^2: converges
-    prod, dirich, agree = euler_product(CarlitzObject(F3), F3, s, 2, prec=8)
+    prod, dirich, agree = euler_product(carlitz(F3), F3, s, 2, prec=8)
     assert agree >= 3
     assert prod.eq_mod(dirich, agree)
 
@@ -435,7 +419,7 @@ def test_euler_product_laurent_agreement():
 def test_euler_product_nonconvergent():
     s = SInfinityPoint(Laurent.t_power(F3, 0), 0)  # x = 1: diverges for Carlitz
     with pytest.raises(NonConvergent):
-        euler_product(CarlitzObject(F3), F3, s, 2)
+        euler_product(carlitz(F3), F3, s, 2)
 
 
 # -- translation identity ---------------------------------------------------------------------

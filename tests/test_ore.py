@@ -10,6 +10,7 @@ from ffzeta.ore import (
     DrinfeldModule,
     Mat,
     OrePoly,
+    RatFuncCoeffs,
     TModuleCarlitzPower,
     carlitz,
     drinfeld_rank1,
@@ -20,7 +21,6 @@ from ffzeta.ore import (
     frobenius_charpoly,
     frobenius_on_torsion,
     point_module_annihilator,
-    ratfunc_domain,
     reduce_mod_prime,
     residue_mod,
     residue_to_element,
@@ -48,7 +48,7 @@ def pf(field, text):
 
 
 def test_defining_relation_tau_c():
-    dom = ratfunc_domain(F3)
+    dom = RatFuncCoeffs(F3)
     tau = OrePoly.tau(dom)
     c = OrePoly.const(dom, rf(F3, "T^2+1"))
     lhs = tau * c
@@ -66,7 +66,7 @@ def test_carlitz_square():
 
 
 def test_ore_identity_and_associativity():
-    dom = ratfunc_domain(F2)
+    dom = RatFuncCoeffs(F2)
     one = OrePoly.const(dom, dom.one)
     b = OrePoly(dom, [rf(F2, "T"), rf(F2, "T+1"), dom.one])
     assert one * b == b and b * one == b
@@ -78,7 +78,7 @@ def test_ore_identity_and_associativity():
 
 def test_ore_mul_is_composition():
     # evaluating the product equals composing the linear polynomials
-    dom = ratfunc_domain(F3)
+    dom = RatFuncCoeffs(F3)
     a = OrePoly(dom, [rf(F3, "T"), dom.one])
     b = OrePoly(dom, [rf(F3, "2"), rf(F3, "T+1")])
     for xtext in ["T", "T^2+2", "1/T", "(T+1)/(T+2)"]:
@@ -124,7 +124,7 @@ def test_drinfeld_action_is_ring_homomorphism():
 
 
 def test_drinfeld_rejects_rank_zero_and_zero_action():
-    dom = ratfunc_domain(F2)
+    dom = RatFuncCoeffs(F2)
     with pytest.raises(ValueError):
         DrinfeldModule(F2, dom, [RatFunc.gen(F2)])
     with pytest.raises(ZeroInput):
