@@ -162,6 +162,27 @@ def test_cbeta_output_digests(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout at r = 2, recorded from the implementation that indexed
+# F_2's operation tables one coefficient at a time in the norm and the
+# rank-2 Hasse recursion; they pin the bit-packed F_2[T] kernels, so never
+# regenerate them from the code under test
+R2_DIGESTS = [
+    (["rank2:0,1", "--r", "2", "--dmax", "10", "--format", "csv"],
+     "216d55405dca4bcea178bc829b062519f696cc5dcdd4b1881b96ef06553f89fa"),
+    (["carlitz", "--r", "2", "--dmax", "9"],
+     "b860ad483c8f8b9ee9a48fed95cc2fab260341d9581f68955786266e7347b3cc"),
+    (["cbeta:T/(T+1)", "--r", "2", "--dmax", "8", "--format", "csv"],
+     "7fe2b8ee6b097cff94961788e862e027eea180be61a462f41e0c62d4cce29f94"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", R2_DIGESTS, ids=[" ".join(a) for a, _ in R2_DIGESTS])
+def test_r2_output_digests(capsys, argv, digest):
+    code, out, err = run(capsys, "lfactors", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_classify_single_degree_exits_2(capsys, tmp_path):
     eigen = tmp_path / "eigen.csv"
     eigen.write_text("T,T\nT+1,T+1\n")
