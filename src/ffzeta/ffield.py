@@ -27,8 +27,11 @@ field with m = 1 multiplies ints mod p.  A field with q > 2^8 and m > 1
 multiplies its coordinate lists through the base (``pk_mul``, ``pk_mod``)
 and inverts with ``pk_xgcd``; its ``ops()`` raises Unsupported.
 
-The generic ``pk_*`` kernels serve every field of every tower.  All values
-are immutable; every operation is pure.
+The generic ``pk_*`` kernels serve every field of every tower.  F_2[T] is
+also packed in ints (``f2_*``, bit k the coefficient of T^k) for the point
+module, the rank-2 Hasse recursion and the norm at F_r = F_2; every other
+field and kernel keeps ``ops()`` tables.  All values are immutable; every
+operation is pure.
 """
 
 from __future__ import annotations
@@ -118,6 +121,7 @@ class FiniteField:
         self._q_base = base.q if base else p
         # products index the tables; a field with m = 1 multiplies ints mod p
         self._tabled = self.m > 1 and self.q * self.q <= TABLE_LIMIT
+        self.f2_packed = self.q == 2  # F_2 itself: per-prime F_2[T] kernels take f2_*
         self._ops = None
         # a field over the prime field is keyed by p, so F_p[y]/(g) is one
         # field whichever F_p object it was built on
@@ -467,3 +471,38 @@ def pk_lex_irreducible(F, e: int):
         if pk_irreducible_rabin(F, cand):
             return cand
     raise AssertionError("no irreducible polynomial found")
+
+
+# ---------------------------------------------------------------------------
+# F_2[T] on ints: bit k is the coefficient of T^k, so a sum is xor.
+
+
+def f2_pack(coeffs) -> int:
+    return int("".join(map(str, reversed(coeffs))) or "0", 2)
+
+
+def f2_unpack(a: int) -> list[int]:
+    return [int(c) for c in reversed(format(a, "b"))] if a else []
+
+
+def f2_mul(a: int, b: int) -> int:
+    """Carry-less product: a shifted to each set bit of b, summed by xor."""
+    out = 0
+    while b:
+        low = b & -b
+        out ^= a * low
+        b ^= low
+    return out
+
+
+def f2_square(a: int) -> int:
+    """a^2 = a(T^2): a zero bit spread between every two bits of a."""
+    return int("0".join(format(a, "b")), 2)
+
+
+def f2_mod(a: int, f: int) -> int:
+    """a mod f (f nonzero): cancel the top bit of a by a shift of f."""
+    d = f.bit_length()
+    while (n := a.bit_length()) >= d:
+        a ^= f << (n - d)
+    return a

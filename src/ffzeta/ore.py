@@ -13,11 +13,13 @@ the Hasse invariant, so no product is taken in a residue field and no Ore
 product is formed.  Torsion points, found as kernels of the F_r-linear
 map phi_v over successively larger extensions of the residue field, are
 kept as the independent oracle for those values; all their linear algebra
-is over F_p.
+is over F_p.  At r = 2 ``point_module_annihilator`` and the rank-2 branch
+of ``frobenius_charpoly`` dispatch once, at their top, to packed F_2[T] ints.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 
 from .errors import (
@@ -28,7 +30,7 @@ from .errors import (
     SingularRecursion,
     ZeroInput,
 )
-from .ffield import FiniteField, pk_lex_irreducible
+from .ffield import FiniteField, f2_mod, f2_mul, f2_pack, f2_square, f2_unpack, pk_lex_irreducible
 from .poly import Poly, RatFunc, binary_power, norm, poly_xgcd, split_valuation, theta_multiples
 
 # ---------------------------------------------------------------------------
@@ -430,25 +432,37 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
     annihilator is the map's minimal polynomial mu, by Krylov elimination:
     start from mu = 1 and, for each e_k that mu(T) does not kill, multiply
     mu by the minimal polynomial of mu(T)e_k, which makes mu the lcm of mu
-    and the minimal polynomial of e_k.  All of it indexes F_r's operation
-    tables.  Non-cyclic modules (impossible for rank 1 by the theory) raise
-    NotCyclic for inspection.
+    and the minimal polynomial of e_k, on F_r's operation tables or packed
+    F_2[T] ints.  Non-cyclic modules (impossible for rank 1 by the theory)
+    raise NotCyclic for inspection.
     """
     if not phi.is_reduced():
         raise ValueError("point_module_annihilator expects a reduced module")
     field_r = phi.field_r
     f = phi.prime
     d = f.deg
-    r = phi.r
     if field_r.q**d > bound:
         raise BoundExceeded(f"residue field size {field_r.q**d} exceeds bound {bound}")
+    if field_r.f2_packed:
+        # an element of F_2[y]/(f) is its own packed residue
+        mu = f2_unpack(_annihilator_f2(f2_pack(f.coeffs), d, phi.coeffs[1:]))
+    else:
+        mu = _annihilator_tables(field_r, f.coeffs, phi.r, [phi.dom.field.coords(a) for a in phi.coeffs[1:]])
+    mu = Poly(field_r, mu)
+    if mu.deg < d:
+        raise NotCyclic(f"point module at f = {f} has annihilator {mu} of degree {mu.deg} < {d}")
+    return mu
+
+
+def _annihilator_tables(field_r, f, r: int, coeffs) -> list:
+    """``point_module_annihilator``'s mu for f and the residues a_i as lists."""
     add, mul, neg, inv = field_r.ops()
-    F_f = phi.dom.field
+    d = len(f) - 1
     # columns of the T-action matrix in the basis 1, theta, ..., theta^(d-1)
-    cols = theta_multiples(field_r, f.coeffs, [1], 1, d + 1)[1:]
-    for i in range(1, phi.rank + 1):
-        if phi.coeffs[i] != F_f.zero:
-            orbit = theta_multiples(field_r, f.coeffs, F_f.coords(phi.coeffs[i]), r**i, d)
+    cols = theta_multiples(field_r, f, [1], 1, d + 1)[1:]
+    for i, a in enumerate(coeffs, 1):
+        if a:
+            orbit = theta_multiples(field_r, f, a, r**i, d)
             cols = [[add[x][y] for x, y in zip(col, o)] for col, o in zip(cols, orbit)]
 
     def apply_map(vec):
@@ -494,11 +508,56 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
                 mc = mul[c]
                 prod[i : i + len(chi)] = [add[x][mc[y]] for x, y in zip(prod[i:], chi)]
             mu = prod
-    mu = Poly(field_r, mu)
-    if mu.deg < d:
-        raise NotCyclic(
-            f"point module at f = {f} has annihilator {mu} of degree {mu.deg} < {d}"
-        )
+    return mu
+
+
+def _annihilator_f2(f: int, d: int, coeffs) -> int:
+    """``_annihilator_tables`` over F_2 on packed ints: f, coeffs and mu are
+    polynomials, a vector of F_2^d is an int whose bit k is its k-th entry."""
+    top = 1 << d
+
+    def orbit(v, step):  # v, theta^step v, ... (d vectors) mod f
+        out = [v]
+        while len(out) < d:
+            out.append(f2_mod(out[-1] << step, f))
+        return out
+
+    cols = [f2_mod(v << 1, f) for v in orbit(1, 1)]
+    for i, a in enumerate(coeffs, 1):
+        if a:
+            cols = [x ^ y for x, y in zip(cols, orbit(a, 1 << i))]
+
+    def apply_map(vec):
+        out = 0
+        for k, col in enumerate(cols):
+            if vec >> k & 1:
+                out ^= col
+        return out
+
+    def minpoly(vec):
+        # echelon rows vector | combination << d, each with its pivot bit
+        rows = []
+        for j in range(d + 1):
+            row = vec | top << j
+            for piv, prow in rows:
+                if row & piv:
+                    row ^= prow
+            low = row & (top - 1)
+            if not low:
+                return row >> d
+            rows.append((low & -low, row))
+            vec = apply_map(vec)
+
+    mu = 1
+    for k in range(d):
+        if mu >= top:
+            break
+        # mu(T) e_k by Horner
+        vec = 1 << k
+        for j in range(mu.bit_length() - 2, -1, -1):
+            vec = apply_map(vec) ^ (mu >> j & 1) << k
+        if vec:
+            mu = f2_mul(mu, minpoly(vec))
     return mu
 
 
@@ -752,12 +811,12 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     *Frobenius distributions of Drinfeld modules over finite fields*
     (Trans. AMS 360, 2008) and Hsia-Yu, *On characteristic polynomials of
     geometric Frobenius associated to Drinfeld modules* (Compositio 122,
-    2000).  H takes O(d) products and r-th powers mod f in A; since
-    c^r = c in F_r, x(T)^r = x(T^r), so an r-th power is ``frob_power(r)``
-    and one reduction.  No residue field is built, so an already-reduced
-    module has its coefficients mapped back to residues.  Oracles: torsion
-    (``frobenius_on_torsion``), the Ore-relation null space (tests) and,
-    in rank 1, the tau-sheaf resultant (``sheaf.frobenius_eigenvalue``).
+    2000).  H takes O(d) products and r-th powers x(T)^r = x(T^r) mod f
+    (c^r = c in F_r), on Polys or, at r = 2, on packed ints.  A constant
+    num or den of beta has v_f = 0 and N(c) = c^d.  No residue field is
+    built, so a reduced module has its coefficients mapped back to residues.
+    Oracles: torsion (``frobenius_on_torsion``), the Ore-relation null space
+    (tests) and, in rank 1, ``sheaf.frobenius_eigenvalue``.
     """
     field_r = phi.field_r
     t = phi.rank
@@ -772,29 +831,38 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
             return f.scale(field_r.inv(norm(f, residues[1]))), None
     elif t == 1:
         beta = phi.coeffs[1]
-        (v_num, num), (v_den, den) = (split_valuation(x, f) for x in (beta.num, beta.den))
+        # a constant c has v_f = 0 and N(c) = c^deg f: no division, no norm
+        (v_num, num), (v_den, den) = ((0, x) if x.is_constant() else split_valuation(x, f) for x in (beta.num, beta.den))
         good_model_twist(phi, f, v_num - v_den)
-        return f.scale(field_r.mul(norm(f, den), field_r.inv(norm(f, num)))), None
+        n_num, n_den = (field_r.pow_(x.lc(), f.deg) if x.is_constant() else norm(f, x) for x in (num, den))
+        return f.scale(field_r.mul(n_den, field_r.inv(n_num))), None
     else:
         residues = good_model_residues(phi, f)[1]
     r = phi.r
     d = f.deg
-
-    def conjugates(x: Poly) -> list[Poly]:
-        """x, x^r, ..., x^(r^(d-1)) mod f."""
-        out = [x]
-        for _ in range(d - 1):
-            out.append(out[-1].frob_power(r) % f)
-        return out
-
-    theta, g, delta = (conjugates(x) for x in residues)
     mu = field_r.inv(norm(f, residues[2]))
     if d % 2:
         mu = field_r.neg(mu)
-    prev, cur = Poly.one(field_r), g[0]  # f_0, f_1
+    if field_r.f2_packed:  # packed ints: a difference is a sum, x(T)^2 = x(T^2)
+        fb, residues = f2_pack(f.coeffs), [f2_pack(x.coeffs) for x in residues]
+        one, sub, mul, power = 1, operator.xor, f2_mul, f2_square
+        mod, lift = (lambda x: f2_mod(x, fb)), (lambda x: Poly(field_r, f2_unpack(x)))
+    else:
+        one, sub, mul, power = Poly.one(field_r), operator.sub, operator.mul, (lambda x: x.frob_power(r))
+        mod, lift = (lambda x: x % f), (lambda x: x)
+
+    def conjugates(x) -> list:
+        """x, x^r, ..., x^(r^(d-1)) mod f."""
+        out = [x]
+        for _ in range(d - 1):
+            out.append(mod(power(out[-1])))
+        return out
+
+    theta, g, delta = (conjugates(x) for x in residues)
+    prev, cur = one, g[0]  # f_0, f_1
     for k in range(2, d + 1):
-        prev, cur = cur, (g[k - 1] * cur - (theta[k - 1] - theta[0]) * delta[k - 2] * prev) % f
-    return cur.scale(mu), mu
+        prev, cur = cur, mod(sub(mul(g[k - 1], cur), mul(mul(sub(theta[k - 1], theta[0]), delta[k - 2]), prev)))
+    return lift(cur).scale(mu), mu
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ matrix, by a Hessenberg reduction over F_r.  ``bareiss_det``, the
 fraction-free determinant over A, is kept only as its test oracle.  The
 sieve, the norm, the resultant and the point module index F_r's operation
 tables (``FiniteField.ops``); ``theta_multiples`` lists theta-multiples of
-a residue mod f for the last two.
+a residue mod f for the last two.  At r = 2 only the norm runs on packed
+F_2[T] ints (``ffield.f2_*``); the sieve and the resultant keep the tables.
 
 Degree of the zero polynomial is the sentinel -1.
 """
@@ -34,6 +35,8 @@ from itertools import compress
 
 from .errors import BoundExceeded, DomainMismatch, ParseError, ZeroInput
 from .ffield import (
+    f2_mod,
+    f2_pack,
     pk_add,
     pk_divmod,
     pk_eval,
@@ -165,6 +168,8 @@ class Poly:
         return Poly(self.field, pk_sub(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
+        if self.field.p == 2:
+            return self
         return Poly(self.field, pk_neg(self.field, self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -172,6 +177,8 @@ class Poly:
         return Poly(self.field, pk_mul(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Poly":
+        if c == self.field.one:
+            return self
         return Poly(self.field, pk_scale(self.field, self.coeffs, c))
 
     def __pow__(self, n: int) -> "Poly":
@@ -709,10 +716,16 @@ def norm(f: Poly, x: Poly):
     """N(x) = Res_theta(f, x) = prod x(rho) over the roots rho of a monic
     nonconstant f, in F_r, by a Euclidean remainder sequence on F's tables:
     x mod f = c*m, m monic of degree e, gives N_f(x) = c^d (-1)^(d e) N_m(f),
-    d = deg f; it ends with c^d or 0.  O(d deg x) lookups, then O(d^2)."""
+    d = deg f; it ends with c^d or 0.  O(d deg x) lookups, then O(d^2).
+    Over F_2 it runs on packed ints, where each c^d and each sign is 1."""
     if not f.is_monic() or f.deg < 1:
         raise ValueError("f must be monic and nonconstant")
     F = f.field
+    if F.f2_packed:
+        f, x = f2_pack(f.coeffs), f2_pack(x.coeffs)
+        while (x := f2_mod(x, f)) > 1:
+            f, x = x, f
+        return x
     add, mul, neg, inv = F.ops()
     f, x, out = f.coeffs, list(x.coeffs), 1
     while True:

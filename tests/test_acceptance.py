@@ -7,8 +7,6 @@ pytest -s).  Runtime targets are asserted where stated.
 import math
 import time
 
-import pytest
-
 from ffzeta.errors import BadPrime, BadReduction
 from ffzeta.ffield import FiniteField, field_make, pk_lex_irreducible
 from ffzeta.laurent import Laurent
@@ -30,7 +28,6 @@ from ffzeta.ore import (
     exp_functional_equation_residuals,
     frobenius_charpoly,
     frobenius_on_torsion,
-    good_model_twist,
     point_module_annihilator,
     reduce_mod_prime,
 )

@@ -9,7 +9,7 @@ from ffzeta.laurent import (
     one_unit_pow,
     root_pow_r_minus_1,
 )
-from ffzeta.poly import Poly, RatFunc, poly_from_string, ratfunc_from_string
+from ffzeta.poly import RatFunc, poly_from_string, ratfunc_from_string
 from oracles import one_unit_pow_binary
 
 F2 = field_make(2, 1)

@@ -15,7 +15,6 @@ from ffzeta.ore import (
     carlitz,
     drinfeld_rank1,
     drinfeld_rank2,
-    element_to_residue,
     exp_coefficients,
     exp_functional_equation_residuals,
     frobenius_charpoly,
@@ -23,7 +22,6 @@ from ffzeta.ore import (
     point_module_annihilator,
     reduce_mod_prime,
     residue_mod,
-    residue_to_element,
     torsion_points,
 )
 from ffzeta.poly import Poly, RatFunc, monic_irreducibles, poly_from_string, ratfunc_from_string

@@ -4,13 +4,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ffzeta.errors import BadReduction
+from ffzeta.errors import BadReduction, NotCyclic
 from ffzeta.ffield import (
     TABLE_LIMIT,
     FiniteField,
+    f2_mod,
+    f2_mul,
+    f2_pack,
+    f2_square,
+    f2_unpack,
     field_make,
     pk_add,
     pk_divmod,
+    pk_gcd,
     pk_lex_irreducible,
     pk_mod,
     pk_mul,
@@ -20,9 +26,12 @@ from ffzeta.lseries import LocalFactor, local_factor, power_sum
 from ffzeta.ore import (
     FieldCoeffs,
     OrePoly,
+    carlitz,
     drinfeld_rank1,
     drinfeld_rank2,
     frobenius_charpoly,
+    point_module_annihilator,
+    reduce_mod_prime,
     residue_field,
     residue_mod,
     residue_to_element,
@@ -37,6 +46,7 @@ from ffzeta.poly import (
     norm,
     poly_from_string,
     poly_gcd,
+    ratfunc_from_string,
     resultant,
 )
 from ffzeta.sheaf import frobenius_eigenvalue, sheaf_of_drinfeld_rank1
@@ -373,3 +383,84 @@ def test_norm_matches_resultant(pm, f_tail, x_idx, shape):
         assert n == field_r.zero
     elif shape == "constant":
         assert n == field_r.pow_(x.lc(), f.deg)
+
+
+# -- packed F_2[T] -------------------------------------------------------------------
+
+F2 = field_make(2, 1)
+# F_2[T] coefficient lists, low first; trailing zeros test the trimming, and
+# lengths past 64 bits leave one machine word
+f2_lists = st.lists(st.integers(0, 1), max_size=90)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_lists, f2_lists)
+def test_f2_kernels_match_pk_kernels(a, b):
+    A, B = f2_pack(a), f2_pack(b)
+    assert f2_unpack(A) == pk_trim(F2, a)
+    assert f2_unpack(A ^ B) == pk_add(F2, a, b)
+    assert f2_unpack(f2_mul(A, B)) == pk_mul(F2, a, b)
+    assert f2_unpack(f2_square(A)) == pk_mul(F2, a, a)
+    if B:
+        assert f2_unpack(f2_mod(A, B)) == pk_mod(F2, a, pk_trim(F2, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=30), f2_lists)
+def test_f2_norm_is_coprimality(f_tail, x):
+    # over F_2, N_f(x) = Res(f, x) is 1 or 0 as x is prime to f or not
+    f = Poly(F2, f_tail + [1])
+    expected = 1 if pk_gcd(F2, f.coeffs, pk_trim(F2, x)) == [1] else 0
+    assert norm(f, Poly(F2, x)) == expected
+
+
+def _packed_off(monkeypatch):
+    monkeypatch.setattr(F2, "f2_packed", False)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotCyclic:
+        return "not cyclic"
+
+
+def test_f2_point_module_matches_table_route(monkeypatch):
+    # every prime of degree <= 8: Carlitz, a twisted cbeta and rank2:0,1,
+    # which is not cyclic at some primes; the same results with the p = 2
+    # dispatch off, so on F_2's operation tables
+    modules = [carlitz(F2), drinfeld_rank1(F2, ratfunc_from_string(F2, "(T+1)/T")),
+               drinfeld_rank2(F2, RatFunc.zero(F2), RatFunc.one(F2))]
+    reds = [reduce_mod_prime(phi, f) for phi in modules for f in monic_irreducibles(F2, 8)]
+    packed = [_outcome(point_module_annihilator, red) for red in reds]
+    assert "not cyclic" in packed
+    _packed_off(monkeypatch)
+    assert [_outcome(point_module_annihilator, red) for red in reds] == packed
+
+
+def test_f2_frobenius_charpoly_matches_table_route(monkeypatch):
+    # rank2:0,1 and rank2:T,1 at every prime of degree <= 10, with the p = 2
+    # dispatch on and off
+    modules = [drinfeld_rank2(F2, ratfunc_from_string(F2, g), RatFunc.one(F2)) for g in ("0", "T")]
+    cases = [(phi, f) for phi in modules for f in monic_irreducibles(F2, 10)]
+    packed = [frobenius_charpoly(phi, f) for phi, f in cases]
+    _packed_off(monkeypatch)
+    assert [frobenius_charpoly(phi, f) for phi, f in cases] == packed
+
+
+def test_f2_per_prime_kernels_build_no_tables(monkeypatch):
+    # at r = 2 the point module, the rank-2 Frobenius and the norm run on
+    # packed ints and never ask F_2 for its operation tables
+    primes = monic_irreducibles(F2, 8)
+    rank2 = drinfeld_rank2(F2, RatFunc.gen(F2), RatFunc.one(F2))
+    reds = [reduce_mod_prime(phi, f) for phi in (carlitz(F2), rank2) for f in primes]
+
+    def refuse(self):
+        raise AssertionError(f"ops() of {self} called")
+
+    monkeypatch.setattr(FiniteField, "ops", refuse)
+    for red in reds:
+        _outcome(point_module_annihilator, red)
+    for f in primes:
+        frobenius_charpoly(rank2, f)
+        norm(f, f + Poly.gen(F2))
