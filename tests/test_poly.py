@@ -169,7 +169,6 @@ def test_resultant_t_minus_theta_gives_f(field):
 
 def test_resultant_multiplicative():
     rng = random.Random(11)
-    t_minus_theta = BivPoly(F3, (Poly(F3, [0, 2]), Poly.one(F3)))
     for _ in range(20):
         f = Poly.from_encoding(F3, rng.randrange(27), 3)
         g = BivPoly.from_theta_poly(Poly(F3, [rng.randrange(3) for _ in range(3)] + [1]))
