@@ -27,11 +27,10 @@ field with m = 1 multiplies ints mod p.  A field with q > 2^8 and m > 1
 multiplies its coordinate lists through the base (``pk_mul``, ``pk_mod``)
 and inverts with ``pk_xgcd``; its ``ops()`` raises Unsupported.
 
-The generic ``pk_*`` kernels serve every field of every tower.  F_2[T] is
-also packed in ints (``f2_*``, bit k the coefficient of T^k) for the point
-module, the rank-2 Hasse recursion and the norm at F_r = F_2; every other
-field and kernel keeps ``ops()`` tables.  All values are immutable; every
-operation is pure.
+The generic ``pk_*`` kernels serve every field of every tower.  At F_r = F_2
+the point module, the rank-2 Hasse recursion and the norm pack F_2[T] in
+ints (``f2_*``); every other field and kernel keeps ``ops()`` tables.  All
+values are immutable; every operation is pure.
 """
 
 from __future__ import annotations
