@@ -831,8 +831,6 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     elif t == 1:
         beta = phi.coeffs[1]
         # a constant c has v_f = 0 and N(c) = c^deg f: no division, no norm
-        if beta.is_constant():
-            return f.scale(field_r.inv(field_r.pow_(beta.num.lc(), f.deg))), None
         (v_num, num), (v_den, den) = ((0, x) if x.is_constant() else split_valuation(x, f) for x in (beta.num, beta.den))
         good_model_twist(phi, f, v_num - v_den)
         n_num, n_den = (field_r.pow_(x.lc(), f.deg) if x.is_constant() else norm(f, x) for x in (num, den))

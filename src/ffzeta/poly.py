@@ -168,8 +168,6 @@ class Poly:
         return Poly(self.field, pk_sub(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
-        if self.field.p == 2:
-            return self
         return Poly(self.field, pk_neg(self.field, self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":

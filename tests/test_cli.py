@@ -505,32 +505,33 @@ def test_cache_rejects_a_wrong_prime_list(tmp_path, capsys, spoil):
 
 
 # the kernels of the resultant and of good-model residues; cbeta rows take
-# one F_r norm per prime and reach none of them, carlitz rows (beta = 1, a
-# constant, with N(c) = c^deg f) not even the norm, and tensorpower rows are
-# tau-sheaf eigenvalues and keep the resultant
+# frobenius_charpoly's rank-1 route, one F_r norm per prime, and reach none
+# of them, carlitz rows (beta = 1, a constant, with N(c) = c^deg f) take the
+# same route without the norm, and tensorpower rows are tau-sheaf
+# eigenvalues and keep the resultant
 RESULTANT_ROUTE = ("frobenius_eigenvalue", "resultant", "_det_and_solve", "_charpoly", "poly_xgcd")
 
 
 @pytest.mark.parametrize(
     "argv,refused,reached",
     [
-        (["lfactors", "cbeta:(T+1)/T", "--r", "2", "--dmax", "6"], RESULTANT_ROUTE, ("norm",)),
-        (["lfactors", "cbeta:T^2/(T+1)", "--r", "3", "--dmax", "4"], RESULTANT_ROUTE, ("norm",)),
+        (["lfactors", "cbeta:(T+1)/T", "--r", "2", "--dmax", "6"], RESULTANT_ROUTE, ("frobenius_charpoly", "norm")),
+        (["lfactors", "cbeta:T^2/(T+1)", "--r", "3", "--dmax", "4"], RESULTANT_ROUTE, ("frobenius_charpoly", "norm")),
         (["lfactors", "tensorpower:2", "--r", "3", "--dmax", "3"], (), RESULTANT_ROUTE[:4]),
-        (["lfactors", "carlitz", "--r", "3", "--dmax", "4"], RESULTANT_ROUTE + ("norm",), ()),
+        (["lfactors", "carlitz", "--r", "3", "--dmax", "4"], RESULTANT_ROUTE + ("norm",), ("frobenius_charpoly",)),
     ],
     ids=["cbeta", "cbeta-twisted", "tensorpower", "carlitz"],
 )
 def test_rank1_rows_take_no_bareiss_route(capsys, monkeypatch, argv, refused, reached):
     # the Bareiss determinant is the resultant's test oracle only; each
     # function is patched in every ffzeta namespace that binds it
-    from ffzeta import poly, sheaf
+    from ffzeta import ore, poly, sheaf
 
     _, expected, _ = run(capsys, *argv)
     modules = [m for n, m in sys.modules.items() if n == "ffzeta" or n.startswith("ffzeta.")]
     calls = set()
-    for name in ("bareiss_det", "norm") + RESULTANT_ROUTE:
-        original = getattr(poly, name, None) or getattr(sheaf, name)
+    for name in ("bareiss_det", "norm", "frobenius_charpoly") + RESULTANT_ROUTE:
+        original = getattr(poly, name, None) or getattr(ore, name, None) or getattr(sheaf, name)
 
         def watched(*args, _name=name, _original=original, **kwargs):
             if _name == "bareiss_det" or _name in refused:
