@@ -125,6 +125,14 @@ SPECIAL_DIGESTS = [
      "f2f3efba4a3b4980f72fd6e2289c2e188d4f6085b31ad9064c80d8e7b35a6e85"),
     (["--r", "2", "--kind", "carlitz", "--i", "0..300"],
      "541b687b95e274d3fd007182ae8778a56ba02d6696372c3e4a04dff1a65d6b50"),
+    # recorded from the packed table printed through one Poly per
+    # coefficient: 8-bit slots at p = 7, 16-bit slots at p = 11, and r = 8
+    (["--r", "7", "--format", "csv", "--i", "0..300"],
+     "45c3af05c1634cda8a7f93ce81bdaa9589fdf39fc0c4c65667334ee2dad6e40d"),
+    (["--r", "11", "--i", "0..200"],
+     "31b0274d417aaf8b2b4c511b05b9fd3c44b6f37c8031183c58d0dfa36cb8ba20"),
+    (["--r", "2^3", "--kind", "carlitz", "--format", "csv", "--i", "0..200"],
+     "9f73011dcbdf1d5ddf83a99555d81e6ca792c36b63ab24e2cc165032e8417835"),
 ]
 
 
