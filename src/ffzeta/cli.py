@@ -3,14 +3,18 @@ eigen-system classifier.
 
 Outputs are deterministic byte-for-byte for a fixed configuration: rows are
 sorted, JSON keys are sorted, and the configuration is echoed verbatim into
-every artifact.  Exit codes: 0 definite result (including NoMatch), 1
-internal error, 2 precondition failure (a bad argument or input file, or an
-OS error on a file the command reads or writes).
+every artifact.  ``special`` streams: it writes each row as it is made,
+with the same bytes as one block; every check comes first, so an error
+before the first row leaves stdout empty and creates no ``--out`` file.
+Exit codes: 0 definite result (including NoMatch), 1 internal error, 2
+precondition failure (a bad argument or input file, or an OS error on a
+file the command reads or writes).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -228,12 +232,14 @@ def parse_object_spec(field, text: str):
 # output helpers
 
 
+def _output(out_path):
+    """The ``--out`` file opened for writing, or stdout, left open on exit."""
+    return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+
+
 def emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def json_block(payload: dict) -> str:
@@ -267,41 +273,41 @@ def parse_i_range(text: str):
     return range(i, i + 1)
 
 
+# a special row and a Newton segment (slope, length) as ``json_block`` lays
+# them out inside its "rows" list; a slope prints as text
+_JSON_ROW = ('    {\n      "degree": %d,\n      "i": %d,\n      "kind": %s,\n      "newton": %s,\n'
+             '      "polynomial": %s\n    }')
+_JSON_SEGMENT = '\n        [\n          "%s",\n          %d\n        ]'
+
+
 def cmd_special(config: RunConfig, kind: str, i_range, out_path) -> int:
     field = field_make(config.p, config.m)
     if i_range[0] < 0:
         raise BoundExceeded(f"negative index {i_range[0]} in range")
-    _table_for(field, i_range[-1] + 1)  # one power-sum table for the whole range
-    rows = []
+    _table_for(field, i_range[-1] + 1)  # one power-sum table for the whole range, before --out opens
+    with _output(out_path) as fh:
+        write = fh.write
+        if config.fmt == "json":
+            head = json_block({"command": "special", "config": config.echo(), "rows": []})
+            write(head.removesuffix("[]\n}\n") + "[\n")
+            sep, kind_json = "", json.dumps(kind)
+            for i, text, deg, segs in _special_rows(field, kind, i_range):
+                newton = f"[{','.join(map(_JSON_SEGMENT.__mod__, segs))}\n      ]" if segs else "[]"
+                write(sep + _JSON_ROW % (deg, i, kind_json, newton, json.dumps(text)))
+                sep = ",\n"
+            write("\n  ]\n}\n")
+        else:
+            write(csv_block(config, "i,kind,polynomial,degree,newton", ()))
+            for i, text, deg, segs in _special_rows(field, kind, i_range):
+                write(f"{i},{kind},{text},{deg},{';'.join(map('%s:%d'.__mod__, segs))}\n")
+    return 0
+
+
+def _special_rows(field, kind: str, i_range):
+    """(i, polynomial text, degree, Newton segments) per i, made lazily."""
     for i in i_range:
         sp = special_polynomial(field, i, kind)
-        segs = newton_polygon(sp) if sp.deg >= 0 else []
-        rows.append(
-            {
-                "i": i,
-                "kind": kind,
-                "polynomial": sp.to_string(),
-                "degree": max(sp.deg, 0),
-                "newton": [[str(s), int(l)] for s, l in segs],
-            }
-        )
-    if config.fmt == "json":
-        emit(json_block({"command": "special", "config": config.echo(), "rows": rows}), out_path)
-    else:
-        body = [
-            ",".join(
-                [
-                    str(r["i"]),
-                    r["kind"],
-                    r["polynomial"],
-                    str(r["degree"]),
-                    ";".join(f"{s}:{l}" for s, l in r["newton"]),
-                ]
-            )
-            for r in rows
-        ]
-        emit(csv_block(config, "i,kind,polynomial,degree,newton", body), out_path)
-    return 0
+        yield i, sp.to_string(), max(sp.deg, 0), newton_polygon(sp) if sp.deg >= 0 else []
 
 
 def cmd_lfactors(config: RunConfig, object_text: str, out_path) -> int:

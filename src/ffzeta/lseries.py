@@ -19,17 +19,17 @@ T^(k-j) S_{e-1}(k-j) is one shift, made once per row, and each term of the
 recursion is one big-int add.  The slot width is chosen from p and the
 number of terms so that no slot overflows before it is reduced; a
 reduction folds the high bits of every slot onto its low bits with the
-weight 2^h mod p and, for p < 256, finishes with one ``bytes.translate``.
-The recursion only ever lowers k, so once a full row of zeros appears
-every higher row vanishes identically; this makes special-polynomial
-degrees computable far past the reach of enumeration, while direct
-enumeration remains the oracle at desk scale.
+weight 2^h mod p and, for p < 256, finishes with one ``bytes.translate``;
+8-bit slots are read back as the bytes of the packed int.  The recursion
+only ever lowers k, so once a full row of zeros appears every higher row
+vanishes identically; this makes special-polynomial degrees computable far
+past the reach of enumeration, while direct enumeration remains the oracle
+at desk scale.
 """
 
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
@@ -215,7 +215,9 @@ class PowerSumTable:
     carries into the next slot.  The reduction folds every slot with a few
     shifts and masks (``_fold_plan``) until it is below 256, then maps each
     byte to its residue with one ``bytes.translate``.  For p > 256 no byte
-    holds a residue, and the slots are reduced one by one.
+    holds a residue, and the slots are reduced one by one.  ``value`` reads
+    8-bit slots as the bytes of the packed int and wider slots with
+    ``struct``.
 
     Row e is computed from row e-1 for every k <= k_max; when a row is zero
     across the whole k-range, all later rows are zero too (the recursion
@@ -240,8 +242,12 @@ class PowerSumTable:
         self._rows: list = [[1] * (k_max + 1)]  # per e, or None
         self.zero_row: int | None = None
 
-    def _unpack(self, x: int) -> tuple:
+    def _unpack(self, x: int):
+        """The slots of x, lowest first, none zero at the top: the bytes of x
+        for 8-bit slots, else a tuple of ints read by ``struct``."""
         n = -(-x.bit_length() // self._width)
+        if self._width == 8:
+            return x.to_bytes(n, "little")
         return struct.unpack(f"<{n}{_SLOT_FORMATS[self._width]}", x.to_bytes(n * self._width // 8, "little"))
 
     def _reduce(self, acc: int) -> int:
@@ -793,7 +799,9 @@ def newton_polygon(sp: SpecialPolynomial):
 
     Coefficients are valued by v_infinity = -deg_T; returns (slope, length)
     segments with strictly increasing slopes.  Slopes locate the 1/T-adic
-    valuations of the zeros in x^-1.
+    valuations of the zeros in x^-1.  A slope is an int when the length
+    divides the rise and a ``Fraction`` otherwise, so ``fractions`` is only
+    imported for a fractional slope.
     """
     pts = []
     for e, c in enumerate(sp.coeffs):
@@ -815,7 +823,13 @@ def newton_polygon(sp: SpecialPolynomial):
         hull.append(pt)
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        segments.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
+        rise, run = y2 - y1, x2 - x1
+        if rise % run:
+            from fractions import Fraction
+
+            segments.append((Fraction(rise, run), run))
+        else:
+            segments.append((rise // run, run))
     return segments
 
 

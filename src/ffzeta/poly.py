@@ -66,7 +66,20 @@ def binary_power(x, n: int, one):
     return out
 
 
-_T_POWERS: list[str] = []  # "T^e" at index e >= 1; empty until a Poly is printed
+class _Prefixes(dict):
+    """Coefficient code -> its text before "T^e": "" for 1, "c*" otherwise;
+    keeps the first 256 codes looked up, so a large field cannot grow it."""
+
+    def __missing__(self, c: int) -> str:
+        text = f"{c}*" if c != 1 else ""
+        if len(self) < 256:
+            self[c] = text
+        return text
+
+
+_PREFIXES = _Prefixes()
+
+_T_POWERS: list[str] = []  # "T^e" at index e >= 1 ("T" at 0, never printed); empty until a Poly is printed
 
 
 def _t_powers(n: int) -> list[str]:
@@ -86,8 +99,12 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
+        """Int codes lowest first, copied once; trimmed only when the top one is 0."""
         self.field = field
-        self.coeffs = tuple(pk_trim(field, list(coeffs)))
+        cs = tuple(coeffs)
+        if cs and not cs[-1]:
+            cs = tuple(pk_trim(field, cs))
+        self.coeffs = cs
 
     # -- constructors --------------------------------------------------------
 
@@ -242,11 +259,13 @@ class Poly:
         cs = self.coeffs
         if not cs:
             return "0"
-        tp = _t_powers(len(cs))
-        terms = [tp[e] if c == 1 else f"{c}*{tp[e]}" for e, c in compress(enumerate(cs), cs) if e]
-        terms.reverse()
+        # the nonzero terms, lowest first: the prefix of each nonzero code
+        # joined to its "T^e"; a constant term takes its code instead
+        prefixes = map(_PREFIXES.__getitem__, filter(None, cs))
+        terms = list(map(operator.add, prefixes, compress(_t_powers(len(cs)), cs)))
         if cs[0]:
-            terms.append(str(cs[0]))
+            terms[0] = str(cs[0])
+        terms.reverse()
         return "+".join(terms)
 
     __str__ = to_string

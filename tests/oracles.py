@@ -1,7 +1,9 @@
 """Second routes kept only to check the production ones.
 
 ``power_sum_enumerated`` sums n^k over the r^e monics n of degree e, the
-brute-force check of ``lseries.power_sum``.  ``one_unit_pow_binary``
+brute-force check of ``lseries.power_sum``.  ``poly_to_string_termwise``
+writes the canonical text of a Poly one term at a time, the check of
+``Poly.to_string``.  ``one_unit_pow_binary``
 takes 1-unit powers by square-and-multiply, the check of the binomial
 series of ``laurent.one_unit_pow``.
 
@@ -32,6 +34,24 @@ def power_sum_enumerated(field_r, e: int, k: int, enum_bound: int = 4096) -> Pol
     for n in monic_polys(field_r, e):
         total = total + n**k
     return total
+
+
+def poly_to_string_termwise(f: Poly) -> str:
+    """The canonical encoding written term by term, each coefficient as its code."""
+    F = f.field
+    if f.is_zero():
+        return "0"
+    terms = []
+    for e in range(f.deg, -1, -1):
+        c = f.coeffs[e]
+        if c == F.zero:
+            continue
+        if e == 0:
+            terms.append(str(c))
+        else:
+            xpart = "T" if e == 1 else f"T^{e}"
+            terms.append(xpart if c == 1 else f"{c}*{xpart}")
+    return "+".join(terms)
 
 
 def one_unit_pow_binary(u: Laurent, y: int, prec=None) -> Laurent:

@@ -64,9 +64,10 @@ def test_golden_outputs(capsys, golden, argv):
 
 def test_import_loads_no_numpy():
     # every command starts by importing the CLI: numpy is only a test oracle,
-    # dataclasses (with inspect) and hashlib cost each run start-up time
+    # dataclasses (with inspect), hashlib and fractions (with decimal) cost
+    # each run start-up time
     src = pathlib.Path(ffzeta.__file__).resolve().parents[1]
-    heavy = ("numpy", "dataclasses", "inspect", "hashlib", "_hashlib")
+    heavy = ("numpy", "dataclasses", "inspect", "hashlib", "_hashlib", "fractions", "decimal")
     code = f"import sys, ffzeta, ffzeta.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
@@ -417,6 +418,75 @@ def test_out_file(tmp_path, capsys):
     code = main(["special", "--r", "2", "--i", "0", "--out", str(out_file)])
     assert code == 0
     assert out_file.read_text().startswith("{")
+
+
+class _CountingStdout:
+    """A stdout stand-in that records, per write, how many special
+    polynomials had been computed when it was made."""
+
+    def __init__(self):
+        self.calls = 0
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append((self.calls, text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_special_streams_its_rows(monkeypatch, capsys, fmt):
+    argv = ["special", "--r", "3", "--i", "5..40", "--format", fmt]
+    _, expected, _ = run(capsys, *argv)
+    import ffzeta.cli as cli
+
+    fake = _CountingStdout()
+    real = cli.special_polynomial
+
+    def counting(*args):
+        fake.calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(cli, "special_polynomial", counting)
+    monkeypatch.setattr(sys, "stdout", fake)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert "".join(text for _, text in fake.writes) == expected
+    # the head goes out before any row is made, and the first row (i = 5)
+    # before the last one (i = 40) is computed
+    assert fake.writes[0][0] == 0
+    first_row = next(calls for calls, text in fake.writes if calls)
+    assert first_row == 1 < fake.calls == 36
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_special_out_file_matches_stdout(capsys, tmp_path, fmt):
+    argv = ["special", "--r", "2^2", "--kind", "carlitz", "--i", "0..60", "--format", fmt]
+    _, expected, _ = run(capsys, *argv)
+    out_file = tmp_path / f"rows.{fmt}"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert code == 0, err
+    assert out == ""
+    assert out_file.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["--i", "0..5"], "missing/rows.json"),
+        (["--i=-3..5"], "rows.json"),
+    ],
+    ids=["out-in-missing-directory", "negative-index"],
+)
+def test_special_error_before_first_row_writes_nothing(capsys, tmp_path, argv, target):
+    out_file = tmp_path / target
+    code, out, err = run(capsys, "special", "--r", "3", *argv, "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _foreign_d1_file(cache_dir, capsys):

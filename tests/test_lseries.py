@@ -542,6 +542,19 @@ def test_newton_polygon_degree_one():
     assert segs == [(0, 1)]
 
 
+def test_newton_polygon_fractional_slope():
+    # 1 + T x^-2: the chord from (0, 0) to (2, -1) has slope -1/2, which
+    # stays exact; an integral slope is an int and prints the same
+    from fractions import Fraction
+
+    one, t = Poly.one(F2), pf(F2, "T")
+    (slope, length), = newton_polygon(SpecialPolynomial(i=0, kind="zeta", coeffs=(one, Poly.zero(F2), t)))
+    assert (slope, length) == (Fraction(-1, 2), 2)
+    assert type(slope) is Fraction and str(slope) == "-1/2"
+    (slope, length), = newton_polygon(SpecialPolynomial(i=0, kind="zeta", coeffs=(one, t)))
+    assert type(slope) is int and (str(slope), length) == ("-1", 1)
+
+
 def test_newton_polygon_constant_is_empty():
     sp = special_polynomial(F2, 0, "zeta")  # 1
     assert newton_polygon(sp) == []

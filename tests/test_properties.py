@@ -36,6 +36,7 @@ from ffzeta.ore import (
     residue_mod,
     residue_to_element,
 )
+from ffzeta import poly as poly_module
 from ffzeta.poly import (
     BivPoly,
     Poly,
@@ -50,7 +51,7 @@ from ffzeta.poly import (
     resultant,
 )
 from ffzeta.sheaf import frobenius_eigenvalue, sheaf_of_drinfeld_rank1
-from oracles import frobenius_charpoly_nullspace, power_sum_enumerated
+from oracles import frobenius_charpoly_nullspace, poly_to_string_termwise, power_sum_enumerated
 
 # (p, m) for r in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -63,27 +64,9 @@ def test_power_sum_matches_enumeration(pm, e, k):
     assert power_sum(field, e, k) == power_sum_enumerated(field, e, k)
 
 
-def _to_string_oracle(f: Poly) -> str:
-    """The canonical encoding written term by term, each coefficient as its code."""
-    F = f.field
-    if f.is_zero():
-        return "0"
-    terms = []
-    for e in range(f.deg, -1, -1):
-        c = f.coeffs[e]
-        if c == F.zero:
-            continue
-        if e == 0:
-            terms.append(str(c))
-        else:
-            xpart = "T" if e == 1 else f"T^{e}"
-            terms.append(xpart if c == 1 else f"{c}*{xpart}")
-    return "+".join(terms)
-
-
 def _check_to_string(f: Poly) -> None:
     text = f.to_string()
-    assert text == _to_string_oracle(f)
+    assert text == poly_to_string_termwise(f)
     assert poly_from_string(f.field, text) == f
 
 
@@ -103,6 +86,56 @@ def test_to_string_edge_cases(pm):
     for coeffs in ([], [1], [top], [0, 1], [0, top], [1, 1, 0, 1], [top, 0, 0, 1],
                    list(range(field.q)), list(range(field.q))[::-1]):
         _check_to_string(Poly(field, coeffs))
+
+
+# r = 257 adds three-digit codes
+TEXT_FIELDS = FIELDS + [(257, 1)]
+
+
+@st.composite
+def sparse_polys(draw):
+    """Zero, constants, coefficient 1 and long sparse tails: up to 8 nonzero
+    codes, 1 and r - 1 among them, placed below a length of up to 600."""
+    p, m = draw(st.sampled_from(TEXT_FIELDS))
+    field = field_make(p, m, bound=p**m)
+    length = draw(st.integers(1, 600))
+    coeffs = [0] * length
+    codes = st.sampled_from([1, field.q - 1]) | st.integers(1, field.q - 1)
+    for e in draw(st.lists(st.integers(0, length - 1), max_size=8)):
+        coeffs[e] = draw(codes)
+    return Poly(field, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_polys())
+def test_to_string_of_sparse_polys_matches_term_by_term_oracle(f):
+    _check_to_string(f)
+
+
+def test_to_string_prefix_cache_is_bounded():
+    # the 262 nonzero codes of F_263 in one Poly, printed twice: the texts
+    # stay right while the cache keeps no more than 256 prefixes
+    field = field_make(263, 1, bound=263)
+    f = Poly(field, range(263))
+    assert f.to_string() == poly_to_string_termwise(f) == f.to_string()
+    assert len(poly_module._PREFIXES) <= 256
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS), st.lists(st.integers(0, 10**6), max_size=12), st.integers(0, 3))
+def test_poly_constructor_trims_every_input_kind(pm, idx, pad):
+    # list, tuple, bytes and generator inputs, with and without trailing
+    # zeros, give the trimmed Poly with a tuple of codes
+    field = field_make(*pm)
+    codes = [k % field.q for k in idx] + [0] * pad
+    trimmed = list(codes)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    for given_coeffs in (codes, tuple(codes), bytes(codes), (c for c in codes)):
+        f = Poly(field, given_coeffs)
+        assert type(f.coeffs) is tuple
+        assert f.coeffs == tuple(trimmed)
+        assert f == Poly(field, trimmed)
 
 
 # r in {2, 3, 4, 5, 7, 8, 9}: residue fields over F_p (prime r, with tables)
