@@ -3,9 +3,9 @@
 ``power_sum_enumerated`` sums n^k over the r^e monics n of degree e, the
 brute-force check of ``lseries.power_sum``.  ``poly_to_string_termwise``
 writes the canonical text of a Poly one term at a time, the check of
-``Poly.to_string``.  ``one_unit_pow_binary``
-takes 1-unit powers by square-and-multiply, the check of the binomial
-series of ``laurent.one_unit_pow``.
+``Poly.to_string``.  ``one_unit_pow_binary`` takes 1-unit powers by
+square-and-multiply, the check of the binomial series of
+``laurent.one_unit_pow``.
 
 ``frobenius_charpoly_nullspace`` finds the Frobenius characteristic
 polynomial of a rank-1 or rank-2 module at a good prime f in the Ore ring

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ffzeta import poly as poly_module
 from ffzeta.errors import BadReduction, NotCyclic
 from ffzeta.ffield import (
     TABLE_LIMIT,
@@ -36,7 +37,6 @@ from ffzeta.ore import (
     residue_mod,
     residue_to_element,
 )
-from ffzeta import poly as poly_module
 from ffzeta.poly import (
     BivPoly,
     Poly,
@@ -95,7 +95,7 @@ TEXT_FIELDS = FIELDS + [(257, 1)]
 @st.composite
 def sparse_polys(draw):
     """Zero, constants, coefficient 1 and long sparse tails: up to 8 nonzero
-    codes, 1 and r - 1 among them, placed below a length of up to 600."""
+    codes (often 1 or r - 1) at positions below a length of up to 600."""
     p, m = draw(st.sampled_from(TEXT_FIELDS))
     field = field_make(p, m, bound=p**m)
     length = draw(st.integers(1, 600))
