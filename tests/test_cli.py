@@ -62,6 +62,54 @@ def test_golden_outputs(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+def exits(capsys, *argv):
+    with pytest.raises(SystemExit) as caught:
+        main(list(argv))
+    out = capsys.readouterr()
+    return caught.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", ["ffzeta", "special", "lfactors", "classify"])
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [] if command == "ffzeta" else [command]
+    assert exits(capsys, *argv, "--help") == (0, (GOLDEN / f"help_{command}.txt").read_text(), "")
+
+
+_USAGE = "usage: ffzeta [-h] {special,lfactors,classify} ...\n"
+_LFACTORS_USAGE = """\
+usage: ffzeta lfactors [-h] [--r R] [--dmax DMAX] [--prec PREC]
+                       [--format {json,csv}] [--cache CACHE] [--out OUT]
+                       [--max-enum MAX_ENUM]
+                       object
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["frobnicate"], _USAGE + "ffzeta: error: argument command: invalid choice: 'frobnicate' "
+                                  "(choose from 'special', 'lfactors', 'classify')\n"),
+        (["lfactors"], _LFACTORS_USAGE + "ffzeta lfactors: error: the following arguments are required: object\n"),
+        (["lfactors", "carlitz", "extra"], _USAGE + "ffzeta: error: unrecognized arguments: extra\n"),
+        (["lfactors", "carlitz", "--format", "xml"],
+         _LFACTORS_USAGE + "ffzeta lfactors: error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')\n"),
+        (["lfactors", "carlitz", "--dmax", "x"],
+         _LFACTORS_USAGE + "ffzeta lfactors: error: argument --dmax: invalid int value: 'x'\n"),
+    ],
+    ids=["unknown-command", "missing-object", "extra-positional", "bad-choice", "bad-int"],
+)
+def test_argument_errors_exit_2(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exits(capsys, *argv) == (2, "", err)
+
+
+def test_abbreviated_flag_means_the_full_flag(capsys):
+    full = run(capsys, "special", "--r", "3", "--i", "0..2", "--dmax", "5")
+    assert run(capsys, "special", "--r", "3", "--i", "0..2", "--dm", "5") == full
+    assert full[0] == 0 and full[1]
+
+
 def test_import_loads_no_numpy():
     # every command starts by importing the CLI: numpy is only a test oracle,
     # dataclasses (with inspect), hashlib and fractions (with decimal) cost
