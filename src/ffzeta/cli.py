@@ -9,16 +9,20 @@ before the first row leaves stdout empty and creates no ``--out`` file.
 Exit codes: 0 definite result (including NoMatch), 1 internal error, 2
 precondition failure (a bad argument or input file, or an OS error on a
 file the command reads or writes).
+
+Argument parsing: ``_parse_argv`` reads the canonical ``--flag value`` form
+from the option table ``_COMMANDS``; argparse, built from the same table, is
+loaded only for ``--help``, errors and the other spellings it accepts.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from .errors import (
     BoundExceeded,
@@ -124,7 +128,10 @@ class PrimeCache:
         path = self._path(field.q, d)
         if not path.exists():
             return None
-        lines = path.read_text().splitlines()
+        try:
+            lines = path.read_text().splitlines()
+        except UnicodeDecodeError as exc:
+            raise CacheCorrupt(f"{path}: not {exc.encoding} text") from None
         if not lines or not lines[0].startswith("# ffzeta-primes "):
             raise CacheCorrupt(f"{path}: missing header")
         tokens = lines[0].split()[2:]
@@ -341,22 +348,26 @@ def cmd_classify(config: RunConfig, eigen_path: str, out_path) -> int:
     field = field_make(config.p, config.m)
     values = {}
     with open(eigen_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "," not in line:
-                raise ParseError(line, 0, f"line {lineno}: expected 'prime,value'")
-            ptext, vtext = line.split(",", 1)
-            prime = poly_from_string(field, ptext.strip())
-            if not prime.is_monic() or not is_irreducible(prime):
-                raise ParseError(line, 0, f"line {lineno}: key must be a monic prime of degree >= 1")
-            if prime in values:
-                raise ParseError(line, 0, f"line {lineno}: prime {prime.to_string()} is listed twice")
-            value = ratfunc_from_string(field, vtext.strip())
-            if value.is_zero():
-                raise ParseError(line, len(ptext) + 1, f"line {lineno}: eigenvalue must be nonzero")
-            values[prime] = value
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(eigen_path, 0, f"eigen file is not {exc.encoding} text") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "," not in line:
+            raise ParseError(line, 0, f"line {lineno}: expected 'prime,value'")
+        ptext, vtext = line.split(",", 1)
+        prime = poly_from_string(field, ptext.strip())
+        if not prime.is_monic() or not is_irreducible(prime):
+            raise ParseError(line, 0, f"line {lineno}: key must be a monic prime of degree >= 1")
+        if prime in values:
+            raise ParseError(line, 0, f"line {lineno}: prime {prime.to_string()} is listed twice")
+        value = ratfunc_from_string(field, vtext.strip())
+        if value.is_zero():
+            raise ParseError(line, len(ptext) + 1, f"line {lineno}: eigenvalue must be nonzero")
+        values[prime] = value
     res = classify_eigen_system(EigenSystem(values), field)
     payload = {
         "command": "classify",
@@ -375,37 +386,71 @@ def cmd_classify(config: RunConfig, eigen_path: str, out_path) -> int:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ffzeta", description=__doc__)
+# the options of every subcommand: flag -> (dest, type, choices, default, help)
+_COMMON = {
+    "--r": ("r", str, None, "2", "field size as 'p' or 'p^m'"),
+    "--dmax": ("dmax", int, None, 2, "prime degree cutoff"),
+    "--prec": ("prec", int, None, 20, "Laurent working precision"),
+    "--format": ("fmt", str, ("json", "csv"), "json", None),
+    "--cache": ("cache", str, None, None, "prime table cache directory"),
+    "--out": ("out", str, None, None, "output file (default stdout)"),
+    "--max-enum": ("max_enum", int, None, 4096, "enumeration bound for prime tables"),
+}
+# subcommand -> (help, options, positionals as (dest, help) pairs)
+_COMMANDS = {
+    "special": ("special polynomials with Newton data", {
+        **_COMMON,
+        "--kind": ("kind", str, ("zeta", "carlitz"), "zeta", None),
+        "--i": ("i_range", str, None, "0..4", "index range 'lo..hi'"),
+    }, ()),
+    "lfactors": ("local factor table for an object", _COMMON,
+                 (("object", "carlitz | zeta | cbeta:<rational> | tensorpower:<n> | rank2:<g>,<delta>"),)),
+    "classify": ("classify an eigen-system file", _COMMON, (("eigenfile", "CSV of 'prime,value' rows"),)),
+}
+
+
+def build_parser():
+    """The argparse parser of the grammar in ``_COMMANDS``: the one source of help and error text."""
+    import argparse
+
+    ap = argparse.ArgumentParser(prog="ffzeta", description=__doc__.partition("\n\nArgument parsing")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--r", default="2", help="field size as 'p' or 'p^m'")
-        p.add_argument("--dmax", type=int, default=2, help="prime degree cutoff")
-        p.add_argument("--prec", type=int, default=20, help="Laurent working precision")
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
-        p.add_argument("--cache", default=None, help="prime table cache directory")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument(
-            "--max-enum",
-            type=int,
-            default=4096,
-            help="enumeration bound for prime tables",
-        )
-
-    sp = sub.add_parser("special", help="special polynomials with Newton data")
-    common(sp)
-    sp.add_argument("--kind", choices=["zeta", "carlitz"], default="zeta")
-    sp.add_argument("--i", dest="i_range", default="0..4", help="index range 'lo..hi'")
-
-    lf = sub.add_parser("lfactors", help="local factor table for an object")
-    common(lf)
-    lf.add_argument("object", help="carlitz | zeta | cbeta:<rational> | tensorpower:<n> | rank2:<g>,<delta>")
-
-    cl = sub.add_parser("classify", help="classify an eigen-system file")
-    common(cl)
-    cl.add_argument("eigenfile", help="CSV of 'prime,value' rows")
+    for name, (help_text, options, positionals) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, (dest, typ, choices, default, help_opt) in options.items():
+            sp.add_argument(flag, dest=dest, type=typ, choices=choices, default=default, help=help_opt)
+        for dest, help_pos in positionals:
+            sp.add_argument(dest, help=help_pos)
     return ap
+
+
+def _parse_argv(argv):
+    """``build_parser().parse_args(argv)`` for argv in canonical form: a subcommand, its exact long flags
+    each with a value not starting with '-', and its positionals; None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, positionals = _COMMANDS[argv[0]]
+    args = {"command": argv[0], **{dest: default for dest, _, _, default, _ in options.values()}}
+    rest = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            rest.append(token)
+            continue
+        value = next(tokens, "-")  # a missing value is refused like a flag
+        if token not in options or value.startswith("-"):
+            return None
+        dest, typ, choices, _, _ = options[token]
+        try:
+            args[dest] = typ(value)
+        except ValueError:
+            return None
+        if choices and args[dest] not in choices:
+            return None
+    if len(rest) != len(positionals):
+        return None
+    args.update(zip((dest for dest, _ in positionals), rest))
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
@@ -413,22 +458,15 @@ def main(argv=None) -> int:
     # not traversed again by every garbage collection the command triggers
     if not gc.get_freeze_count():
         gc.freeze()
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse parses only what the canonical form leaves: help, errors, other spellings
+    args = _parse_argv(argv) or build_parser().parse_args(argv)
     try:
         p, m = parse_r(args.r)
         if args.dmax < 0:
             raise ParseError(str(args.dmax), 0, "--dmax must be nonnegative")
-        config = RunConfig(
-            r_text=args.r,
-            p=p,
-            m=m,
-            dmax=args.dmax,
-            prec=args.prec,
-            fmt=args.fmt,
-            cache=args.cache,
-            max_enum=args.max_enum,
-        )
+        config = RunConfig(r_text=args.r, p=p, m=m, dmax=args.dmax, prec=args.prec, fmt=args.fmt,
+                           cache=args.cache, max_enum=args.max_enum)
         if args.command == "special":
             return cmd_special(config, args.kind, parse_i_range(args.i_range), args.out)
         if args.command == "lfactors":

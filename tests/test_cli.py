@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,8 +11,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ffzeta
+import ffzeta.cli as cli
 from ffzeta.cli import PrimeCache, main, parse_i_range, parse_object_spec, parse_r
 from ffzeta.errors import CacheCorrupt, NotPrime, ParseError
 from ffzeta.ffield import field_make
@@ -110,12 +115,67 @@ def test_abbreviated_flag_means_the_full_flag(capsys):
     assert full[0] == 0 and full[1]
 
 
+# argv pieces: a value for every flag, positionals, and tokens off the
+# canonical form (abbreviations, --flag=value, help, --, a flag without its
+# value, negative ints, stray words)
+_PAIRS = [("--r", "3"), ("--r", "2^2"), ("--dmax", "2"), ("--prec", "0"), ("--format", "csv"), ("--format", "json"),
+          ("--cache", ""), ("--out", "o"), ("--max-enum", "99"), ("--kind", "carlitz"), ("--i", "0..4")]
+_WORDS = ["carlitz", "cbeta:(T+1)/T", "rank2:T,1", "", "0..4"]
+_ODD = ["special", "frobnicate", "--dm", "--form", "--dmax=3", "--format=csv", "-h", "--help", "--", "-1", "12",
+        "x", "xml", "zeta", "--kind", "--r", "--i", "--max-enum"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["special", "lfactors", "classify"]),
+    st.lists(st.sampled_from(_PAIRS), max_size=3),
+    st.lists(st.sampled_from(_WORDS), max_size=2),
+    st.lists(st.sampled_from(_ODD), max_size=1),
+    st.integers(0, 3),
+    st.integers(0, 8),
+)
+def test_fast_parser_agrees_with_argparse(command, pairs, positionals, odd, k, j):
+    argv = [token for pair in pairs for token in pair]
+    argv[2 * k:2 * k] = positionals  # between two flag-value pairs
+    argv[j:j] = odd  # anywhere, even between a flag and its value
+    argv.insert(0, command)
+    fast = cli._parse_argv(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        full = None  # argparse refused the argv or printed help: the fast path must refuse it too
+    assert fast is None or vars(fast) == full, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["special", "--kind", "zeta", "--format", "csv", "--i", "3..9", "--r", "3"],
+        ["lfactors", "cbeta:(T+1)/T", "--format", "csv", "--dmax", "2", "--r", "2^2"],
+        ["lfactors", "rank2:T,1", "--format", "csv", "--dmax", "2", "--r", "3"],
+        ["lfactors", "carlitz", "--dmax", "2", "--r", "2", "--format", "csv"],
+        ["classify", str(GOLDEN / "eigen_delta_r2.csv"), "--r", "2"],
+    ],
+    ids=["special", "cbeta", "rank2", "carlitz", "classify"],
+)
+def test_canonical_argv_runs_without_argparse(capsys, monkeypatch, argv):
+    # the benchmark's and the goldens' argv shapes never build the argparse parser
+    def refuse():
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+
+
 def test_import_loads_no_numpy():
     # every command starts by importing the CLI: numpy is only a test oracle,
-    # dataclasses (with inspect), hashlib and fractions (with decimal) cost
-    # each run start-up time
+    # dataclasses (with inspect), hashlib, fractions (with decimal) and
+    # argparse (with gettext and locale) cost each run start-up time
     src = pathlib.Path(ffzeta.__file__).resolve().parents[1]
-    heavy = ("numpy", "dataclasses", "inspect", "hashlib", "_hashlib", "fractions", "decimal")
+    heavy = ("numpy", "dataclasses", "inspect", "hashlib", "_hashlib", "fractions", "decimal",
+             "argparse", "gettext", "locale")
     code = f"import sys, ffzeta, ffzeta.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
@@ -273,6 +333,15 @@ def test_classify_non_prime_key_exits_2(capsys, tmp_path, rows, bad_line):
     assert code == 2
     assert out == ""
     assert "error:" in err and f"line {bad_line}" in err
+
+
+def test_classify_non_utf8_file_exits_2(capsys, tmp_path):
+    eigen = tmp_path / "eigen.csv"
+    eigen.write_bytes(b"\xff\xfeT,T\n")
+    code, out, err = run(capsys, "classify", str(eigen), "--r", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(eigen) in err
 
 
 def test_classify_repeated_prime_exits_2(capsys, tmp_path):
@@ -488,7 +557,6 @@ class _CountingStdout:
 def test_special_streams_its_rows(monkeypatch, capsys, fmt):
     argv = ["special", "--r", "3", "--i", "5..40", "--format", fmt]
     _, expected, _ = run(capsys, *argv)
-    import ffzeta.cli as cli
 
     fake = _CountingStdout()
     real = cli.special_polynomial
@@ -563,6 +631,12 @@ def _count_not_a_number(cache_dir, capsys):
     path.write_text(re.sub(r"count=\d+", "count=x", path.read_text(), count=1))
 
 
+def _non_utf8_bytes(cache_dir, capsys):
+    run(capsys, "lfactors", "carlitz", "--r", "2", "--dmax", "2", "--cache", str(cache_dir))
+    path = cache_dir / "primes_r2_d2.txt"
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+
 def _entry_of_wrong_degree(cache_dir, capsys):
     # checksum and count are consistent, but T is no prime of degree 2
     from ffzeta.poly import poly_from_string
@@ -573,8 +647,10 @@ def _entry_of_wrong_degree(cache_dir, capsys):
 
 @pytest.mark.parametrize(
     "spoil",
-    [_foreign_d1_file, _foreign_r_file, _header_token_without_equals, _count_not_a_number, _entry_of_wrong_degree],
-    ids=["foreign-d", "foreign-r", "token-without-equals", "count-not-a-number", "entry-of-wrong-degree"],
+    [_foreign_d1_file, _foreign_r_file, _header_token_without_equals, _count_not_a_number, _non_utf8_bytes,
+     _entry_of_wrong_degree],
+    ids=["foreign-d", "foreign-r", "token-without-equals", "count-not-a-number", "non-utf8-bytes",
+         "entry-of-wrong-degree"],
 )
 def test_cache_rejects_foreign_or_malformed_file(tmp_path, capsys, spoil):
     cache_dir = tmp_path / "cache"
