@@ -413,7 +413,8 @@ def build_parser():
     """The argparse parser of the grammar in ``_COMMANDS``: the one source of help and error text."""
     import argparse
 
-    ap = argparse.ArgumentParser(prog="ffzeta", description=__doc__.partition("\n\nArgument parsing")[0])
+    # the help text is the docstring up to its note on parsing (none under python -OO)
+    ap = argparse.ArgumentParser(prog="ffzeta", description=__doc__ and __doc__.partition("\n\nArgument parsing")[0])
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, options, positionals) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)

@@ -81,6 +81,15 @@ def test_help_text(capsys, monkeypatch, command):
     assert exits(capsys, *argv, "--help") == (0, (GOLDEN / f"help_{command}.txt").read_text(), "")
 
 
+def test_help_without_docstrings():
+    # python -OO strips the module docstring that the top-level help prints
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ffzeta.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-OO", "-m", "ffzeta.cli", "--help"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ffzeta [-h]")
+
+
 _USAGE = "usage: ffzeta [-h] {special,lfactors,classify} ...\n"
 _LFACTORS_USAGE = """\
 usage: ffzeta lfactors [-h] [--r R] [--dmax DMAX] [--prec PREC]
