@@ -427,6 +427,26 @@ def test_negative_dmax_exit_2(capsys):
     assert "error:" in err and "--dmax" in err
 
 
+_R_BOUND = "error: r = 17^1 exceeds the configured bound 16\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["special", "--r", "17", "--dmax", "-1"], "error: parse error at position 0: --dmax must be nonnegative "
+                                                   "(input: '-1')\n"),
+        (["special", "--r", "17", "--i", "x"], "error: parse error at position 0: expected an integer or "
+                                               "'<lo>..<hi>' (input: 'x')\n"),
+        (["lfactors", "bogus", "--r", "17"], _R_BOUND),
+        (["classify", "/nonexistent", "--r", "17"], _R_BOUND),
+    ],
+    ids=["dmax-before-field", "i-before-field", "field-before-object", "field-before-file"],
+)
+def test_error_precedence(capsys, argv, err):
+    # the field is made after the --dmax check and the --i parse, before the object or the file is read
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_bound_exceeded_names_bound(capsys):
     code, _, err = run(capsys, "lfactors", "carlitz", "--r", "2", "--dmax", "13")
     assert code == 2
