@@ -31,7 +31,6 @@ from .errors import (
     InsufficientData,
     NotPrime,
     ParseError,
-    Record,
     Unsupported,
 )
 from .ffield import field_make, is_prime, prime_factors
@@ -52,24 +51,6 @@ from .poly import (
     ratfunc_from_string,
 )
 from .sheaf import carlitz_tensor_power
-
-
-class RunConfig(Record):
-    __slots__ = ("r_text", "p", "m", "dmax", "prec", "fmt", "cache", "max_enum")
-
-    def __init__(self, r_text: str, p: int, m: int, dmax: int, prec: int, fmt: str, cache: str | None,
-                 max_enum: int):
-        self._set(r_text, p, m, dmax, prec, fmt, cache, max_enum)
-
-    def echo(self) -> dict:
-        return {
-            "r": self.r_text,
-            "dmax": self.dmax,
-            "prec": self.prec,
-            "format": self.fmt,
-            "cache": self.cache,
-            "max_enum": self.max_enum,
-        }
 
 
 def parse_r(text: str) -> tuple[int, int]:
@@ -170,20 +151,6 @@ class PrimeCache:
         )
         self._path(field.q, d).write_text("\n".join([header] + entries) + "\n")
 
-    def irreducibles_upto(self, field, d_max: int):
-        out = []
-        for d in range(1, d_max + 1):
-            try:
-                primes = self.load(field, d)
-            except CacheCorrupt as exc:
-                print(f"warning: {exc}; recomputing", file=sys.stderr)
-                primes = None
-            if primes is None:
-                primes = _irreducibles_of_degree(field, d)
-                self.store(field, d, primes)
-            out.extend(primes)
-        return out
-
 
 def primes_upto(field, d_max: int, cache_dir, max_enum: int):
     if field.q**d_max > max_enum:
@@ -191,11 +158,20 @@ def primes_upto(field, d_max: int, cache_dir, max_enum: int):
             f"prime enumeration at degree {d_max} needs {field.q**d_max} "
             f"candidates, above max_enum={max_enum}"
         )
-    if cache_dir:
-        return PrimeCache(cache_dir).irreducibles_upto(field, d_max)
+    cache = PrimeCache(cache_dir) if cache_dir else None
     out = []
     for d in range(1, d_max + 1):
-        out.extend(_irreducibles_of_degree(field, d))
+        primes = None
+        if cache:
+            try:
+                primes = cache.load(field, d)
+            except CacheCorrupt as exc:
+                print(f"warning: {exc}; recomputing", file=sys.stderr)
+        if primes is None:
+            primes = _irreducibles_of_degree(field, d)
+            if cache:
+                cache.store(field, d, primes)
+        out.extend(primes)
     return out
 
 
@@ -253,8 +229,14 @@ def json_block(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def csv_block(config: RunConfig, header: str, rows) -> str:
-    lines = [f"# config: {json.dumps(config.echo(), sort_keys=True)}", header]
+def _echo(args) -> dict:
+    """The run's configuration as every artifact echoes it: each common option but ``--out``, keyed by its
+    flag without ``--`` and with ``_`` for ``-``."""
+    return {flag[2:].replace("-", "_"): getattr(args, opt[0]) for flag, opt in _COMMON.items() if flag != "--out"}
+
+
+def csv_block(args, header: str, rows) -> str:
+    lines = [f"# config: {json.dumps(_echo(args), sort_keys=True)}", header]
     lines.extend(rows)
     return "\n".join(lines) + "\n"
 
@@ -287,15 +269,15 @@ _JSON_ROW = ('    {\n      "degree": %d,\n      "i": %d,\n      "kind": %s,\n   
 _JSON_SEGMENT = '\n        [\n          "%s",\n          %d\n        ]'
 
 
-def cmd_special(config: RunConfig, kind: str, i_range, out_path) -> int:
-    field = field_make(config.p, config.m)
+def cmd_special(args, field) -> int:
+    kind, i_range = args.kind, args.i_range
     if i_range[0] < 0:
         raise BoundExceeded(f"negative index {i_range[0]} in range")
     _table_for(field, i_range[-1] + 1)  # one power-sum table for the whole range, before --out opens
-    with _output(out_path) as fh:
+    with _output(args.out) as fh:
         write = fh.write
-        if config.fmt == "json":
-            head = json_block({"command": "special", "config": config.echo(), "rows": []})
+        if args.fmt == "json":
+            head = json_block({"command": "special", "config": _echo(args), "rows": []})
             write(head.removesuffix("[]\n}\n") + "[\n")
             sep, kind_json = "", json.dumps(kind)
             for i, text, deg, segs in _special_rows(field, kind, i_range):
@@ -304,7 +286,7 @@ def cmd_special(config: RunConfig, kind: str, i_range, out_path) -> int:
                 sep = ",\n"
             write("\n  ]\n}\n")
         else:
-            write(csv_block(config, "i,kind,polynomial,degree,newton", ()))
+            write(csv_block(args, "i,kind,polynomial,degree,newton", ()))
             for i, text, deg, segs in _special_rows(field, kind, i_range):
                 write(f"{i},{kind},{text},{deg},{';'.join(map('%s:%d'.__mod__, segs))}\n")
     return 0
@@ -317,10 +299,9 @@ def _special_rows(field, kind: str, i_range):
         yield i, sp.to_string(), max(sp.deg, 0), newton_polygon(sp) if sp.deg >= 0 else []
 
 
-def cmd_lfactors(config: RunConfig, object_text: str, out_path) -> int:
-    field = field_make(config.p, config.m)
-    obj = parse_object_spec(field, object_text)
-    primes = primes_upto(field, config.dmax, config.cache, config.max_enum)
+def cmd_lfactors(args, field) -> int:
+    obj = parse_object_spec(field, args.object)
+    primes = primes_upto(field, args.dmax, args.cache, args.max_enum)
     rows = []
     for f in primes:
         try:
@@ -328,24 +309,24 @@ def cmd_lfactors(config: RunConfig, object_text: str, out_path) -> int:
             rows.append((f.to_string(), lf.denominator_string(), lf.provenance))
         except Unsupported:
             rows.append((f.to_string(), "UNSUPPORTED", "unsupported-bad-prime"))
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "command": "lfactors",
-            "config": config.echo(),
-            "object": object_text,
+            "config": _echo(args),
+            "object": args.object,
             "rows": [
                 {"prime": a, "denominator": b, "provenance": c} for a, b, c in rows
             ],
         }
-        emit(json_block(payload), out_path)
+        emit(json_block(payload), args.out)
     else:
         body = [",".join(r) for r in rows]
-        emit(csv_block(config, "prime,denominator,provenance", body), out_path)
+        emit(csv_block(args, "prime,denominator,provenance", body), args.out)
     return 0
 
 
-def cmd_classify(config: RunConfig, eigen_path: str, out_path) -> int:
-    field = field_make(config.p, config.m)
+def cmd_classify(args, field) -> int:
+    eigen_path = args.eigenfile
     values = {}
     with open(eigen_path) as fh:
         try:
@@ -371,14 +352,14 @@ def cmd_classify(config: RunConfig, eigen_path: str, out_path) -> int:
     res = classify_eigen_system(EigenSystem(values), field)
     payload = {
         "command": "classify",
-        "config": config.echo(),
+        "config": _echo(args),
         "verdict": res.verdict,
         "j": res.j,
         "j_mod_r_minus_1": res.j_mod_r_minus_1,
         "table": res.table,
         "note": res.note,
     }
-    emit(json_block(payload), out_path)
+    emit(json_block(payload), args.out)
     return 0
 
 
@@ -396,16 +377,17 @@ _COMMON = {
     "--out": ("out", str, None, None, "output file (default stdout)"),
     "--max-enum": ("max_enum", int, None, 4096, "enumeration bound for prime tables"),
 }
-# subcommand -> (help, options, positionals as (dest, help) pairs)
+# subcommand -> (handler, help, options, positionals as (dest, help) pairs)
 _COMMANDS = {
-    "special": ("special polynomials with Newton data", {
+    "special": (cmd_special, "special polynomials with Newton data", {
         **_COMMON,
         "--kind": ("kind", str, ("zeta", "carlitz"), "zeta", None),
         "--i": ("i_range", str, None, "0..4", "index range 'lo..hi'"),
     }, ()),
-    "lfactors": ("local factor table for an object", _COMMON,
+    "lfactors": (cmd_lfactors, "local factor table for an object", _COMMON,
                  (("object", "carlitz | zeta | cbeta:<rational> | tensorpower:<n> | rank2:<g>,<delta>"),)),
-    "classify": ("classify an eigen-system file", _COMMON, (("eigenfile", "CSV of 'prime,value' rows"),)),
+    "classify": (cmd_classify, "classify an eigen-system file", _COMMON,
+                 (("eigenfile", "CSV of 'prime,value' rows"),)),
 }
 
 
@@ -416,7 +398,7 @@ def build_parser():
     # the help text is the docstring up to its note on parsing (none under python -OO)
     ap = argparse.ArgumentParser(prog="ffzeta", description=__doc__ and __doc__.partition("\n\nArgument parsing")[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, options, positionals) in _COMMANDS.items():
+    for name, (_, help_text, options, positionals) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for flag, (dest, typ, choices, default, help_opt) in options.items():
             sp.add_argument(flag, dest=dest, type=typ, choices=choices, default=default, help=help_opt)
@@ -430,7 +412,7 @@ def _parse_argv(argv):
     each with a value not starting with '-', and its positionals; None for any other argv."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    _, options, positionals = _COMMANDS[argv[0]]
+    _, _, options, positionals = _COMMANDS[argv[0]]
     args = {"command": argv[0], **{dest: default for dest, _, _, default, _ in options.values()}}
     rest = []
     tokens = iter(argv[1:])
@@ -466,15 +448,9 @@ def main(argv=None) -> int:
         p, m = parse_r(args.r)
         if args.dmax < 0:
             raise ParseError(str(args.dmax), 0, "--dmax must be nonnegative")
-        config = RunConfig(r_text=args.r, p=p, m=m, dmax=args.dmax, prec=args.prec, fmt=args.fmt,
-                           cache=args.cache, max_enum=args.max_enum)
-        if args.command == "special":
-            return cmd_special(config, args.kind, parse_i_range(args.i_range), args.out)
-        if args.command == "lfactors":
-            return cmd_lfactors(config, args.object, args.out)
-        if args.command == "classify":
-            return cmd_classify(config, args.eigenfile, args.out)
-        raise AssertionError("unreachable")
+        if args.command == "special":  # parsed before the field is made, so a bad --i is reported first
+            args.i_range = parse_i_range(args.i_range)
+        return _COMMANDS[args.command][0](args, field_make(p, m))
     except (ParseError, BoundExceeded, InsufficientData, NotPrime, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
