@@ -18,7 +18,6 @@ from .errors import (
     CacheCorrupt,
     DomainMismatch,
     FFZetaError,
-    InconsistentFrobenius,
     InsufficientData,
     NonConvergent,
     NotAPower,

@@ -1,7 +1,8 @@
 """Exception types and the result-record base shared across the package.
 
 Every error carries a short machine-readable reason in ``args[0]`` so the
-CLI can map failures onto exit codes without string matching.
+CLI can map failures onto exit codes without string matching.  An error
+that only a test oracle raises is defined next to that oracle, not here.
 """
 
 
@@ -72,15 +73,6 @@ class BadReduction(FFZetaError):
 
 class NotCyclic(FFZetaError):
     """Point module is not cyclic; flags a bug or a genuine counterexample."""
-
-
-class InconsistentFrobenius(FFZetaError):
-    """The Frobenius relation in F_f{tau} has no unique solution; flags a bug.
-
-    Only the null-space route kept in the test oracles raises it; the
-    library's Hasse-invariant route has no such failure.  It stays exported
-    so that code catching it keeps working.
-    """
 
 
 class SingularRecursion(FFZetaError):

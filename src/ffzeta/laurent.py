@@ -81,17 +81,9 @@ class Laurent:
         return cls(field, 0, (field.one,), prec)
 
     @classmethod
-    def const(cls, field, c, prec=INF) -> "Laurent":
-        return cls(field, 0, (c,), prec)
-
-    @classmethod
     def t_power(cls, field, k: int, prec=INF) -> "Laurent":
         """t^k = T^(-k)."""
         return cls(field, k, (field.one,), prec)
-
-    @classmethod
-    def theta(cls, field, prec=INF) -> "Laurent":
-        return cls.t_power(field, -1, prec)
 
     @classmethod
     def from_poly(cls, p: Poly, prec=INF) -> "Laurent":
@@ -113,20 +105,6 @@ class Laurent:
 
     def is_zero_approx(self) -> bool:
         return not self.coeffs
-
-    def leading(self):
-        if not self.coeffs:
-            raise ZeroInput("leading coefficient of zero approximation")
-        return self.coeffs[0]
-
-    def coefficient(self, k: int):
-        """Coefficient of t^k; zero if within known range, error past precision."""
-        if k >= self.prec:
-            raise ValueError(f"coefficient t^{k} beyond precision {self.prec}")
-        i = k - self.val
-        if i < 0 or i >= len(self.coeffs):
-            return self.field.zero
-        return self.coeffs[i]
 
     def is_one_unit(self) -> bool:
         return self.val == 0 and bool(self.coeffs) and self.coeffs[0] == self.field.one

@@ -446,13 +446,6 @@ class SpecialPolynomial(Record):
     def to_string(self) -> str:
         return _series_string(self.coeffs, lambda e: f"x^-{e}")
 
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "kind": self.kind,
-            "coeffs": [c.to_string() for c in self.coeffs],
-        }
-
 
 def special_polynomial(field_r, i: int, kind: str) -> SpecialPolynomial:
     """The special polynomial at -i; finite by the vanishing criterion.
@@ -714,12 +707,11 @@ class EigenSystem:
     only prime indices are stored.  Values are rational to allow negative
     translates."""
 
-    def __init__(self, values: dict, metadata: dict | None = None):
+    def __init__(self, values: dict):
         for prime, val in values.items():
             if val.is_zero():
                 raise ValueError(f"eigenvalue at {prime} must be nonzero")
         self.values = dict(values)
-        self.metadata = dict(metadata or {})
 
     def primes(self):
         return sorted(self.values.keys(), key=lambda p: p.sort_key())

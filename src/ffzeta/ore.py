@@ -648,12 +648,16 @@ class TorsionModule:
         return len(self.coords)
 
 
-def torsion_points(phi: DrinfeldModule, v: Poly, max_ext_pdim: int = 64) -> TorsionModule:
+# the largest extension of F_p that the torsion search builds
+_EXT_PDIM_CAP = 64
+
+
+def torsion_points(phi: DrinfeldModule, v: Poly) -> TorsionModule:
     """Basis of phi[v] = ker(phi_v) with the A-action, for a reduced module.
 
     The kernel is cut out over F_f, F_{f^2}, ... by F_p-linear algebra
-    until it reaches its full size r^(rank*deg v); the extension dimension
-    over F_p is capped by ``max_ext_pdim``.
+    until it reaches its full size r^(rank*deg v); past an extension of
+    dimension ``_EXT_PDIM_CAP`` = 64 over F_p it raises BoundExceeded.
     """
     if not phi.is_reduced():
         raise ValueError("torsion_points expects a reduced module")
@@ -672,10 +676,10 @@ def torsion_points(phi: DrinfeldModule, v: Poly, max_ext_pdim: int = 64) -> Tors
         e += 1
         E = F_f if e == 1 else _extension_of(F_f, e)
         pdim = E.m
-        if pdim > max_ext_pdim:
+        if pdim > _EXT_PDIM_CAP:
             raise BoundExceeded(
                 f"splitting search for phi[{v}] exceeded extension dimension "
-                f"{max_ext_pdim} over F_p"
+                f"{_EXT_PDIM_CAP} over F_p"
             )
         p = field_r.p
         cols = []
@@ -764,7 +768,7 @@ def _build_torsion(phi, v, E, e, points):
 # Frobenius on torsion and characteristic polynomials
 
 
-def frobenius_on_torsion(phi: DrinfeldModule, v: Poly, max_ext_pdim: int = 64):
+def frobenius_on_torsion(phi: DrinfeldModule, v: Poly):
     """Matrix of x -> x^(r^deg f) on phi[v] in the computed basis.
 
     Returns a residue Poly (rank 1) or a rank x rank nested list of
@@ -772,7 +776,7 @@ def frobenius_on_torsion(phi: DrinfeldModule, v: Poly, max_ext_pdim: int = 64):
     """
     if not phi.is_reduced():
         raise ValueError("frobenius_on_torsion expects a reduced module")
-    tor = torsion_points(phi, v, max_ext_pdim=max_ext_pdim)
+    tor = torsion_points(phi, v)
     E = tor.ambient
     qf = phi.dom.field.q
     cols = []
@@ -885,11 +889,6 @@ class Mat:
         one, zero = RatFunc.one(field_r), RatFunc.zero(field_r)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, field_r, n: int) -> "Mat":
-        zero = RatFunc.zero(field_r)
-        return cls([[zero] * n for _ in range(n)])
-
     def __add__(self, o: "Mat") -> "Mat":
         return Mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, o.rows)])
 
@@ -954,10 +953,6 @@ class TModuleCarlitzPower:
         self.v_mat = Mat(
             [[one if (i == n - 1 and j == 0) else zero for j in range(n)] for i in range(n)]
         )
-
-    @property
-    def dim(self) -> int:
-        return self.n
 
     def __repr__(self):
         return f"TModuleCarlitzPower(n={self.n})"

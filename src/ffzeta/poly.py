@@ -13,11 +13,11 @@ products of smaller primes with monic cofactors mark their encodings, and
 the unmarked encodings are the primes.
 
 Every norm N(x) = prod x(rho) in F_r over the roots rho of f is ``norm``,
-a Euclidean remainder sequence: Drinfeld-module Frobenius, chi_beta and
-the denominators of tau-sheaf eigenvalues.  ``resultant`` serves only the
-numerators of tau-sheaf eigenvalues, g in F_r[theta][T]: after splitting f
-at gcd(f, g_t), it is det(M_t) times the charpoly of a block companion
-matrix, by a Hessenberg reduction over F_r.  ``bareiss_det``, the
+a Euclidean remainder sequence: Drinfeld-module Frobenius, chi_beta, the
+denominators of tau-sheaf eigenvalues and the resultant of a g constant
+in T.  ``resultant`` serves the numerators of tau-sheaf eigenvalues, g in
+F_r[theta][T]: after splitting f at gcd(f, g_t), it is det(M_t) times the
+charpoly of a block companion matrix, by a Hessenberg reduction over F_r.  ``bareiss_det``, the
 fraction-free determinant over A, is kept only as its test oracle.  The
 sieve, the norm, the resultant and the point module index F_r's operation
 tables (``FiniteField.ops``); ``theta_multiples`` lists theta-multiples of
@@ -838,18 +838,18 @@ def _charpoly(F, H) -> list:
 def resultant(f: Poly, g: BivPoly) -> Poly:
     """Res_theta(f, g) = prod g(T, rho) over the roots rho of a monic nonconstant f.
 
-    ``g`` is a BivPoly sum_(j<=t) g_j(theta) T^j (for g constant in T this
-    is a norm, which ``norm`` takes).  The result is det(sum_j M_j T^j),
-    with M_j the F_r-matrix of multiplication by g_j on F_r[theta]/(f), and
-    all of its arithmetic is over F_r:
+    ``g`` is a BivPoly sum_(j<=t) g_j(theta) T^j.  The result is
+    det(sum_j M_j T^j), with M_j the F_r-matrix of multiplication by g_j on
+    F_r[theta]/(f), and all of its arithmetic is over F_r:
 
+    - t = 0: det(M_0) is the norm N_f(g_0), which ``norm`` computes.
     - h = gcd(f, g_t) != 1: Res(f, g) = Res(h, g - g_t T^t) * Res(f/h, g),
       since g_t vanishes on the roots of h and Res is multiplicative in f.
-      For a prime f this drops a top T-coefficient that f divides.
-    - h = 1: M_t is invertible, and with N_j = M_t^-1 M_j (one Gauss-Jordan
-      pass) Res(f, g) = det(M_t) * charpoly(C)(T), C the dt x dt block
-      companion matrix of the N_j, by a Hessenberg reduction.  For t = 0
-      this is det(M_0).
+      For a prime f this drops a top T-coefficient that f divides, and it
+      ends in the norm when only g_0 is left.
+    - h = 1, t >= 1: M_t is invertible, and with N_j = M_t^-1 M_j (one
+      Gauss-Jordan pass) Res(f, g) = det(M_t) * charpoly(C)(T), C the
+      dt x dt block companion matrix of the N_j, by a Hessenberg reduction.
     """
     if g.is_zero():
         raise ZeroInput("resultant with zero polynomial")
@@ -864,6 +864,8 @@ def _resultant(f: Poly, g: BivPoly) -> Poly:
         return Poly.one(F)
     if g.is_zero():
         return Poly.zero(F)
+    if t == 0:
+        return Poly.const(F, norm(f, g.tcoeffs[0]))
     h = poly_gcd(f, g.tcoeffs[t])
     if h.deg > 0:
         return _resultant(h, BivPoly(F, g.tcoeffs[:t])) * _resultant(f.exact_div(h), g)
@@ -873,8 +875,6 @@ def _resultant(f: Poly, g: BivPoly) -> Poly:
               for gj in g.tcoeffs[t:] + g.tcoeffs[:t]]
     rows = [[x for orbit in orbits for x in orbit[i]] for i in range(d)]
     det, N = _det_and_solve(F, rows, d)
-    if t == 0:
-        return Poly.const(F, det)
     _, mul, neg, _ = F.ops()
     n = d * t
     C = [[0] * n for _ in range(n - d)]

@@ -44,10 +44,6 @@ class TauSheafRank1:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_theta_poly(cls, p: Poly) -> "TauSheafRank1":
-        return cls(p.field, BivPoly.from_theta_poly(p))
-
     def __eq__(self, other):
         if isinstance(other, TauSheafRank1):
             return self.num == other.num and self.den == other.den

@@ -18,7 +18,7 @@ whose solution is unique up to scaling, with a nonzero pi^rank coordinate
 where ``ore.frobenius_charpoly`` takes O(d) products in A.
 """
 
-from ffzeta.errors import BoundExceeded, InconsistentFrobenius, NotOneUnit
+from ffzeta.errors import BoundExceeded, FFZetaError, NotOneUnit
 from ffzeta.laurent import DEFAULT_PREC, INF, Laurent
 from ffzeta.ore import OrePoly, nullspace_mod_p, reduce_mod_prime
 from ffzeta.poly import Poly, binary_power, monic_polys
@@ -64,6 +64,10 @@ def one_unit_pow_binary(u: Laurent, y: int, prec=None) -> Laurent:
     if y < 0:
         return one_unit_pow_binary(u.inverse(prec), -y, prec)
     return binary_power(u, y, Laurent.one(u.field, prec))
+
+
+class InconsistentFrobenius(FFZetaError):
+    """The Frobenius relation in F_f{tau} has no unique solution; flags a bug."""
 
 
 def frobenius_charpoly_nullspace(phi, f: Poly):

@@ -318,6 +318,30 @@ def test_resultant_matches_bareiss(pm, f_tail, coeff_lists, top):
     assert resultant(f, g) == bareiss_det(field_r, _resultant_matrix(f, g))
 
 
+@pytest.mark.parametrize(
+    "pm,f,gs,h",
+    [
+        # f = (T+1)(T^2+1): the split at h = T+1 leaves g_0 on h, and T^2+1 takes the charpoly route
+        ((3, 1), "T^3+T^2+T+1", ("T^2+1", "T+1"), "T+1"),
+        # a prime f that divides g_1: the split leaves g_0 on f itself
+        ((5, 1), "T^2+2", ("T+3", "T^3+T^2+2*T+2"), "T^2+2"),
+    ],
+)
+def test_resultant_gcd_split_ends_in_the_norm(monkeypatch, pm, f, gs, h):
+    field_r = field_make(*pm)
+    f, h = poly_from_string(field_r, f), poly_from_string(field_r, h)
+    g = BivPoly(field_r, [poly_from_string(field_r, x) for x in gs])
+    calls = []
+
+    def spy(f_, x):
+        calls.append((f_, x))
+        return norm(f_, x)
+
+    monkeypatch.setattr(poly_module, "norm", spy)
+    assert resultant(f, g) == bareiss_det(field_r, _resultant_matrix(f, g))
+    assert calls == [(h, g.tcoeffs[0])]
+
+
 def _ratfunc(field_r, idx_num, idx_den):
     """num/den from index lists: den is monic, of degree len(idx_den)."""
     def el(k):
