@@ -648,7 +648,7 @@ class TorsionModule:
         return len(self.coords)
 
 
-# the largest extension of F_p that the torsion search builds
+# the largest degree over F_p of an extension that the torsion search builds
 _EXT_PDIM_CAP = 64
 
 
@@ -657,7 +657,7 @@ def torsion_points(phi: DrinfeldModule, v: Poly) -> TorsionModule:
 
     The kernel is cut out over F_f, F_{f^2}, ... by F_p-linear algebra
     until it reaches its full size r^(rank*deg v); past an extension of
-    dimension ``_EXT_PDIM_CAP`` = 64 over F_p it raises BoundExceeded.
+    dimension ``_EXT_PDIM_CAP`` over F_p it raises BoundExceeded.
     """
     if not phi.is_reduced():
         raise ValueError("torsion_points expects a reduced module")

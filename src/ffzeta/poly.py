@@ -17,12 +17,13 @@ a Euclidean remainder sequence: Drinfeld-module Frobenius, chi_beta, the
 denominators of tau-sheaf eigenvalues and the resultant of a g constant
 in T.  ``resultant`` serves the numerators of tau-sheaf eigenvalues, g in
 F_r[theta][T]: after splitting f at gcd(f, g_t), it is det(M_t) times the
-charpoly of a block companion matrix, by a Hessenberg reduction over F_r.  ``bareiss_det``, the
-fraction-free determinant over A, is kept only as its test oracle.  The
-sieve, the norm, the resultant and the point module index F_r's operation
-tables (``FiniteField.ops``); ``theta_multiples`` lists theta-multiples of
-a residue mod f for the last two.  At r = 2 only the norm runs on packed
-F_2[T] ints (``ffield.f2_*``); the sieve and the resultant keep the tables.
+charpoly of a block companion matrix, by a Hessenberg reduction over F_r.
+``bareiss_det``, the fraction-free determinant over A, is kept only as its
+test oracle.  The sieve, the norm, the resultant and the point module
+index F_r's operation tables (``FiniteField.ops``); ``theta_multiples``
+lists theta-multiples of a residue mod f for the last two.  At r = 2 only
+the norm runs on packed F_2[T] ints (``ffield.f2_*``); the sieve and the
+resultant keep the tables.
 
 Degree of the zero polynomial is the sentinel -1.
 """
