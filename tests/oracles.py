@@ -5,7 +5,9 @@ brute-force check of ``lseries.power_sum``.  ``poly_to_string_termwise``
 writes the canonical text of a Poly one term at a time, the check of
 ``Poly.to_string``.  ``one_unit_pow_binary`` takes 1-unit powers by
 square-and-multiply, the check of the binomial series of
-``laurent.one_unit_pow``.
+``laurent.one_unit_pow``.  ``classify_by_ratfunc_division`` takes each
+c_P = alpha_P / P^j in F_r(T), a gcd per power and per quotient, the check
+of ``lseries.classify_eigen_system``.
 
 ``frobenius_charpoly_nullspace`` finds the Frobenius characteristic
 polynomial of a rank-1 or rank-2 module at a good prime f in the Ore ring
@@ -20,8 +22,9 @@ where ``ore.frobenius_charpoly`` takes O(d) products in A.
 
 from ffzeta.errors import BoundExceeded, FFZetaError, NotOneUnit
 from ffzeta.laurent import DEFAULT_PREC, INF, Laurent
+from ffzeta.lseries import Classification, _conductor_evidence_note
 from ffzeta.ore import OrePoly, nullspace_mod_p, reduce_mod_prime
-from ffzeta.poly import Poly, binary_power, monic_polys
+from ffzeta.poly import Poly, RatFunc, binary_power, monic_polys
 
 
 def power_sum_enumerated(field_r, e: int, k: int, enum_bound: int = 4096) -> Poly:
@@ -107,3 +110,33 @@ def frobenius_charpoly_nullspace(phi, f: Poly):
     sol = [(x * scale) % p for x in null[0]]
     unknowns = [field_r.from_pvector(sol[k * m : (k + 1) * m]) for k in range(len(terms))]
     return Poly(field_r, unknowns[: deg_a + 1]), (unknowns[-1] if t == 2 else None)
+
+
+def classify_by_ratfunc_division(es, field_r):
+    """``lseries.classify_eigen_system`` with c_P = alpha_P / P^j in F_r(T)."""
+    primes = es.primes()
+    j = None
+    for P in primes:
+        alpha = es.values[P]
+        d_alpha = alpha.num.deg - alpha.den.deg
+        if d_alpha % P.deg != 0:
+            return Classification("NoMatch", None, None, None, note=f"degree mismatch at {P}")
+        if j is None:
+            j = d_alpha // P.deg
+        elif j != d_alpha // P.deg:
+            return Classification("NoMatch", None, None, None, note="inconsistent translation degree")
+    table = {}
+    for P in primes:
+        c = es.values[P] / RatFunc.from_poly(P) ** j
+        if not c.is_constant() or c.is_zero():
+            return Classification("NoMatch", None, None, None, note=f"alpha/P^j not constant at {P}")
+        table[P] = c.constant_value()
+    values = set(table.values())
+    r = field_r.q
+    jm = j % (r - 1) if r > 2 else 0
+    tbl_out = {P.to_string(): c for P, c in table.items()}
+    if values == {field_r.one}:
+        return Classification("ClassIITranslate", j, jm, tbl_out)
+    if len(values) > 1:
+        return Classification("ClassIWitness", j, jm, tbl_out, note=_conductor_evidence_note(field_r, table))
+    return Classification("NoMatch", j, jm, tbl_out, note="constant non-trivial table matches neither class")

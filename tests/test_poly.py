@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ffzeta import poly as poly_module
 from ffzeta.errors import BoundExceeded, ParseError
 from ffzeta.ffield import field_make
 from ffzeta.poly import (
@@ -118,7 +119,7 @@ def test_monic_irreducibles_sorted_and_bounded():
 
 def test_is_irreducible_matches_enumeration():
     # Ben-Or against the sieve, wherever q^d <= 729
-    for pm in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+    for pm in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)):
         field = field_make(*pm)
         for d in range(1, 10):
             if field.q**d > 729:
@@ -126,6 +127,41 @@ def test_is_irreducible_matches_enumeration():
             listed = set(p.coeffs for p in monic_irreducibles(field, d) if p.deg == d)
             for cand in monic_polys(field, d):
                 assert (cand.coeffs in listed) == is_irreducible(cand)
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+# (p, m) for every r = p^m <= 16 the CLI accepts
+CLI_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+
+
+@pytest.mark.parametrize("pm", CLI_FIELDS, ids=lambda pm: f"r{pm[0] ** pm[1]}")
+def test_sieve_counts_order_and_cold_top_degree(monkeypatch, pm):
+    # every degree with q^d <= 4096: Gauss's count (1/d) sum_(e | d) mu(e) q^(d/e),
+    # strictly ascending sort keys, and the same lists when the top degree
+    # is asked for first on a cold cache
+    field = field_make(*pm)
+    q = field.q
+    d_top = max(d for d in range(1, 13) if q**d <= 4096)
+    warm = [poly_module._irreducibles_of_degree(field, d) for d in range(1, d_top + 1)]
+    for d, primes in enumerate(warm, 1):
+        assert len(primes) == sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+        assert all(p.deg == d and p.is_monic() for p in primes)
+        keys = [p.sort_key() for p in primes]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    monkeypatch.setattr(poly_module, "_IRRED_CACHE", {})
+    cold = {d: poly_module._irreducibles_of_degree(field, d) for d in range(d_top, 0, -1)}
+    assert [cold[d] for d in range(1, d_top + 1)] == warm
 
 
 def test_frob_power():

@@ -23,7 +23,7 @@ from ffzeta.ffield import (
     pk_mul,
     pk_trim,
 )
-from ffzeta.lseries import LocalFactor, local_factor, power_sum
+from ffzeta.lseries import EigenSystem, LocalFactor, classify_eigen_system, local_factor, power_sum
 from ffzeta.ore import (
     FieldCoeffs,
     OrePoly,
@@ -51,7 +51,12 @@ from ffzeta.poly import (
     resultant,
 )
 from ffzeta.sheaf import frobenius_eigenvalue, sheaf_of_drinfeld_rank1
-from oracles import frobenius_charpoly_nullspace, poly_to_string_termwise, power_sum_enumerated
+from oracles import (
+    classify_by_ratfunc_division,
+    frobenius_charpoly_nullspace,
+    poly_to_string_termwise,
+    power_sum_enumerated,
+)
 
 # (p, m) for r in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -521,3 +526,52 @@ def test_f2_per_prime_kernels_build_no_tables(monkeypatch):
     for f in primes:
         frobenius_charpoly(rank2, f)
         norm(f, f + Poly.gen(F2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]),
+    st.integers(-4, 4),
+    st.sampled_from(["ones", "constant", "random"]),
+    st.lists(st.integers(0, 10**6), min_size=55, max_size=55),
+    st.integers(0, 10**6),
+)
+def test_classify_matches_ratfunc_division(pm, j, kind, idx, bumped):
+    # alpha_P = c_P * P^j at the primes of degree <= 3, c_P in F_r^*; the
+    # classifier against c_P = alpha_P / P^j taken in F_r(T)
+    field_r = field_make(*pm)
+    r = field_r.q
+    primes = monic_irreducibles(field_r, 3)
+    cs = [1 + k % (r - 1) for k in idx[: len(primes)]]
+    if kind != "random":
+        cs = [1 if kind == "ones" else cs[0]] * len(primes)
+    one = Poly.one(field_r)
+
+    def alpha(P, c, extra=one):
+        Q = P ** abs(j)
+        num, den = (Q.scale(c), one) if j >= 0 else (Poly.const(field_r, c), Q)
+        return RatFunc(num * extra, den)
+
+    es = EigenSystem({P: alpha(P, c) for P, c in zip(primes, cs)})
+    res = classify_eigen_system(es, field_r)
+    assert res == classify_by_ratfunc_division(es, field_r)
+    assert res.j == j and res.table == {P.to_string(): c for P, c in zip(primes, cs)}
+    if set(cs) == {1}:
+        assert res.verdict == "ClassIITranslate"
+    elif len(set(cs)) > 1:
+        assert res.verdict == "ClassIWitness"
+    else:
+        assert res.verdict == "NoMatch"
+        assert res.note == "constant non-trivial table matches neither class"
+    # one alpha times T+1 (a degree mismatch), or times (T+1)/T (alpha/P^j
+    # not constant there)
+    t_plus_1 = poly_from_string(field_r, "T+1")
+    k = bumped % len(primes)
+    for extra, den in ((t_plus_1, one), (t_plus_1, Poly.gen(field_r))):
+        values = dict(es.values)
+        values[primes[k]] = alpha(primes[k], cs[k], extra) * RatFunc(one, den)
+        bad = EigenSystem(values)
+        res = classify_eigen_system(bad, field_r)
+        assert res.verdict == "NoMatch"
+        assert res == classify_by_ratfunc_division(bad, field_r)
+    assert res.note == f"alpha/P^j not constant at {primes[k]}"
