@@ -43,7 +43,7 @@ from .errors import (
 from .errors import BadPrime, BadReduction, Record
 from .laurent import INF, Laurent, one_unit_pow
 from .ore import DrinfeldModule, frobenius_charpoly
-from .poly import Poly, RatFunc, monic_irreducibles, monic_polys
+from .poly import Poly, monic_irreducibles, monic_polys
 from .sheaf import TauSheafRank1, frobenius_eigenvalue
 
 
@@ -754,10 +754,19 @@ def classify_eigen_system(es: EigenSystem, field_r) -> Classification:
             return Classification("NoMatch", None, None, None, note="inconsistent translation degree")
     table = {}
     for P in primes:
-        c = es.values[P] / RatFunc.from_poly(P) ** j
-        if not c.is_constant() or c.is_zero():
+        # alpha = num/den with den monic, so alpha/P^j is a constant c
+        # exactly when num = c*den*P^j (j >= 0) or num*P^-j = c*den (j < 0),
+        # and then c = lc(num); no gcd is taken
+        alpha = es.values[P]
+        c = alpha.num.lc()
+        Q = P ** abs(j)
+        if j >= 0:
+            constant = alpha.num == (alpha.den * Q).scale(c)
+        else:
+            constant = alpha.num * Q == alpha.den.scale(c)
+        if not constant:
             return Classification("NoMatch", None, None, None, note=f"alpha/P^j not constant at {P}")
-        table[P] = c.constant_value()
+        table[P] = c
     values = set(table.values())
     jm = j % (r - 1) if r > 2 else 0
     tbl_out = {P.to_string(): c for P, c in table.items()}

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import operator
 import re
-from itertools import compress
+from itertools import compress, product
 
 from .errors import BoundExceeded, DomainMismatch, ParseError, ZeroInput
 from .ffield import (
@@ -359,28 +359,45 @@ def _irreducibles_of_degree(field, d: int) -> list[Poly]:
     """Monic primes of degree d, ascending tail encoding, by a sieve.
 
     Every product g*h of a prime g of degree k <= d/2 and a monic h of
-    degree d - k marks its encoding in q^d flags; the unmarked encodings
-    are the primes.
+    degree d - k clears the flag of its encoding in q^d flags; the flags
+    left set are the primes.  A product is held as x, the base-q integer
+    encoding of its tail (every coefficient below the leading 1).  h grows
+    one coefficient at a time, g*(T*h + c) = T*(g*h) + c*g: with lo = x mod
+    q^k, the k low digits of x, the new encoding is x*q + delta_c[lo], where
+    delta_c[lo] = enc(T*lo + c*g) - q*lo.  Only the k + 1 low digits
+    change, and delta_c adds them digit by digit in F_r, so no carry
+    crosses a digit at any p.  The delta_c of a prime g have q^k entries
+    each and live while g's products grow.
     """
     key = (field, d)
     if key in _IRRED_CACHE:
         return _IRRED_CACHE[key]
     q = field.q
     add, mul, _, _ = field.ops()
-    weights = [q**i for i in range(d)]  # zip with these drops the leading 1
-    composite = bytearray(q**d)
+    # shift[e][a] = (e + a) - a on the codes: what adding e does to a digit a
+    shift = [[s - a for a, s in enumerate(row)] for row in add]
+    prime = bytearray(b"\x01") * q**d
     for k in range(1, d // 2 + 1):
+        qk = q**k
         for g in _irreducibles_of_degree(field, k):
-            multiples = [[mul[c][x] for x in g.coeffs] for c in range(1, q)]
-            # g*(T*h + c) = T*(g*h) + c*g: grow h one coefficient at a time
-            prods = [list(g.coeffs)]
+            gs = g.coeffs
+            deltas = []  # delta_c for c = 1..q-1; delta_0 is 0
+            for cg in mul[1:]:
+                delta = [cg[gs[0]]]
+                for i in range(1, k + 1):
+                    delta = [v + w for w in [q**i * s for s in shift[cg[gs[i]]]] for v in delta]
+                deltas.append(delta)
+            xs = [g.encoding()]
             for _ in range(d - k):
-                shifted = [[0] + v for v in prods]
-                prods = shifted + [[add[x][y] for x, y in zip(s, cg)] + s[k + 1 :]
-                                   for cg in multiples for s in shifted]
-            for v in prods:
-                composite[sum(map(operator.mul, v, weights))] = 1
-    out = [Poly.from_encoding(field, enc, d) for enc, c in enumerate(composite) if not c]
+                los = [x % qk for x in xs]
+                shifted = [x * q for x in xs]  # c = 0
+                xs = shifted + [x + delta[lo] for delta in deltas for x, lo in zip(shifted, los)]
+            for x in xs:
+                prime[x] = 0
+    # product() runs through the tails with the top digit first, so in
+    # ascending encoding
+    one = (field.one,)
+    out = [Poly(field, t[::-1] + one) for t in compress(product(range(q), repeat=d), prime)]
     _IRRED_CACHE[key] = out
     return out
 
