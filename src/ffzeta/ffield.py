@@ -20,17 +20,21 @@ their extensions that the torsion oracle (``ore.torsion_points``) and the
 null-space Frobenius oracle of the tests multiply in.  Reducing a
 Drinfeld module mod f, its point module and its Frobenius characteristic
 polynomial all work in F_r[T] and build no residue-field table.  The F_r
-kernels (the prime sieve, ``theta_multiples``, ``poly.norm`` and the
-resultant's elimination) call ``ops()`` themselves, which builds the
-tables of a prime F_r too, and index lists instead of calling methods.  A
-field with m = 1 multiplies ints mod p.  A field with q > 2^8 and m > 1
-multiplies its coordinate lists through the base (``pk_mul``, ``pk_mod``)
-and inverts with ``pk_xgcd``; its ``ops()`` raises Unsupported.
+kernels (``theta_multiples``, ``poly.norm`` and the resultant's
+elimination) call ``ops()`` themselves, which builds the tables of a prime
+F_r too, and index lists instead of calling methods; the prime sieve
+(``poly._irreducibles_of_degree``) builds from them, per prime g, tables
+of the low base-q digits of T*lo + c*g and then works on base-q integer
+encodings.  A field with m = 1 multiplies ints mod p.  A field with
+q > 2^8 and m > 1 multiplies its coordinate lists through the base
+(``pk_mul``, ``pk_mod``) and inverts with ``pk_xgcd``; its ``ops()``
+raises Unsupported.
 
 The generic ``pk_*`` kernels serve every field of every tower.  At F_r = F_2
 the point module, the rank-2 Hasse recursion and the norm pack F_2[T] in
-ints (``f2_*``); every other field and kernel keeps ``ops()`` tables.  All
-values are immutable; every operation is pure.
+ints (``f2_*``), and the prime sieve packs F_r[T] base q at every r;
+every other field and kernel keeps ``ops()`` tables.  All values are
+immutable; every operation is pure.
 """
 
 from __future__ import annotations

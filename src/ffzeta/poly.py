@@ -8,9 +8,11 @@ integers 0..r-1 in the fixed F_p-basis, e.g. ``T^2+T+1``; this is the
 wire format everywhere.  ``binary_power`` is the one square-and-multiply
 loop of the package, shared by every ring whose product is ``*``.
 
-The monic primes f come from a sieve (``monic_irreducibles``): the
-products of smaller primes with monic cofactors mark their encodings, and
-the unmarked encodings are the primes.
+The monic primes f come from a sieve (``monic_irreducibles``): each
+product of a smaller prime g with a monic cofactor is grown one cofactor
+coefficient at a time as the base-q integer encoding of its tail, a shift
+by one digit plus a per-g table of its low digits, and clears the flag of
+its encoding; the encodings left flagged are the primes.
 
 Every norm N(x) = prod x(rho) in F_r over the roots rho of f is ``norm``,
 a Euclidean remainder sequence: Drinfeld-module Frobenius, chi_beta, the
@@ -21,9 +23,10 @@ charpoly of a block companion matrix, by a Hessenberg reduction over F_r.
 ``bareiss_det``, the fraction-free determinant over A, is kept only as its
 test oracle.  The sieve, the norm, the resultant and the point module
 index F_r's operation tables (``FiniteField.ops``); ``theta_multiples``
-lists theta-multiples of a residue mod f for the last two.  At r = 2 only
-the norm runs on packed F_2[T] ints (``ffield.f2_*``); the sieve and the
-resultant keep the tables.
+lists theta-multiples of a residue mod f for the last two.  The sieve
+reads the tables only to build its per-prime digit tables, and then adds
+and indexes ints, at every r.  At r = 2 the norm runs on packed F_2[T]
+ints (``ffield.f2_*``); the resultant keeps the tables.
 
 Degree of the zero polynomial is the sentinel -1.
 """
