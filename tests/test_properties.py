@@ -547,10 +547,9 @@ def test_classify_matches_ratfunc_division(pm, j, kind, idx, bumped):
         cs = [1 if kind == "ones" else cs[0]] * len(primes)
     one = Poly.one(field_r)
 
-    def alpha(P, c, extra=one):
+    def alpha(P, c):
         Q = P ** abs(j)
-        num, den = (Q.scale(c), one) if j >= 0 else (Poly.const(field_r, c), Q)
-        return RatFunc(num * extra, den)
+        return RatFunc(Q.scale(c)) if j >= 0 else RatFunc(Poly.const(field_r, c), Q)
 
     es = EigenSystem({P: alpha(P, c) for P, c in zip(primes, cs)})
     res = classify_eigen_system(es, field_r)
@@ -567,9 +566,9 @@ def test_classify_matches_ratfunc_division(pm, j, kind, idx, bumped):
     # not constant there)
     t_plus_1 = poly_from_string(field_r, "T+1")
     k = bumped % len(primes)
-    for extra, den in ((t_plus_1, one), (t_plus_1, Poly.gen(field_r))):
+    for den in (one, Poly.gen(field_r)):
         values = dict(es.values)
-        values[primes[k]] = alpha(primes[k], cs[k], extra) * RatFunc(one, den)
+        values[primes[k]] = values[primes[k]] * RatFunc(t_plus_1, den)
         bad = EigenSystem(values)
         res = classify_eigen_system(bad, field_r)
         assert res.verdict == "NoMatch"
