@@ -7,11 +7,12 @@ in one of two domains: ``RatFuncCoeffs``, F_r(T) for modules over the
 rational function field, and ``FieldCoeffs``, the int elements of a
 residue field F_f = A/(f) for reduced modules.
 
-Frobenius data of a module at a good prime f come from closed forms in
-A = F_r[T] modulo f: a norm of the leading coefficient and, in rank 2,
-the Hasse invariant, so no product is taken in a residue field and no Ore
-product is formed.  Torsion points, found as kernels of the F_r-linear
-map phi_v over successively larger extensions of the residue field, are
+Reductions and Frobenius data at a prime f are read from the good model
+that ``good_model`` builds in A = F_r[T], with no ``RatFunc`` arithmetic.
+Frobenius data at a good prime come from closed forms in A modulo f: a
+norm of the leading coefficient and, in rank 2, the Hasse invariant, so no
+product is taken in a residue field and no Ore product is formed.  Torsion
+points, found as kernels of the F_r-linear map phi_v over successively larger extensions of the residue field, are
 kept as the independent oracle for those values; all their linear algebra
 is over F_p.  At r = 2 ``point_module_annihilator`` and the rank-2 branch
 of ``frobenius_charpoly`` dispatch once, at their top, to packed F_2[T] ints.
@@ -350,65 +351,66 @@ def element_to_residue(field_r, F_f, el) -> Poly:
     return Poly(field_r, F_f.coords(el))
 
 
-def residue_mod(a: RatFunc, f: Poly) -> Poly:
-    """num * den^-1 mod f in A, for an f-integral num/den.
-
-    den^-1 mod f comes from the extended gcd when den is not constant;
-    denominators are monic, so a constant one is 1.  Raises BadReduction,
-    naming f, when den shares a factor with f.
+def good_model(phi: DrinfeldModule, f: Poly) -> tuple[int, list[tuple[Poly, Poly]]]:
+    """(j, parts): the good model of phi at the monic prime f, its twist by
+    u = f^j, j = -v_f(a_t) / (r^t - 1), which sends a_i to a_i u^(r^i - 1)
+    and makes the leading coefficient a unit at f (Gekeler, Trans. AMS 360,
+    2008).  f is split out of num and den of each a_i = num/den, i >= 1,
+    once: a constant num or den has v_f = 0 and N(c) = c^d, and needs no
+    division.  The twist only moves powers of f, so parts[i] = (num', den'),
+    the parts prime to f (den' monic), where the twisted a_i is a unit at f,
+    and (0, 1) where it is 0 mod f.  theta = T has weight r^0 - 1 = 0 and is
+    never split: parts[0] = (T, 1).  Raises BadReduction, naming f, when
+    r^t - 1 does not divide v_f(a_t) or a twisted a_i has a pole at f.
     """
-    res = a.num % f
-    if a.den.deg > 0:
-        g, den_inv, _ = poly_xgcd(a.den, f)
-        if g.deg > 0:
-            raise BadReduction(f"{a.to_string()} is not integral at f = {f.to_string()}")
-        res = (res * den_inv) % f
-    return res
-
-
-def good_model_twist(phi: DrinfeldModule, f: Poly, v_lead: int | None = None) -> int:
-    """Twist exponent j such that u = f^j yields an f-integral unit-leading
-    model, or BadReduction.  Twisting by u sends a_i to a_i * u^(r^i - 1),
-    i.e. beta to u^(r-1) * beta in rank 1.  ``v_lead``: v_f(leading), if known."""
-    r = phi.r
-    t = phi.rank
-    if v_lead is None:
-        v_lead = phi.coeffs[-1].valuation_at(f)
+    r, t = phi.r, phi.rank
+    split = []  # (v_f(a_i), num', den'), with v_f(0) = inf
+    for a in phi.coeffs[1:]:
+        num, den, v = a.num, a.den, 0
+        if not num.is_constant():
+            v, num = split_valuation(num, f)
+        if not den.is_constant():
+            v_den, den = split_valuation(den, f)
+            v -= v_den
+        split.append((float("inf") if a.is_zero() else v, num, den))
+    v_lead = split[-1][0]
     if v_lead % (r**t - 1) != 0:
-        raise BadReduction(
-            f"v_f(leading) = {v_lead} is not divisible by r^t-1 = {r**t - 1} at f = {f}"
-        )
+        raise BadReduction(f"v_f(leading) = {v_lead} is not divisible by r^t-1 = {r**t - 1} at f = {f}")
     j = -v_lead // (r**t - 1)
-    for i in range(1, t):
-        a = phi.coeffs[i]
-        if a.is_zero():
-            continue
-        if a.valuation_at(f) + j * (r**i - 1) < 0:
-            raise BadReduction(
-                f"coefficient {i} stays non-integral at f = {f} under every allowed twist"
-            )
-    return j
+    parts = [(phi.theta.num, phi.theta.den)]
+    for i, (v, num, den) in enumerate(split, 1):
+        v += j * (r**i - 1)
+        if v < 0:
+            raise BadReduction(f"coefficient {i} stays non-integral at f = {f} under every allowed twist")
+        parts.append((num, den) if v == 0 else (Poly.zero(phi.field_r), Poly.one(phi.field_r)))
+    return j, parts
+
+
+def good_model_twist(phi: DrinfeldModule, f: Poly) -> int:
+    """The twist exponent j of ``good_model``, or BadReduction."""
+    return good_model(phi, f)[0]
 
 
 def good_model_residues(phi: DrinfeldModule, f: Poly) -> tuple[int, list[Poly]]:
-    """(j, residues): the twist exponent of ``good_model_twist`` and the
-    coefficients of the twisted model as residues mod f in A."""
-    r = phi.r
-    j = good_model_twist(phi, f)
-    u = RatFunc.from_poly(f)
+    """(j, residues): the good model's coefficients as residues mod f in A,
+    num' * den'^-1 mod f with den'^-1 from the extended gcd (den' is monic
+    and prime to f, so a constant den' is 1)."""
+    j, parts = good_model(phi, f)
     residues = []
-    for i, a in enumerate(phi.coeffs):
-        if j and not a.is_zero():
-            a = a * u ** (j * (r**i - 1))
-        residues.append(residue_mod(a, f))
+    for num, den in parts:
+        res = num % f
+        if den.deg > 0:
+            res = (res * poly_xgcd(den, f)[1]) % f
+        residues.append(res)
     return j, residues
 
 
 def reduce_mod_prime(phi: DrinfeldModule, f: Poly) -> DrinfeldModule:
-    """Good-reduction model of phi at the monic prime f, of the same rank.
+    """Good-reduction model of phi at the monic prime f (``good_model``).
 
-    The residues are computed in A and only then mapped into F_f, so no
-    product is taken there and no operation table is built.
+    Each coefficient is a residue num' * den'^-1 mod f taken in A and only
+    then mapped into F_f, so no product is taken there, no operation table
+    is built and no ``RatFunc`` arithmetic runs.
     """
     field_r = phi.field_r
     j, residues = good_model_residues(phi, f)
@@ -800,12 +802,12 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     eigenvalue of degree deg f.  Rank 2: returns (a_f, mu) for
     u^2 - a_f*u + mu*f with deg a_f <= deg f / 2 and mu in F_r^*.
 
-    Say the good model at f is theta + g tau + Delta tau^2 (rank 1:
-    theta + beta tau), with d = deg f and every coefficient a residue
-    mod f in A; N(x) = Res_theta(f, x) = prod_{i<d} x^(r^i) mod f is the
-    norm from A/(f) to F_r, a Euclidean remainder sequence (``poly.norm``).
-      rank 1:  a = N(beta)^-1 * f; the twist only moves powers of f, so
-               N(beta) = N(num')/N(den'), f divided out of num and den;
+    Say the good model at f (``good_model``) is theta + g tau + Delta tau^2
+    (rank 1: theta + beta tau), with d = deg f; N(x) = Res_theta(f, x) =
+    prod_{i<d} x^(r^i) mod f is the norm from A/(f) to F_r, a Euclidean
+    remainder sequence (``poly.norm``).
+      rank 1:  a = N(beta)^-1 * f with N(beta) = N(num')/N(den') for the
+               parts (num', den') of beta prime to f, so no inverse mod f;
       rank 2:  mu = (-1)^d * N(Delta)^-1 and a_f = mu * H mod f, where H
                is the Hasse invariant f_d of the recursion f_0 = 1,
                f_1 = g, f_k = g^(r^(k-1)) f_(k-1)
@@ -815,8 +817,8 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     (Trans. AMS 360, 2008) and Hsia-Yu, *On characteristic polynomials of
     geometric Frobenius associated to Drinfeld modules* (Compositio 122,
     2000).  H takes O(d) products and r-th powers x(T)^r = x(T^r) mod f
-    (c^r = c in F_r), on Polys or, at r = 2, on packed ints.  A constant
-    num or den of beta has v_f = 0 and N(c) = c^d.  No residue field is
+    (c^r = c in F_r), on Polys or, at r = 2, on packed ints, from the
+    residues num' * den'^-1 mod f of g and Delta.  No residue field is
     built, so a reduced module has its coefficients mapped back to residues.
     Oracles: torsion (``frobenius_on_torsion``), the Ore-relation null space
     (tests) and, in rank 1, ``sheaf.frobenius_eigenvalue``.
@@ -833,10 +835,7 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
         if t == 1:
             return f.scale(field_r.inv(norm(f, residues[1]))), None
     elif t == 1:
-        beta = phi.coeffs[1]
-        # a constant c has v_f = 0 and N(c) = c^deg f: no division, no norm
-        (v_num, num), (v_den, den) = ((0, x) if x.is_constant() else split_valuation(x, f) for x in (beta.num, beta.den))
-        good_model_twist(phi, f, v_num - v_den)
+        num, den = good_model(phi, f)[1][1]
         n_num, n_den = (field_r.pow_(x.lc(), f.deg) if x.is_constant() else norm(f, x) for x in (num, den))
         return f.scale(field_r.mul(n_den, field_r.inv(n_num))), None
     else:

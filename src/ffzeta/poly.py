@@ -327,11 +327,6 @@ def poly_xgcd(a: Poly, b: Poly):
     return tuple(Poly(a.field, c) for c in pk_xgcd(a.field, a.coeffs, b.coeffs))
 
 
-def valuation(a: Poly, prime: Poly) -> int:
-    """Multiplicity of a monic prime in a nonzero polynomial."""
-    return split_valuation(a, prime)[0]
-
-
 def split_valuation(a: Poly, prime: Poly) -> tuple[int, Poly]:
     """(v, a / prime^v) for the multiplicity v of a monic prime in a nonzero a."""
     if a.is_zero():
@@ -529,11 +524,6 @@ class RatFunc:
         if self.is_zero():
             raise ZeroInput("v_infinity of zero")
         return self.den.deg - self.num.deg
-
-    def valuation_at(self, prime: Poly) -> int:
-        if self.is_zero():
-            raise ZeroInput("valuation of zero")
-        return valuation(self.num, prime) - valuation(self.den, prime)
 
     def leading_unit(self):
         """Ratio of leading coefficients (the 1/T-adic leading coefficient)."""

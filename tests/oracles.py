@@ -7,7 +7,9 @@ writes the canonical text of a Poly one term at a time, the check of
 square-and-multiply, the check of the binomial series of
 ``laurent.one_unit_pow``.  ``classify_by_ratfunc_division`` takes each
 c_P = alpha_P / P^j in F_r(T), a gcd per power and per quotient, the check
-of ``lseries.classify_eigen_system``.
+of ``lseries.classify_eigen_system``.  ``good_model_by_ratfunc`` twists
+each coefficient by a power of f in F_r(T) and takes its residue with
+``residue_mod``, the check of ``ore.good_model``.
 
 ``frobenius_charpoly_nullspace`` finds the Frobenius characteristic
 polynomial of a rank-1 or rank-2 module at a good prime f in the Ore ring
@@ -20,11 +22,11 @@ whose solution is unique up to scaling, with a nonzero pi^rank coordinate
 where ``ore.frobenius_charpoly`` takes O(d) products in A.
 """
 
-from ffzeta.errors import BoundExceeded, FFZetaError, NotOneUnit
+from ffzeta.errors import BadReduction, BoundExceeded, FFZetaError, NotOneUnit
 from ffzeta.laurent import DEFAULT_PREC, INF, Laurent
 from ffzeta.lseries import Classification, _conductor_evidence_note
 from ffzeta.ore import OrePoly, nullspace_mod_p, reduce_mod_prime
-from ffzeta.poly import Poly, RatFunc, binary_power, monic_polys
+from ffzeta.poly import Poly, RatFunc, binary_power, monic_polys, poly_xgcd, split_valuation
 
 
 def power_sum_enumerated(field_r, e: int, k: int, enum_bound: int = 4096) -> Poly:
@@ -140,3 +142,39 @@ def classify_by_ratfunc_division(es, field_r):
     if len(values) > 1:
         return Classification("ClassIWitness", j, jm, tbl_out, note=_conductor_evidence_note(field_r, table))
     return Classification("NoMatch", j, jm, tbl_out, note="constant non-trivial table matches neither class")
+
+
+def residue_mod(a: RatFunc, f: Poly) -> Poly:
+    """num * den^-1 mod f in A, for an f-integral num/den.
+
+    den^-1 mod f comes from the extended gcd when den is not constant;
+    denominators are monic, so a constant one is 1.  Raises BadReduction,
+    naming f, when den shares a factor with f.
+    """
+    res = a.num % f
+    if a.den.deg > 0:
+        g, den_inv, _ = poly_xgcd(a.den, f)
+        if g.deg > 0:
+            raise BadReduction(f"{a.to_string()} is not integral at f = {f.to_string()}")
+        res = (res * den_inv) % f
+    return res
+
+
+def good_model_by_ratfunc(phi, f: Poly) -> tuple[int, list[Poly]]:
+    """(j, residues) of the good model of phi at f, as ``ore.good_model``:
+    v_f of each coefficient, the twist a_i * u^(j (r^i - 1)) by u = f in
+    F_r(T), then ``residue_mod``; BadReduction on the same inputs."""
+    r, t = phi.r, phi.rank
+
+    def v_f(a: RatFunc) -> int:
+        return split_valuation(a.num, f)[0] - split_valuation(a.den, f)[0]
+
+    v_lead = v_f(phi.coeffs[-1])
+    if v_lead % (r**t - 1):
+        raise BadReduction(f"v_f(leading) = {v_lead} is not divisible by r^t-1 = {r**t - 1} at f = {f}")
+    j = -v_lead // (r**t - 1)
+    for i, a in enumerate(phi.coeffs[1:-1], 1):
+        if not a.is_zero() and v_f(a) + j * (r**i - 1) < 0:
+            raise BadReduction(f"coefficient {i} stays non-integral at f = {f} under every allowed twist")
+    u = RatFunc.from_poly(f)
+    return j, [residue_mod(a * u ** (j * (r**i - 1)), f) for i, a in enumerate(phi.coeffs)]

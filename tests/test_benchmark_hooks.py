@@ -75,15 +75,16 @@ def _ffzeta_bindings(tree, path, missing):
 
 
 def test_ffbench_calls_into_ffzeta_resolve():
-    """Every name ffbench imports from ffzeta exists, and every keyword it
-    passes to an ffzeta function is a parameter of that function.  Only the
-    source is parsed, so nothing is written under ffbench/."""
-    missing, bad_keywords = [], []
+    """Every name ffbench imports from ffzeta exists, and every call ffbench
+    makes of an ffzeta function binds to its signature, positional arguments
+    and keywords alike.  Only the source is parsed, so nothing is written
+    under ffbench/."""
+    missing, bad_calls = [], []
     for path in sorted(TRACING.parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         bound = _ffzeta_bindings(tree, path, missing)
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or not node.keywords:
+            if not isinstance(node, ast.Call):
                 continue
             chain, head = [], node.func
             while isinstance(head, ast.Attribute):
@@ -99,9 +100,11 @@ def test_ffbench_calls_into_ffzeta_resolve():
             except AttributeError:
                 missing.append(where)
                 continue
-            params = inspect.signature(func).parameters
-            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-                continue
-            bad_keywords += [f"{where}({kw.arg}=)" for kw in node.keywords if kw.arg not in params]
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(kw.arg is None for kw in node.keywords):
+                continue  # *args or **kwargs: the count is not in the source
+            try:
+                inspect.signature(func).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+            except TypeError as exc:
+                bad_calls.append(f"{where}: {exc}")
     assert not missing, missing
-    assert not bad_keywords, bad_keywords
+    assert not bad_calls, bad_calls

@@ -21,7 +21,6 @@ from ffzeta.ore import (
     frobenius_on_torsion,
     point_module_annihilator,
     reduce_mod_prime,
-    residue_mod,
     torsion_points,
 )
 from ffzeta.poly import Poly, RatFunc, monic_irreducibles, poly_from_string, ratfunc_from_string
@@ -148,6 +147,29 @@ def test_reduce_bad_r3():
         reduce_mod_prime(drinfeld_rank1(F3, beta), pf(F3, "T"))
 
 
+def test_good_model_takes_no_ratfunc_arithmetic(monkeypatch):
+    # the good model splits f out of each coefficient in F_r[T]: no RatFunc
+    # product, power or quotient is formed at any prime, good or bad
+    modules = [
+        drinfeld_rank1(F3, rf(F3, "T^2")),
+        drinfeld_rank2(F2, rf(F2, "(T+1)/T"), rf(F2, "T^3")),
+        drinfeld_rank2(F3, rf(F3, "1/(T+1)"), rf(F3, "T^2/(T^2+1)")),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("RatFunc arithmetic in the good model")
+
+    for name in ("__mul__", "__pow__", "__truediv__", "inv"):
+        monkeypatch.setattr(RatFunc, name, refuse)
+    for phi in modules:
+        for f in monic_irreducibles(phi.field_r, 3):
+            for route in (frobenius_charpoly, reduce_mod_prime):
+                try:
+                    route(phi, f)
+                except BadReduction:
+                    pass
+
+
 def test_reduction_builds_no_residue_table():
     # reduction and the point module stay in F_r[T]: F_f (256 elements, so
     # it would build operation tables on its first product) gets none
@@ -161,10 +183,10 @@ def test_reduction_builds_no_residue_table():
 
 @pytest.mark.parametrize("field", [F3, F4])
 def test_ratfunc_residue_non_integral_raises_bad_reduction(field):
-    # 1/T has a pole at f = T: no residue exists, and the error names f
-    f = pf(field, "T")
+    # g = 1/T has a pole at f = T and Delta = 1 allows no twist: no residue
+    # exists, and the error names f
     with pytest.raises(BadReduction, match="f = T"):
-        residue_mod(rf(field, "1/T"), f)
+        reduce_mod_prime(drinfeld_rank2(field, rf(field, "1/T"), rf(field, "1")), pf(field, "T"))
 
 
 def test_reduce_good_after_twist_r2():

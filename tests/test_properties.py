@@ -1,7 +1,7 @@
 """Property tests: library results against brute-force oracles."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ffzeta import poly as poly_module
@@ -31,10 +31,10 @@ from ffzeta.ore import (
     drinfeld_rank1,
     drinfeld_rank2,
     frobenius_charpoly,
+    good_model_twist,
     point_module_annihilator,
     reduce_mod_prime,
     residue_field,
-    residue_mod,
     residue_to_element,
 )
 from ffzeta.poly import (
@@ -49,13 +49,16 @@ from ffzeta.poly import (
     poly_gcd,
     ratfunc_from_string,
     resultant,
+    split_valuation,
 )
 from ffzeta.sheaf import frobenius_eigenvalue, sheaf_of_drinfeld_rank1
 from oracles import (
     classify_by_ratfunc_division,
     frobenius_charpoly_nullspace,
+    good_model_by_ratfunc,
     poly_to_string_termwise,
     power_sum_enumerated,
+    residue_mod,
 )
 
 # (p, m) for r in {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
@@ -399,6 +402,30 @@ def test_frobenius_charpoly_matches_nullspace_oracle(module):
     assert route(frobenius_charpoly) == route(frobenius_charpoly_nullspace)
 
 
+F3 = field_make(3, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(twisted_modules(ranks=(1, 2), max_deg=3))
+@example((drinfeld_rank2(F3, RatFunc.zero(F3), ratfunc_from_string(F3, "1/T^8")), poly_from_string(F3, "T")))
+def test_good_model_matches_ratfunc_oracle(module):
+    # the good model against twists and residues taken in F_r(T), bad primes
+    # included (the example twists by j = 1 past a zero g); the null-space
+    # oracle reduces through reduce_mod_prime, so it cannot see a defect in
+    # the good model it shares with frobenius_charpoly
+    phi, f = module
+    try:
+        j, residues = good_model_by_ratfunc(phi, f)
+    except BadReduction:
+        for route in (good_model_twist, reduce_mod_prime):
+            with pytest.raises(BadReduction):
+                route(phi, f)
+        return
+    red = reduce_mod_prime(phi, f)
+    assert good_model_twist(phi, f) == red.twist == j
+    assert red.coeffs == tuple(residue_to_element(phi.field_r, red.dom.field, x) for x in residues)
+
+
 @settings(max_examples=200, deadline=None)
 @given(twisted_modules(ranks=(1,), max_deg=3))
 def test_rank1_local_factor_matches_sheaf_resultant(module):
@@ -407,7 +434,7 @@ def test_rank1_local_factor_matches_sheaf_resultant(module):
     phi, f = module
     field_r, beta = phi.field_r, phi.coeffs[1]
     one = Poly.one(field_r)
-    v = beta.valuation_at(f)
+    v = split_valuation(beta.num, f)[0] - split_valuation(beta.den, f)[0]
     if v % (field_r.q - 1):
         expected = LocalFactor(f, (one,), "bad-prime-rule")
     else:
