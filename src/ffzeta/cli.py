@@ -13,6 +13,10 @@ file the command reads or writes).
 Argument parsing: ``_parse_argv`` reads the canonical ``--flag value`` form
 from the option table ``_COMMANDS``; argparse, built from the same table, is
 loaded only for ``--help``, errors and the other spellings it accepts.
+
+Output: ``special`` and ``lfactors`` write both formats through one writer,
+``_write_table``.  ``lfactors`` computes all its rows before the output
+opens, so a failure on any prime leaves stdout empty and no ``--out`` file.
 """
 
 from __future__ import annotations
@@ -220,11 +224,6 @@ def _output(out_path):
     return open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
 
 
-def emit(text: str, out_path) -> None:
-    with _output(out_path) as fh:
-        fh.write(text)
-
-
 def json_block(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -235,10 +234,29 @@ def _echo(args) -> dict:
     return {flag[2:].replace("-", "_"): getattr(args, opt[0]) for flag, opt in _COMMON.items() if flag != "--out"}
 
 
-def csv_block(args, header: str, rows) -> str:
-    lines = [f"# config: {json.dumps(_echo(args), sort_keys=True)}", header]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+def csv_block(args, header: str) -> str:
+    return f"# config: {json.dumps(_echo(args), sort_keys=True)}\n{header}\n"
+
+
+def _write_table(args, head: dict, columns: str, rows) -> None:
+    """Write a table to ``--out`` or stdout: the head, each row text as ``rows`` yields it (laid out
+    as ``json_block`` lays out a row, or as one CSV line), then the close.  The bytes are those of
+    ``json_block`` of ``head`` with the config and all the rows, or of the CSV block of ``columns``."""
+    if args.fmt == "json":
+        # "rows" sorts after every other head key, so its empty list ends the text and the rows go there
+        text = json_block({**head, "config": _echo(args), "rows": []}).removesuffix("[]\n}\n")
+        start, sep, close, empty = "[\n", ",\n", "\n  ]\n}\n", "[]\n}\n"
+    else:
+        text = csv_block(args, columns)
+        start, sep, close, empty = "", "\n", "\n", ""
+    with _output(args.out) as fh:
+        write = fh.write
+        write(text)
+        for row in rows:
+            write(start)  # two writes: the separator joined to a long row would copy the row once more
+            write(row)
+            start = sep
+        write(close if start is sep else empty)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +280,12 @@ def parse_i_range(text: str):
     return range(i, i + 1)
 
 
-# a special row and a Newton segment (slope, length) as ``json_block`` lays
-# them out inside its "rows" list; a slope prints as text
+# a special row, a Newton segment (slope, length) and an lfactors row as
+# ``json_block`` lays them out inside its "rows" list; a slope prints as text
 _JSON_ROW = ('    {\n      "degree": %d,\n      "i": %d,\n      "kind": %s,\n      "newton": %s,\n'
              '      "polynomial": %s\n    }')
 _JSON_SEGMENT = '\n        [\n          "%s",\n          %d\n        ]'
+_JSON_LFACTOR = '    {\n      "denominator": %s,\n      "prime": %s,\n      "provenance": %s\n    }'
 
 
 def cmd_special(args, field) -> int:
@@ -274,54 +293,33 @@ def cmd_special(args, field) -> int:
     if i_range[0] < 0:
         raise BoundExceeded(f"negative index {i_range[0]} in range")
     _table_for(field, i_range[-1] + 1)  # one power-sum table for the whole range, before --out opens
-    with _output(args.out) as fh:
-        write = fh.write
-        if args.fmt == "json":
-            head = json_block({"command": "special", "config": _echo(args), "rows": []})
-            write(head.removesuffix("[]\n}\n") + "[\n")
-            sep, kind_json = "", json.dumps(kind)
-            for i, text, deg, segs in _special_rows(field, kind, i_range):
-                newton = f"[{','.join(map(_JSON_SEGMENT.__mod__, segs))}\n      ]" if segs else "[]"
-                write(sep + _JSON_ROW % (deg, i, kind_json, newton, json.dumps(text)))
-                sep = ",\n"
-            write("\n  ]\n}\n")
-        else:
-            write(csv_block(args, "i,kind,polynomial,degree,newton", ()))
-            for i, text, deg, segs in _special_rows(field, kind, i_range):
-                write(f"{i},{kind},{text},{deg},{';'.join(map('%s:%d'.__mod__, segs))}\n")
-    return 0
+    kind_json = json.dumps(kind)
 
-
-def _special_rows(field, kind: str, i_range):
-    """(i, polynomial text, degree, Newton segments) per i, made lazily."""
-    for i in i_range:
+    def row(i: int) -> str:
         sp = special_polynomial(field, i, kind)
-        yield i, sp.to_string(), max(sp.deg, 0), newton_polygon(sp) if sp.deg >= 0 else []
+        text, deg, segs = sp.to_string(), max(sp.deg, 0), newton_polygon(sp) if sp.deg >= 0 else []
+        if args.fmt == "csv":
+            return f"{i},{kind},{text},{deg},{';'.join(map('%s:%d'.__mod__, segs))}"
+        newton = f"[{','.join(map(_JSON_SEGMENT.__mod__, segs))}\n      ]" if segs else "[]"
+        return _JSON_ROW % (deg, i, kind_json, newton, json.dumps(text))
+
+    _write_table(args, {"command": "special"}, "i,kind,polynomial,degree,newton", map(row, i_range))
+    return 0
 
 
 def cmd_lfactors(args, field) -> int:
     obj = parse_object_spec(field, args.object)
-    primes = primes_upto(field, args.dmax, args.cache, args.max_enum)
-    rows = []
-    for f in primes:
+    rows = []  # (prime, denominator, provenance), all made before the output opens
+    for f in primes_upto(field, args.dmax, args.cache, args.max_enum):
         try:
             lf = local_factor(obj, f)
             rows.append((f.to_string(), lf.denominator_string(), lf.provenance))
         except Unsupported:
             rows.append((f.to_string(), "UNSUPPORTED", "unsupported-bad-prime"))
-    if args.fmt == "json":
-        payload = {
-            "command": "lfactors",
-            "config": _echo(args),
-            "object": args.object,
-            "rows": [
-                {"prime": a, "denominator": b, "provenance": c} for a, b, c in rows
-            ],
-        }
-        emit(json_block(payload), args.out)
-    else:
-        body = [",".join(r) for r in rows]
-        emit(csv_block(args, "prime,denominator,provenance", body), args.out)
+    dumps = json.dumps
+    texts = map(",".join, rows) if args.fmt == "csv" else (
+        _JSON_LFACTOR % (dumps(den), dumps(prime), dumps(prov)) for prime, den, prov in rows)
+    _write_table(args, {"command": "lfactors", "object": args.object}, "prime,denominator,provenance", texts)
     return 0
 
 
@@ -359,7 +357,8 @@ def cmd_classify(args, field) -> int:
         "table": res.table,
         "note": res.note,
     }
-    emit(json_block(payload), args.out)
+    with _output(args.out) as fh:
+        fh.write(json_block(payload))
     return 0
 
 

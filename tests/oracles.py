@@ -9,7 +9,10 @@ square-and-multiply, the check of the binomial series of
 c_P = alpha_P / P^j in F_r(T), a gcd per power and per quotient, the check
 of ``lseries.classify_eigen_system``.  ``good_model_by_ratfunc`` twists
 each coefficient by a power of f in F_r(T) and takes its residue with
-``residue_mod``, the check of ``ore.good_model``.
+``residue_mod``, the check of ``ore.good_model``.  ``csv_table_from_json``
+lays the rows of a ``special`` or ``lfactors`` JSON artifact out as the CSV
+artifact of the same run, joined in one block, the check of the CSV rows
+that ``cli._write_table`` streams.
 
 ``frobenius_charpoly_nullspace`` finds the Frobenius characteristic
 polynomial of a rank-1 or rank-2 module at a good prime f in the Ore ring
@@ -21,6 +24,8 @@ whose solution is unique up to scaling, with a nonzero pi^rank coordinate
 (InconsistentFrobenius otherwise).  It forms O(d^3) residue-field products
 where ``ore.frobenius_charpoly`` takes O(d) products in A.
 """
+
+import json
 
 from ffzeta.errors import BadReduction, BoundExceeded, FFZetaError, NotOneUnit
 from ffzeta.laurent import DEFAULT_PREC, INF, Laurent
@@ -178,3 +183,18 @@ def good_model_by_ratfunc(phi, f: Poly) -> tuple[int, list[Poly]]:
             raise BadReduction(f"coefficient {i} stays non-integral at f = {f} under every allowed twist")
     u = RatFunc.from_poly(f)
     return j, [residue_mod(a * u ** (j * (r**i - 1)), f) for i, a in enumerate(phi.coeffs)]
+
+
+def csv_table_from_json(payload: dict) -> str:
+    """The CSV artifact of the run whose JSON artifact is ``payload`` (a
+    ``special`` or ``lfactors`` table): the config line, the header and one
+    line per row, joined as one block."""
+    config = {**payload["config"], "format": "csv"}
+    if payload["command"] == "special":
+        header = "i,kind,polynomial,degree,newton"
+        rows = [f"{row['i']},{row['kind']},{row['polynomial']},{row['degree']},"
+                + ";".join(f"{slope}:{length}" for slope, length in row["newton"]) for row in payload["rows"]]
+    else:
+        header = "prime,denominator,provenance"
+        rows = [f"{row['prime']},{row['denominator']},{row['provenance']}" for row in payload["rows"]]
+    return "\n".join([f"# config: {json.dumps(config, sort_keys=True)}", header, *rows]) + "\n"

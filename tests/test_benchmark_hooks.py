@@ -9,11 +9,14 @@ import inspect
 import pathlib
 import sys
 
+import pytest
+
 import ffzeta.cli  # noqa: F401  (loads every module the benchmark runs)
 from ffzeta.ffield import field_make
 from ffzeta.lseries import special_polynomial
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "ffbench" / "tracing.py"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _tracing():
@@ -46,6 +49,37 @@ def test_cache_snapshot_sees_the_power_sum_table():
     caches = _tracing()["cache_snapshot"]()
     assert caches["table_rows"] > 0
     assert caches["zero_row"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["special", "--r", "3", "--i", "0..6"],
+        ["special", "--r", "3", "--i", "0..6", "--format", "csv"],
+        ["lfactors", "carlitz", "--r", "2", "--dmax", "3"],
+        ["lfactors", "carlitz", "--r", "2", "--dmax", "3", "--format", "csv"],
+        ["classify", str(GOLDEN / "eigen_delta_r2.csv"), "--r", "2"],
+    ],
+    ids=["special-json", "special-csv", "lfactors-json", "lfactors-csv", "classify"],
+)
+def test_serialization_spans_are_reached(capsys, monkeypatch, argv):
+    """The tracer's ``cli.json_block`` and ``cli.csv_block`` spans see every
+    artifact: each run calls the function of its format exactly once and
+    the other not at all.  A writer that bypassed them would read 0 in
+    ``cli.serialize.*`` with no error."""
+    calls = {"json_block": 0, "csv_block": 0}
+    for name in calls:
+        real = getattr(ffzeta.cli, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(ffzeta.cli, name, counting)
+    assert ffzeta.cli.main(argv) == 0
+    capsys.readouterr()
+    fmt = "csv_block" if "csv" in argv else "json_block"
+    assert calls == {name: int(name == fmt) for name in calls}
 
 
 def _import_from(module, name):

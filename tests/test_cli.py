@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ffzeta
 import ffzeta.cli as cli
 from ffzeta.cli import PrimeCache, main, parse_i_range, parse_object_spec, parse_r
-from ffzeta.errors import CacheCorrupt, NotPrime, ParseError
+from ffzeta.errors import CacheCorrupt, FFZetaError, NotPrime, ParseError
 from ffzeta.ffield import field_make
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -59,6 +59,9 @@ def test_parse_object_spec_errors():
         ("lfactors_carlitz_r2_d2.csv", ["lfactors", "carlitz", "--dmax", "2", "--r", "2", "--format", "csv"]),
         ("lfactors_cbeta_r3_d1.csv", ["lfactors", "cbeta:(T+1)/T", "--dmax", "1", "--r", "3", "--format", "csv"]),
         ("lfactors_tp2_r2_d1.csv", ["lfactors", "tensorpower:2", "--dmax", "1", "--r", "2", "--format", "csv"]),
+        # an empty table: no prime of degree <= 0
+        ("lfactors_carlitz_r2_d0.json", ["lfactors", "carlitz", "--r", "2", "--dmax", "0"]),
+        ("lfactors_carlitz_r2_d0.csv", ["lfactors", "carlitz", "--r", "2", "--dmax", "0", "--format", "csv"]),
     ],
 )
 def test_golden_outputs(capsys, golden, argv):
@@ -389,6 +392,29 @@ def test_lfactors_flags_unsupported_rows(capsys):
         "T,UNSUPPORTED,unsupported-bad-prime",
         "T+1,1+(T+1)*u^2,rank2-charpoly",
     ]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_lfactors_failure_leaves_no_artifact(capsys, monkeypatch, tmp_path, to_file):
+    # every row is computed before the output opens, so a failure on the
+    # third prime leaves stdout empty and creates no --out file
+    real, calls = cli.local_factor, []
+
+    def failing(obj, f):
+        calls.append(f)
+        if len(calls) == 3:
+            raise FFZetaError(f"injected failure at {f.to_string()}")
+        return real(obj, f)
+
+    monkeypatch.setattr(cli, "local_factor", failing)
+    out_file = tmp_path / "rows.json"
+    code, out, err = run(capsys, "lfactors", "carlitz", "--r", "2", "--dmax", "3",
+                         *(["--out", str(out_file)] if to_file else []))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: injected failure")
+    assert len(calls) == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classify_chi_witness_file(capsys, tmp_path):

@@ -1,10 +1,15 @@
 """Property tests: library results against brute-force oracles."""
 
+import contextlib
+import io
+import json
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ffzeta import poly as poly_module
+from ffzeta.cli import main
 from ffzeta.errors import BadReduction, NotCyclic
 from ffzeta.ffield import (
     TABLE_LIMIT,
@@ -54,6 +59,7 @@ from ffzeta.poly import (
 from ffzeta.sheaf import frobenius_eigenvalue, sheaf_of_drinfeld_rank1
 from oracles import (
     classify_by_ratfunc_division,
+    csv_table_from_json,
     frobenius_charpoly_nullspace,
     good_model_by_ratfunc,
     poly_to_string_termwise,
@@ -601,3 +607,41 @@ def test_classify_matches_ratfunc_division(pm, j, kind, idx, bumped):
         assert res.verdict == "NoMatch"
         assert res == classify_by_ratfunc_division(bad, field_r)
     assert res.note == f"alpha/P^j not constant at {primes[k]}"
+
+
+@st.composite
+def table_argvs(draw):
+    """The argv of a ``special`` run over any field with a random --i
+    range, or of an ``lfactors`` run of a random cbeta: or rank2: object at
+    --dmax 0-2, in the default format (JSON)."""
+    pm = draw(st.sampled_from(FIELDS))
+    r_flag = ["--r", f"{pm[0]}^{pm[1]}" if pm[1] > 1 else str(pm[0])]
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, 40))
+        i_range = f"{lo}..{lo + draw(st.integers(0, 6))}"
+        return ["special", *r_flag, "--kind", draw(st.sampled_from(["zeta", "carlitz"])), "--i", i_range]
+    field_r = field_make(*pm)
+    idx = st.lists(st.integers(0, 10**6), max_size=3)
+    parts = [_ratfunc(field_r, draw(idx), draw(idx)) for _ in range(draw(st.integers(1, 2)))]
+    assume(not parts[-1].is_zero())
+    obj = ("cbeta:" if len(parts) == 1 else "rank2:") + ",".join(a.to_string() for a in parts)
+    return ["lfactors", obj, *r_flag, "--dmax", str(draw(st.integers(0, 2)))]
+
+
+def _stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_argvs())
+@example(["lfactors", "cbeta:T", "--r", "2", "--dmax", "0"])
+def test_streamed_tables_match_one_block_oracles(argv):
+    # the streamed JSON is the indented dump of its own payload, and the
+    # streamed CSV is the one-block CSV of the same rows
+    out = _stdout_of(argv)
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert _stdout_of([*argv, "--format", "csv"]) == csv_table_from_json(payload)
