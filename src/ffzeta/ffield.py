@@ -31,10 +31,12 @@ q > 2^8 and m > 1 multiplies its coordinate lists through the base
 raises Unsupported.
 
 The generic ``pk_*`` kernels serve every field of every tower.  At F_r = F_2
-the point module, the rank-2 Hasse recursion and the norm pack F_2[T] in
-ints (``f2_*``), and the prime sieve packs F_r[T] base q at every r;
-every other field and kernel keeps ``ops()`` tables.  All values are
-immutable; every operation is pure.
+the rank-2 Hasse recursion and the norm pack F_2[T] in ints (``f2_*``).  At
+every r = 2^m the point module works on residue codes as they are, because
+a code's m-bit slots are its coordinates over F_r: a code is the packed
+vector, a sum is xor and T acts F_2-linearly.  The prime sieve packs F_r[T]
+base q at every r; every other field and kernel keeps ``ops()`` tables.
+All values are immutable; every operation is pure.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class FiniteField:
         self._q_base = base.q if base else p
         # products index the tables; a field with m = 1 multiplies ints mod p
         self._tabled = self.m > 1 and self.q * self.q <= TABLE_LIMIT
-        self.f2_packed = self.q == 2  # F_2 itself: per-prime F_2[T] kernels take f2_*
+        self.f2_packed = self.q == 2  # F_2: the norm and rank-2 Hasse take f2_*; the point module packs any 2^m
         self._ops = None
         # a field over the prime field is keyed by p, so F_p[y]/(g) is one
         # field whichever F_p object it was built on

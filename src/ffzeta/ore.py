@@ -14,8 +14,10 @@ norm of the leading coefficient and, in rank 2, the Hasse invariant, so no
 product is taken in a residue field and no Ore product is formed.  Torsion
 points, found as kernels of the F_r-linear map phi_v over successively larger extensions of the residue field, are
 kept as the independent oracle for those values; all their linear algebra
-is over F_p.  At r = 2 ``point_module_annihilator`` and the rank-2 branch
-of ``frobenius_charpoly`` dispatch once, at their top, to packed F_2[T] ints.
+is over F_p.  At r = 2 the rank-2 branch of ``frobenius_charpoly``
+dispatches once, at its top, to packed F_2[T] ints.  At every r = 2^m
+``point_module_annihilator`` runs on the residue codes as they are: a code
+is the packed vector of its coordinates, a sum is xor and T is F_2-linear.
 """
 
 from __future__ import annotations
@@ -429,14 +431,15 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
     T acts on F_f = F_r[theta]/(f) as the F_r-linear map
     x -> theta*x + sum a_i x^(r^i).  On the basis e_k = theta^k its k-th
     column is theta^(k+1) plus the sum over i of a_i*theta^(k r^i), the k-th
-    entries of the theta-multiples of 1 with step 1 and of a_i with step r^i
-    (``theta_multiples``), so no polynomial is multiplied or reduced.  The
-    annihilator is the map's minimal polynomial mu, by Krylov elimination:
-    start from mu = 1 and, for each e_k that mu(T) does not kill, multiply
-    mu by the minimal polynomial of mu(T)e_k, which makes mu the lcm of mu
-    and the minimal polynomial of e_k, on F_r's operation tables or packed
-    F_2[T] ints.  Non-cyclic modules (impossible for rank 1 by the theory)
-    raise NotCyclic for inspection.
+    entries of the theta-multiples of 1 with step 1 and of a_i with step r^i,
+    so no polynomial is multiplied or reduced.  The annihilator is the map's
+    minimal polynomial mu, by Krylov elimination: start from mu = 1 and, for
+    each e_k that mu(T) does not kill, multiply mu by the minimal polynomial
+    of mu(T)e_k, which makes mu the lcm of mu and the minimal polynomial of
+    e_k.  At r = 2^m it runs on the residue codes for every m: a code is the
+    packed vector, a sum is xor and T is F_2-linear (``_annihilator_char2``);
+    at odd p on F_r's operation tables (``theta_multiples``).  Non-cyclic
+    modules (impossible for rank 1 by the theory) raise NotCyclic.
     """
     if not phi.is_reduced():
         raise ValueError("point_module_annihilator expects a reduced module")
@@ -445,9 +448,8 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
     d = f.deg
     if field_r.q**d > bound:
         raise BoundExceeded(f"residue field size {field_r.q**d} exceeds bound {bound}")
-    if field_r.f2_packed:
-        # an element of F_2[y]/(f) is its own packed residue
-        mu = f2_unpack(_annihilator_f2(f2_pack(f.coeffs), d, phi.coeffs[1:]))
+    if field_r.p == 2:
+        mu = _annihilator_char2(field_r, f.coeffs, phi.coeffs[1:])
     else:
         mu = _annihilator_tables(field_r, f.coeffs, phi.r, [phi.dom.field.coords(a) for a in phi.coeffs[1:]])
     mu = Poly(field_r, mu)
@@ -457,7 +459,7 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
 
 
 def _annihilator_tables(field_r, f, r: int, coeffs) -> list:
-    """``point_module_annihilator``'s mu for f and the residues a_i as lists."""
+    """``point_module_annihilator``'s mu at odd p; f, the a_i and mu are lists."""
     add, mul, neg, inv = field_r.ops()
     d = len(f) - 1
     # columns of the T-action matrix in the basis 1, theta, ..., theta^(d-1)
@@ -513,40 +515,74 @@ def _annihilator_tables(field_r, f, r: int, coeffs) -> list:
     return mu
 
 
-def _annihilator_f2(f: int, d: int, coeffs) -> int:
-    """``_annihilator_tables`` on packed ints; a vector has entry k at bit k."""
-    top = 1 << d
+def _annihilator_char2(field_r, f, coeffs) -> list:
+    """``_annihilator_tables`` at r = 2^m on residue codes (m-bit slots):
+    theta*x shifts x by m bits and cancels each slot past d with a multiple
+    c*f.  Krylov elimination runs over F_2: T^j v enters tagged with slot j
+    and, when independent, y^b T^j v for 0 < b < m with it."""
+    m, r, d = field_r.m, field_r.q, len(f) - 1
+    md, slot, top = m * d, r - 1, 1 << m * d
+    # y*x on each of 2d + 1 slots: a carry past y^(m-1) folds back as y^m mod h
+    carry = ((1 << m * (2 * d + 1)) - 1) // slot << m - 1
+    h_low = field_r.from_coords(field_r.modulus[:m])
+
+    def times_y(x):
+        c = x & carry
+        return (x ^ c) << 1 ^ (c >> m - 1) * h_low
+
+    def multiples(x):  # c*x, indexed by the code c of F_r
+        out = [0, x]
+        while len(out) < r:
+            x = times_y(x)
+            out += [z ^ x for z in out]
+        return out
+
+    fb = sum(c << m * k for k, c in enumerate(f))
+    cancel = multiples(fb)  # c*f has c in slot d
+
+    def reduce(x):  # x mod f, one top slot at a time
+        while (n := x.bit_length()) > md:
+            j = (n - 1) // m
+            x ^= cancel[x >> m * j] << m * (j - d)
+        return x
 
     def orbit(v, step):  # v, theta^step v, ... (d vectors) mod f
         out = [v]
         while len(out) < d:
-            out.append(f2_mod(out[-1] << step, f))
+            out.append(reduce(out[-1] << m * step))
         return out
 
-    cols = [f2_mod(v << 1, f) for v in orbit(1, 1)]
+    # theta^(k+1) mod f: only theta^d wraps, to f - theta^d
+    cols = [1 << m * k for k in range(1, d)] + [fb ^ top]
     for i, a in enumerate(coeffs, 1):
         if a:
-            cols = [x ^ y for x, y in zip(cols, orbit(a, 1 << i))]
+            cols = [x ^ y for x, y in zip(cols, orbit(a, r**i))]
+    images = [multiples(col) for col in cols]  # images[k][c] = T(c theta^k)
 
     def apply_map(vec):
         out = 0
-        for k, col in enumerate(cols):
-            if vec >> k & 1:
-                out ^= col
+        for row in images:
+            out ^= row[vec & slot]
+            vec >>= m
         return out
 
     def minpoly(vec):
-        # echelon rows vector | combination << d, each with its pivot bit
+        # echelon rows vector | combination << md, each with its pivot bit
         rows = []
         for j in range(d + 1):
-            row = vec | top << j
-            for piv, prow in rows:
-                if row & piv:
-                    row ^= prow
-            low = row & (top - 1)
-            if not low:
-                return row >> d
-            rows.append((low & -low, row))
+            row, b = vec | top << m * j, 0
+            while True:  # T^j vec, then y^b T^j vec for 0 < b < m
+                for piv, prow in rows:
+                    if row & piv:
+                        row ^= prow
+                low = row & (top - 1)
+                if not low:
+                    return row >> md
+                rows.append((low & -low, row))
+                b += 1
+                if b == m:
+                    break
+                row = times_y(row)
             vec = apply_map(vec)
 
     mu = 1
@@ -554,12 +590,14 @@ def _annihilator_f2(f: int, d: int, coeffs) -> int:
         if mu >= top:
             break
         # mu(T) e_k by Horner
-        vec = 1 << k
-        for j in range(mu.bit_length() - 2, -1, -1):
-            vec = apply_map(vec) ^ (mu >> j & 1) << k
+        vec = 1 << m * k
+        for j in range((mu.bit_length() - 1) // m - 1, -1, -1):
+            vec = apply_map(vec) ^ (mu >> m * j & slot) << m * k
         if vec:
-            mu = f2_mul(mu, minpoly(vec))
-    return mu
+            chi, scaled, mu = minpoly(vec), multiples(mu), 0
+            for j in range(0, chi.bit_length(), m):
+                mu ^= scaled[chi >> j & slot] << j
+    return [mu >> j & slot for j in range(0, mu.bit_length(), m)]
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,31 @@ def test_lucas_rows_match_the_binomials(p, m):
         assert all(len(kids) == len(want[w]) and set(kids) == want[w] for w, kids in groups), (k,)
 
 
+def _digit_sum(k: int, r: int) -> int:
+    total = 0
+    while k:
+        k, digit = divmod(k, r)
+        total += digit
+    return total
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_power_sums_vanish_below_the_digit_sum_bound(p, m):
+    # the Carlitz-Lee criterion: S_e(k) = 0 whenever the base-r digit sum of
+    # k is below e(r - 1), here for every e(r - 1) <= k <= 300; at prime r
+    # exactly then
+    field = field_make(p, m)
+    r, k_max = field.q, 300
+    tab = PowerSumTable(field, k_max)
+    for k in range(k_max + 1):
+        digits = _digit_sum(k, r)
+        for e in range(1, k // (r - 1) + 1):
+            if digits < e * (r - 1):
+                assert not tab.is_nonzero(e, k), (e, k)
+            elif m == 1:
+                assert tab.is_nonzero(e, k), (e, k)
+
+
 def test_slot_plan_takes_the_64_bit_slot_while_it_holds_a_term():
     # below 2^32 a 64-bit slot holds a residue plus at least one product
     assert lseries._slot_plan(3000000019, 1 << 20) == (64, 2)

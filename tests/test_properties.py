@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ffzeta import ore as ore_module
 from ffzeta import poly as poly_module
 from ffzeta.cli import main
 from ffzeta.errors import BadReduction, NotCyclic
@@ -520,17 +521,75 @@ def _outcome(fn, *args):
         return "not cyclic"
 
 
-def test_f2_point_module_matches_table_route(monkeypatch):
-    # every prime of degree <= 8: Carlitz, a twisted cbeta and rank2:0,1,
-    # which is not cyclic at some primes; the same results with the p = 2
-    # dispatch off, so on F_2's operation tables
-    modules = [carlitz(F2), drinfeld_rank1(F2, ratfunc_from_string(F2, "(T+1)/T")),
-               drinfeld_rank2(F2, RatFunc.zero(F2), RatFunc.one(F2))]
-    reds = [reduce_mod_prime(phi, f) for phi in modules for f in monic_irreducibles(F2, 8)]
-    packed = [_outcome(point_module_annihilator, red) for red in reds]
-    assert "not cyclic" in packed
-    _packed_off(monkeypatch)
-    assert [_outcome(point_module_annihilator, red) for red in reds] == packed
+# every r = 2^m with the largest prime degree that keeps the check near 1 s
+# in all; the table route is ``_annihilator_tables`` called directly
+CHAR2_DEGREES = {2: 10, 4: 5, 8: 3, 16: 2}
+
+
+def _char2_modules(field_r):
+    return [carlitz(field_r), drinfeld_rank1(field_r, ratfunc_from_string(field_r, "(T+1)/T")),
+            drinfeld_rank2(field_r, RatFunc.zero(field_r), RatFunc.one(field_r)),
+            drinfeld_rank2(field_r, RatFunc.gen(field_r), RatFunc.one(field_r))]
+
+
+def _good_reductions(phi, primes):
+    out = []
+    for f in primes:
+        with contextlib.suppress(BadReduction):
+            out.append(reduce_mod_prime(phi, f))
+    return out
+
+
+def _table_route(red):
+    field_r, f = red.field_r, red.prime
+    mu = Poly(field_r, ore_module._annihilator_tables(field_r, f.coeffs, red.r,
+                                                      [red.dom.field.coords(a) for a in red.coeffs[1:]]))
+    return mu if mu.deg == f.deg else "not cyclic"
+
+
+def test_f2_point_module_matches_table_route():
+    # Carlitz, cbeta:(T+1)/T, rank2:0,1 and rank2:T,1 at every prime of
+    # degree <= CHAR2_DEGREES[r]: the packed route of every r = 2^m against
+    # F_r's operation tables, with non-cyclic point modules at r = 2 and 4
+    for r, dmax in CHAR2_DEGREES.items():
+        field_r = field_make(2, r.bit_length() - 1)
+        primes = monic_irreducibles(field_r, dmax)
+        reds = [red for phi in _char2_modules(field_r) for red in _good_reductions(phi, primes)]
+        packed = [_outcome(point_module_annihilator, red) for red in reds]
+        assert packed == [_table_route(red) for red in reds], r
+        assert r > 4 or "not cyclic" in packed, r
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1)])
+def test_point_module_routes_on_residue_codes_at_every_2_power(monkeypatch, p, m):
+    # at r = 2^m the point module never enters the table route and builds
+    # no operation table but F_r's; at r = 3 it takes the table route
+    from collections import OrderedDict
+
+    field_r = field_make(p, m)
+    primes = monic_irreducibles(field_r, CHAR2_DEGREES.get(field_r.q, 4))
+    built = []
+    build = FiniteField._build_tables
+
+    def counted(field):
+        if field is not field_r:
+            built.append(field)
+        build(field)
+
+    def refuse(*args):
+        raise AssertionError("table route taken")
+
+    monkeypatch.setattr(FiniteField, "_build_tables", counted)
+    monkeypatch.setattr(ore_module, "_annihilator_tables", refuse)
+    monkeypatch.setattr(ore_module, "_RESIDUE_CACHE", OrderedDict())  # fresh residue fields
+    reds = [red for phi in _char2_modules(field_r) for red in _good_reductions(phi, primes)]
+    if p == 2:
+        for red in reds:
+            _outcome(point_module_annihilator, red)
+        assert built == []
+    else:
+        with pytest.raises(AssertionError, match="table route taken"):
+            point_module_annihilator(reds[0])
 
 
 def test_f2_frobenius_charpoly_matches_table_route(monkeypatch):
