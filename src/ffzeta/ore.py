@@ -517,9 +517,9 @@ def _annihilator_tables(field_r, f, r: int, coeffs) -> list:
 
 def _annihilator_char2(field_r, f, coeffs) -> list:
     """``_annihilator_tables`` at r = 2^m on residue codes (m-bit slots):
-    theta*x shifts x by m bits and cancels each slot past d with a multiple
-    c*f.  Krylov elimination runs over F_2: T^j v enters tagged with slot j
-    and, when independent, y^b T^j v for 0 < b < m with it."""
+    theta*x shifts x up one slot and cancels the code c in slot d with c*f.
+    Krylov elimination runs over F_2: T^j v enters tagged with slot j and,
+    when independent, y^b T^j v for 0 < b < m with it."""
     m, r, d = field_r.m, field_r.q, len(f) - 1
     md, slot, top = m * d, r - 1, 1 << m * d
     # y*x on each of 2d + 1 slots: a carry past y^(m-1) folds back as y^m mod h
@@ -540,16 +540,13 @@ def _annihilator_char2(field_r, f, coeffs) -> list:
     fb = sum(c << m * k for k, c in enumerate(f))
     cancel = multiples(fb)  # c*f has c in slot d
 
-    def reduce(x):  # x mod f, one top slot at a time
-        while (n := x.bit_length()) > md:
-            j = (n - 1) // m
-            x ^= cancel[x >> m * j] << m * (j - d)
-        return x
-
     def orbit(v, step):  # v, theta^step v, ... (d vectors) mod f
         out = [v]
         while len(out) < d:
-            out.append(reduce(out[-1] << m * step))
+            for _ in range(step):  # theta*v: shift, then cancel slot d
+                v <<= m
+                v ^= cancel[v >> md]
+            out.append(v)
         return out
 
     # theta^(k+1) mod f: only theta^d wraps, to f - theta^d

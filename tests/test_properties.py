@@ -567,7 +567,7 @@ def test_point_module_routes_on_residue_codes_at_every_2_power(monkeypatch, p, m
     from collections import OrderedDict
 
     field_r = field_make(p, m)
-    primes = monic_irreducibles(field_r, CHAR2_DEGREES.get(field_r.q, 4))
+    primes = monic_irreducibles(field_r, CHAR2_DEGREES.get(field_r.q, 2))
     built = []
     build = FiniteField._build_tables
 
