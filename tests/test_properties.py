@@ -581,7 +581,9 @@ def test_point_module_routes_on_residue_codes_at_every_2_power(monkeypatch, p, m
 
     monkeypatch.setattr(FiniteField, "_build_tables", counted)
     monkeypatch.setattr(ore_module, "_annihilator_tables", refuse)
-    monkeypatch.setattr(ore_module, "_RESIDUE_CACHE", OrderedDict())  # fresh residue fields
+    # fresh residue fields, and a cache size that is restored with the cache
+    monkeypatch.setattr(ore_module, "_RESIDUE_CACHE", OrderedDict())
+    monkeypatch.setattr(ore_module, "_residue_cache_elements", 0)
     reds = [red for phi in _char2_modules(field_r) for red in _good_reductions(phi, primes)]
     if p == 2:
         for red in reds:
