@@ -31,9 +31,10 @@ q > 2^8 and m > 1 multiplies its coordinate lists through the base
 raises Unsupported.
 
 The generic ``pk_*`` kernels serve every field of every tower.  At F_r = F_2
-the rank-2 Hasse recursion and the norm pack F_2[T] in ints (``f2_*``).  At
-every r = 2^m the point module works on residue codes as they are, because
-a code's m-bit slots are its coordinates over F_r: a code is the packed
+the rank-2 Hasse recursion and the norm run on F_2[T] packed in ints by
+``Poly.code``; the ``f2_*`` kernels here are arithmetic only.  At every
+r = 2^m the point module works on residue codes as they are, because a
+code's m-bit slots are its coordinates over F_r: a code is the packed
 vector, a sum is xor and T acts F_2-linearly.  The prime sieve packs F_r[T]
 base q at every r; every other field and kernel keeps ``ops()`` tables.
 All values are immutable; every operation is pure.
@@ -471,23 +472,15 @@ def pk_lex_irreducible(F, e: int):
     if e == 1:
         return [F.zero, F.one]
     q = F.q
-    for enc in range(q**e):
-        cand = [enc // q**i % q for i in range(e)] + [F.one]
+    for tail in range(q**e):
+        cand = _digits(tail, q, e) + [F.one]
         if pk_irreducible_rabin(F, cand):
             return cand
     raise AssertionError("no irreducible polynomial found")
 
 
 # ---------------------------------------------------------------------------
-# F_2[T] on ints: bit k is the coefficient of T^k, so a sum is xor.
-
-
-def f2_pack(coeffs) -> int:
-    return int("".join(map(str, reversed(coeffs))) or "0", 2)
-
-
-def f2_unpack(a: int) -> list[int]:
-    return [int(c) for c in reversed(format(a, "b"))] if a else []
+# F_2[T] on ints (``Poly.code``): bit k is the coefficient of T^k; a sum is xor.
 
 
 def f2_mul(a: int, b: int) -> int:

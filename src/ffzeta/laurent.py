@@ -286,7 +286,7 @@ def one_unit_pow(u: Laurent, y, prec=None) -> Laurent:
     cap = INF
     if isinstance(y, tuple):
         y, modulus = y
-        if modulus <= 0 or (modulus & (modulus - 1) if p == 2 else _not_p_power(modulus, p)):
+        if modulus <= 0 or _not_p_power(modulus, p):
             raise ValueError(f"exponent modulus {modulus} is not a power of {p}")
         cap = modulus
         y %= modulus

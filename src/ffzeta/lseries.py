@@ -370,13 +370,7 @@ def power_sums_enumerated_batch(field_r, e: int, k_max: int, enum_bound: int = 1
 
     p = field_r.p
     count = field_r.q**e
-    monics = np.zeros((count, e + 1), dtype=np.int64)
-    for idx in range(count):
-        enc = idx
-        for d in range(e):
-            monics[idx, d] = enc % p
-            enc //= p
-        monics[idx, e] = 1
+    monics = np.array([n.coeffs for n in monic_polys(field_r, e)], dtype=np.int64)
     cur = np.ones((count, 1), dtype=np.int64)
     out = [Poly.const(field_r, count % p)]  # S_e(0) = r^e mod p
     for k in range(1, k_max + 1):
@@ -768,7 +762,7 @@ def classify_eigen_system(es: EigenSystem, field_r) -> Classification:
             return Classification("NoMatch", None, None, None, note=f"alpha/P^j not constant at {P}")
         table[P] = c
     values = set(table.values())
-    jm = j % (r - 1) if r > 2 else 0
+    jm = j % (r - 1)
     tbl_out = {P.to_string(): c for P, c in table.items()}
     if values == {field_r.one}:
         return Classification("ClassIITranslate", j, jm, tbl_out)

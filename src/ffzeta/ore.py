@@ -5,7 +5,8 @@ twisted rule tau*c = c^r*tau; multiplication corresponds to composition of
 the associated F_r-linear polynomials sum c_i x^(r^i).  Coefficients live
 in one of two domains: ``RatFuncCoeffs``, F_r(T) for modules over the
 rational function field, and ``FieldCoeffs``, the int elements of a
-residue field F_f = A/(f) for reduced modules.
+residue field F_f = A/(f) for reduced modules.  An element of F_f is the
+code of its residue mod f (``Poly.code``; ``Poly.from_code`` reads it back).
 
 Reductions and Frobenius data at a prime f are read from the good model
 that ``good_model`` builds in A = F_r[T], with no ``RatFunc`` arithmetic.
@@ -33,7 +34,7 @@ from .errors import (
     SingularRecursion,
     ZeroInput,
 )
-from .ffield import FiniteField, f2_mod, f2_mul, f2_pack, f2_square, f2_unpack, pk_lex_irreducible
+from .ffield import FiniteField, f2_mod, f2_mul, f2_square, pk_lex_irreducible
 from .poly import Poly, RatFunc, binary_power, norm, poly_xgcd, split_valuation, theta_multiples
 
 # ---------------------------------------------------------------------------
@@ -259,8 +260,7 @@ class DrinfeldModule:
 
     def to_dict(self) -> dict:
         if self.is_reduced():
-            F_f = self.dom.field
-            coeff_strs = [element_to_residue(self.field_r, F_f, c).to_string() for c in self.coeffs]
+            coeff_strs = [Poly.from_code(self.field_r, c).to_string() for c in self.coeffs]
             return {
                 "r": self.r,
                 "base": {"type": "residue", "prime": self.prime.to_string()},
@@ -323,8 +323,7 @@ def _residue_cache_cost(F_f) -> int:
 
 
 def residue_field(field_r, f: Poly):
-    """A/(f) = F_r[y]/(f); an element's base-r digits are its residue
-    polynomial's coefficients."""
+    """A/(f) = F_r[y]/(f); an element is the code of its residue mod f."""
     global _residue_cache_elements
     key = (field_r, f)
     F_f = _RESIDUE_CACHE.get(key)
@@ -339,18 +338,6 @@ def residue_field(field_r, f: Poly):
         for ext_key in [ext_key for ext_key in _EXT_CACHE if ext_key[0] == old]:
             del _EXT_CACHE[ext_key]
     return F_f
-
-
-def residue_to_element(field_r, F_f, a: Poly):
-    """Map a residue polynomial to its field element (reducing mod f first)."""
-    modulus = Poly(field_r, F_f.modulus)
-    if a.deg >= modulus.deg:
-        a = a % modulus
-    return F_f.from_coords(a.coeffs)
-
-
-def element_to_residue(field_r, F_f, el) -> Poly:
-    return Poly(field_r, F_f.coords(el))
 
 
 def good_model(phi: DrinfeldModule, f: Poly) -> tuple[int, list[tuple[Poly, Poly]]]:
@@ -410,15 +397,14 @@ def good_model_residues(phi: DrinfeldModule, f: Poly) -> tuple[int, list[Poly]]:
 def reduce_mod_prime(phi: DrinfeldModule, f: Poly) -> DrinfeldModule:
     """Good-reduction model of phi at the monic prime f (``good_model``).
 
-    Each coefficient is a residue num' * den'^-1 mod f taken in A and only
-    then mapped into F_f, so no product is taken there, no operation table
-    is built and no ``RatFunc`` arithmetic runs.
+    Each coefficient is a residue num' * den'^-1 mod f taken in A, whose
+    code is its element of F_f, so no product is taken there, no operation
+    table is built and no ``RatFunc`` arithmetic runs.
     """
     field_r = phi.field_r
     j, residues = good_model_residues(phi, f)
     F_f = residue_field(field_r, f)
-    new_coeffs = [residue_to_element(field_r, F_f, a) for a in residues]
-    return DrinfeldModule(field_r, FieldCoeffs(F_f, phi.r), new_coeffs, prime=f, twist=j)
+    return DrinfeldModule(field_r, FieldCoeffs(F_f, phi.r), [a.code() for a in residues], prime=f, twist=j)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +435,10 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
     if field_r.q**d > bound:
         raise BoundExceeded(f"residue field size {field_r.q**d} exceeds bound {bound}")
     if field_r.p == 2:
-        mu = _annihilator_char2(field_r, f.coeffs, phi.coeffs[1:])
+        mu = _annihilator_char2(field_r, f, phi.coeffs[1:])
     else:
-        mu = _annihilator_tables(field_r, f.coeffs, phi.r, [phi.dom.field.coords(a) for a in phi.coeffs[1:]])
-    mu = Poly(field_r, mu)
+        mu = Poly(field_r, _annihilator_tables(field_r, f.coeffs, phi.r,
+                                               [phi.dom.field.coords(a) for a in phi.coeffs[1:]]))
     if mu.deg < d:
         raise NotCyclic(f"point module at f = {f} has annihilator {mu} of degree {mu.deg} < {d}")
     return mu
@@ -515,12 +501,12 @@ def _annihilator_tables(field_r, f, r: int, coeffs) -> list:
     return mu
 
 
-def _annihilator_char2(field_r, f, coeffs) -> list:
+def _annihilator_char2(field_r, f: Poly, coeffs) -> Poly:
     """``_annihilator_tables`` at r = 2^m on residue codes (m-bit slots):
     theta*x shifts x up one slot and cancels the code c in slot d with c*f.
     Krylov elimination runs over F_2: T^j v enters tagged with slot j and,
     when independent, y^b T^j v for 0 < b < m with it."""
-    m, r, d = field_r.m, field_r.q, len(f) - 1
+    m, r, d = field_r.m, field_r.q, f.deg
     md, slot, top = m * d, r - 1, 1 << m * d
     # y*x on each of 2d + 1 slots: a carry past y^(m-1) folds back as y^m mod h
     carry = ((1 << m * (2 * d + 1)) - 1) // slot << m - 1
@@ -537,7 +523,7 @@ def _annihilator_char2(field_r, f, coeffs) -> list:
             out += [z ^ x for z in out]
         return out
 
-    fb = sum(c << m * k for k, c in enumerate(f))
+    fb = f.code()
     cancel = multiples(fb)  # c*f has c in slot d
 
     def orbit(v, step):  # v, theta^step v, ... (d vectors) mod f
@@ -594,7 +580,7 @@ def _annihilator_char2(field_r, f, coeffs) -> list:
             chi, scaled, mu = minpoly(vec), multiples(mu), 0
             for j in range(0, chi.bit_length(), m):
                 mu ^= scaled[chi >> j & slot] << j
-    return [mu >> j & slot for j in range(0, mu.bit_length(), m)]
+    return Poly.from_code(field_r, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +588,8 @@ def _annihilator_char2(field_r, f, coeffs) -> list:
 
 
 def all_polys_below(field_r, degree: int) -> list[Poly]:
-    """All polynomials of degree < degree, ascending coefficient encoding."""
-    q = field_r.q
-    return [Poly(field_r, [enc // q**i % q for i in range(degree)]) for enc in range(q**degree)]
+    """All polynomials of degree < degree, by ascending code."""
+    return [Poly.from_code(field_r, x) for x in range(field_r.q**degree)]
 
 
 def apply_linear(E, coeffs, x, r: int):
@@ -636,7 +621,7 @@ def nullspace_mod_p(rows, p: int):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p) if p > 2 else 1
+        inv = pow(m[rank][col], p - 2, p)
         m[rank] = [(x * inv) % p for x in m[rank]]
         for i in range(nrows):
             if i != rank and m[i][col] % p:
@@ -738,18 +723,11 @@ def torsion_points(phi: DrinfeldModule, v: Poly) -> TorsionModule:
 
 
 def _span_points(E, null_basis, p: int):
-    points = []
-    n = len(null_basis)
-    for enc in range(p**n):
-        vec = [0] * len(null_basis[0]) if null_basis else []
-        k = enc
-        for b in null_basis:
-            c = k % p
-            k //= p
-            if c:
-                vec = [(x + c * y) % p for x, y in zip(vec, b)]
-        points.append(E.from_pvector(vec) if null_basis else E.zero)
-    return points
+    """Every F_p-combination of the null-space basis, as elements of E."""
+    vecs = [[0] * E.m]
+    for b in null_basis:
+        vecs = [[x + c * y for x, y in zip(vec, b)] for c in range(p) for vec in vecs]
+    return [E.from_pvector(vec) for vec in vecs]
 
 
 def _build_torsion(phi, v, E, e, points):
@@ -865,8 +843,7 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     if phi.is_reduced():
         if phi.prime != f:
             raise ValueError(f"module reduced at {phi.prime}, not at {f}")
-        F_f = phi.dom.field
-        residues = [element_to_residue(field_r, F_f, c) for c in phi.coeffs]
+        residues = [Poly.from_code(field_r, c) for c in phi.coeffs]
         if t == 1:
             return f.scale(field_r.inv(norm(f, residues[1]))), None
     elif t == 1:
@@ -881,9 +858,9 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
     if d % 2:
         mu = field_r.neg(mu)
     if field_r.f2_packed:  # packed ints: a difference is a sum, x(T)^2 = x(T^2)
-        fb, residues = f2_pack(f.coeffs), [f2_pack(x.coeffs) for x in residues]
+        fb, residues = f.code(), [x.code() for x in residues]
         one, sub, mul, power = 1, operator.xor, f2_mul, f2_square
-        mod, lift = (lambda x: f2_mod(x, fb)), (lambda x: Poly(field_r, f2_unpack(x)))
+        mod, lift = (lambda x: f2_mod(x, fb)), (lambda x: Poly.from_code(field_r, x))
     else:
         one, sub, mul, power = Poly.one(field_r), operator.sub, operator.mul, (lambda x: x.frob_power(r))
         mod, lift = (lambda x: x % f), (lambda x: x)

@@ -8,11 +8,15 @@ integers 0..r-1 in the fixed F_p-basis, e.g. ``T^2+T+1``; this is the
 wire format everywhere.  ``binary_power`` is the one square-and-multiply
 loop of the package, shared by every ring whose product is ``*``.
 
+The code of a Poly (``code``, ``from_code``), the base-q integer whose
+digit k is the coefficient of T^k, is F_r[T]'s one integer format: residue
+codes in A/(f), packed F_2[T] ints and the order of monics and primes.
+
 The monic primes f come from a sieve (``monic_irreducibles``): each
 product of a smaller prime g with a monic cofactor is grown one cofactor
-coefficient at a time as the base-q integer encoding of its tail, a shift
-by one digit plus a per-g table of its low digits, and clears the flag of
-its encoding; the encodings left flagged are the primes.
+coefficient at a time as the code of its tail, a shift by one digit plus a
+per-g table of its low digits, and clears the flag of that code; the
+tails left flagged are the primes.
 
 Every norm N(x) = prod x(rho) in F_r over the roots rho of f is ``norm``,
 a Euclidean remainder sequence: Drinfeld-module Frobenius, chi_beta, the
@@ -40,7 +44,6 @@ from itertools import compress, product
 from .errors import BoundExceeded, DomainMismatch, ParseError, ZeroInput
 from .ffield import (
     f2_mod,
-    f2_pack,
     pk_add,
     pk_divmod,
     pk_eval,
@@ -129,13 +132,13 @@ class Poly:
         return cls(field, (field.zero, field.one))
 
     @classmethod
-    def from_encoding(cls, field, enc: int, degree: int) -> "Poly":
-        """Monic polynomial T^degree + tail, tail encoded base q ascending."""
-        tail = []
-        for _ in range(degree):
-            tail.append(enc % field.q)
-            enc //= field.q
-        return cls(field, tail + [field.one])
+    def from_code(cls, field, x: int) -> "Poly":
+        """The polynomial whose code (``code``) is x >= 0."""
+        q, coeffs = field.q, []
+        while x:
+            x, c = divmod(x, q)
+            coeffs.append(c)
+        return cls(field, coeffs)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -166,13 +169,12 @@ class Poly:
     def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
 
-    def encoding(self) -> int:
-        """Integer encoding of the non-leading coefficient tail (monic only)."""
-        F = self.field
-        enc = 0
-        for c in reversed(self.coeffs[:-1]):
-            enc = enc * F.q + c
-        return enc
+    def code(self) -> int:
+        """The base-q integer whose digit k is the coefficient of T^k."""
+        q, x = self.field.q, 0
+        for c in reversed(self.coeffs):
+            x = x * q + c
+        return x
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -254,7 +256,7 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def sort_key(self):
-        return (self.deg, self.encoding())
+        return (self.deg, self.code())
 
     # -- text encoding -------------------------------------------------------------
 
@@ -345,27 +347,27 @@ def split_valuation(a: Poly, prime: Poly) -> tuple[int, Poly]:
 
 
 def monic_polys(field, d: int):
-    """All monic polynomials of degree d, ascending tail encoding."""
-    for enc in range(field.q**d):
-        yield Poly.from_encoding(field, enc, d)
+    """All monic polynomials of degree d, by ascending code q^d ... 2q^d - 1."""
+    qd = field.q**d
+    for x in range(qd, 2 * qd):
+        yield Poly.from_code(field, x)
 
 
 _IRRED_CACHE: dict[tuple, list] = {}
 
 
 def _irreducibles_of_degree(field, d: int) -> list[Poly]:
-    """Monic primes of degree d, ascending tail encoding, by a sieve.
+    """Monic primes of degree d, by ascending code, by a sieve.
 
     Every product g*h of a prime g of degree k <= d/2 and a monic h of
-    degree d - k clears the flag of its encoding in q^d flags; the flags
-    left set are the primes.  A product is held as x, the base-q integer
-    encoding of its tail (every coefficient below the leading 1).  h grows
-    one coefficient at a time, g*(T*h + c) = T*(g*h) + c*g: with lo = x mod
-    q^k, the k low digits of x, the new encoding is x*q + delta_c[lo], where
-    delta_c[lo] = enc(T*lo + c*g) - q*lo.  Only the k + 1 low digits
-    change, and delta_c adds them digit by digit in F_r, so no carry
-    crosses a digit at any p.  The delta_c of a prime g have q^k entries
-    each and live while g's products grow.
+    degree d - k clears the flag of its tail in q^d flags; the flags left
+    set are the primes.  A product is held as x, the code of its tail (every
+    coefficient below the leading 1).  h grows one coefficient at a time,
+    g*(T*h + c) = T*(g*h) + c*g: with lo = x mod q^k, the k low digits of x,
+    the new tail is x*q + delta_c[lo], delta_c[lo] = code(T*lo + c*g) - q*lo.
+    Only the k + 1 low digits change, and delta_c adds them digit by digit
+    in F_r, so no carry crosses a digit at any p.  The delta_c of a prime g
+    have q^k entries each and live while g's products grow.
     """
     key = (field, d)
     if key in _IRRED_CACHE:
@@ -385,15 +387,15 @@ def _irreducibles_of_degree(field, d: int) -> list[Poly]:
                 for i in range(1, k + 1):
                     delta = [v + w for w in [q**i * s for s in shift[cg[gs[i]]]] for v in delta]
                 deltas.append(delta)
-            xs = [g.encoding()]
+            xs = [g.code() - qk]  # g's tail
             for _ in range(d - k):
                 los = [x % qk for x in xs]
                 shifted = [x * q for x in xs]  # c = 0
                 xs = shifted + [x + delta[lo] for delta in deltas for x, lo in zip(shifted, los)]
             for x in xs:
                 prime[x] = 0
-    # product() runs through the tails with the top digit first, so in
-    # ascending encoding
+    # product() runs through the tails with the top digit first, so by
+    # ascending code
     one = (field.one,)
     out = [Poly(field, t[::-1] + one) for t in compress(product(range(q), repeat=d), prime)]
     _IRRED_CACHE[key] = out
@@ -401,7 +403,7 @@ def _irreducibles_of_degree(field, d: int) -> list[Poly]:
 
 
 def monic_irreducibles(field, d_max: int, enum_bound: int = 4096) -> list[Poly]:
-    """All monic irreducibles of degree <= d_max, sorted by (degree, encoding).
+    """All monic irreducibles of degree <= d_max, sorted by (degree, code).
 
     Each degree comes from a sieve over the monic polynomials
     (``_irreducibles_of_degree``); the enumeration refuses to run past
@@ -750,7 +752,7 @@ def norm(f: Poly, x: Poly):
         raise ValueError("f must be monic and nonconstant")
     F = f.field
     if F.f2_packed:
-        f, x = f2_pack(f.coeffs), f2_pack(x.coeffs)
+        f, x = f.code(), x.code()
         while (x := f2_mod(x, f)) > 1:
             f, x = x, f
         return x

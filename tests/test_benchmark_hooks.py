@@ -14,6 +14,8 @@ import pytest
 import ffzeta.cli  # noqa: F401  (loads every module the benchmark runs)
 from ffzeta.ffield import field_make
 from ffzeta.lseries import special_polynomial
+from ffzeta.ore import carlitz, reduce_mod_prime
+from ffzeta.poly import monic_irreducibles
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "ffbench" / "tracing.py"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -49,6 +51,17 @@ def test_cache_snapshot_sees_the_power_sum_table():
     caches = _tracing()["cache_snapshot"]()
     assert caches["table_rows"] > 0
     assert caches["zero_row"] > 0
+
+
+def test_cache_snapshot_sees_the_residue_fields():
+    """The tracer reads ``ore.residue_field.hit_ratio`` as one less the
+    residue fields cached per call; a cache it cannot find would read 0
+    fields and a hit ratio of 1.0."""
+    field_r = field_make(2, 2)
+    phi = carlitz(field_r)
+    for f in monic_irreducibles(field_r, 2):
+        reduce_mod_prime(phi, f)
+    assert _tracing()["cache_snapshot"]()["residue_fields"] > 0
 
 
 @pytest.mark.parametrize(

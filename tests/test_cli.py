@@ -836,7 +836,9 @@ def test_rank2_rows_build_no_residue_field(capsys, monkeypatch, r, dmax):
     counting(FiniteField, "_build_tables", lambda field: field is not field_r)
     counting(ore.OrePoly, "__mul__")
     counting(ore, "nullspace_mod_p")
+    # a fresh cache, and a cache size that is restored with the cache
     monkeypatch.setattr(ore, "_RESIDUE_CACHE", OrderedDict())
+    monkeypatch.setattr(ore, "_residue_cache_elements", 0)
     code, out, err = run(capsys, "lfactors", "rank2:0,1", "--r", r, "--dmax", dmax, "--format", "csv")
     assert code == 0, err
     assert out.count(",rank2-charpoly") > 100

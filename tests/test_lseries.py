@@ -1,7 +1,10 @@
+import functools
 import math
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffzeta import lseries
 from ffzeta.errors import (
@@ -269,6 +272,36 @@ def test_power_sums_vanish_below_the_digit_sum_bound(p, m):
                 assert not tab.is_nonzero(e, k), (e, k)
             elif m == 1:
                 assert tab.is_nonzero(e, k), (e, k)
+
+
+# k <= 2000 past the exhaustive check above; the rows of r = 2 cost most,
+# so its converse stops at k <= 500
+DIGIT_SUM_K = {2: 500, 3: 2000, 5: 2000, 7: 2000, 11: 2000, 13: 2000}
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_table(p: int) -> PowerSumTable:
+    return PowerSumTable(field_make(p, 1), DIGIT_SUM_K[p])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13]), st.integers(0, 2000))
+def test_power_sums_vanish_below_the_digit_sum_bound_to_k_2000(r, k):
+    # the vanishing side of the digit-sum criterion at drawn k <= 2000
+    tab, digits = _prime_table(r), _digit_sum(k, r)
+    for e in range(digits // (r - 1) + 1, k // (r - 1) + 1):
+        assert not tab.is_nonzero(e, k), (e, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(DIGIT_SUM_K)), st.integers(0, 2000))
+def test_power_sums_survive_up_to_the_digit_sum_bound_at_prime_r(r, k):
+    # the converse at prime r: S_e(k) != 0 whenever the base-r digit sum of
+    # k is at least e(r - 1); at r = 4 and r = 9 some of these vanish
+    k %= DIGIT_SUM_K[r] + 1
+    tab = _prime_table(r)
+    for e in range(1, _digit_sum(k, r) // (r - 1) + 1):
+        assert tab.is_nonzero(e, k), (e, k)
 
 
 def test_slot_plan_takes_the_64_bit_slot_while_it_holds_a_term():

@@ -198,15 +198,15 @@ def test_resultant_t_minus_theta_gives_f(field):
     # Res_theta(f, T - theta) = f(T) for every monic f of degree <= 4
     t_minus_theta = BivPoly(field, (Poly(field, [field.zero, field.neg(field.one)]), Poly.one(field)))
     for d in (1, 2, 3, 4):
-        for enc in range(field.q**d):
-            f = Poly.from_encoding(field, enc, d)
+        for x in range(field.q**d, 2 * field.q**d):
+            f = Poly.from_code(field, x)
             assert resultant(f, t_minus_theta) == f
 
 
 def test_resultant_multiplicative():
     rng = random.Random(11)
     for _ in range(20):
-        f = Poly.from_encoding(F3, rng.randrange(27), 3)
+        f = Poly.from_code(F3, 27 + rng.randrange(27))
         g = BivPoly.from_theta_poly(Poly(F3, [rng.randrange(3) for _ in range(3)] + [1]))
         h = BivPoly.from_theta_poly(Poly(F3, [rng.randrange(3) for _ in range(2)] + [1]))
         lhs = resultant(f, g * h)

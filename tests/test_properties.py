@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,9 +19,7 @@ from ffzeta.ffield import (
     FiniteField,
     f2_mod,
     f2_mul,
-    f2_pack,
     f2_square,
-    f2_unpack,
     field_make,
     pk_add,
     pk_divmod,
@@ -27,6 +27,7 @@ from ffzeta.ffield import (
     pk_lex_irreducible,
     pk_mod,
     pk_mul,
+    pk_powmod,
     pk_trim,
 )
 from ffzeta.lseries import EigenSystem, LocalFactor, classify_eigen_system, local_factor, power_sum
@@ -41,7 +42,6 @@ from ffzeta.ore import (
     point_module_annihilator,
     reduce_mod_prime,
     residue_field,
-    residue_to_element,
 )
 from ffzeta.poly import (
     BivPoly,
@@ -194,9 +194,8 @@ def test_ratfunc_residue_matches_field_division(pm, prime_idx, num_idx, den_idx)
     den = Poly(field_r, den_tail + [field_r.one])
     assume(poly_gcd(den, f).deg == 0)
     a = RatFunc(num, den)
-    num_el = residue_to_element(field_r, F_f, a.num)
-    den_el = residue_to_element(field_r, F_f, a.den)
-    assert residue_to_element(field_r, F_f, residue_mod(a, f)) == F_f.mul(num_el, F_f.inv(den_el))
+    num_el, den_el = (a.num % f).code(), (a.den % f).code()
+    assert residue_mod(a, f).code() == F_f.mul(num_el, F_f.inv(den_el))
 
 
 # fields for the axiom check: F_r for r in {2, ..., 13}, residue fields A/(f)
@@ -430,7 +429,7 @@ def test_good_model_matches_ratfunc_oracle(module):
         return
     red = reduce_mod_prime(phi, f)
     assert good_model_twist(phi, f) == red.twist == j
-    assert red.coeffs == tuple(residue_to_element(phi.field_r, red.dom.field, x) for x in residues)
+    assert red.coeffs == tuple(x.code() for x in residues)
 
 
 @settings(max_examples=200, deadline=None)
@@ -492,13 +491,18 @@ f2_lists = st.lists(st.integers(0, 1), max_size=90)
 @settings(max_examples=200, deadline=None)
 @given(f2_lists, f2_lists)
 def test_f2_kernels_match_pk_kernels(a, b):
-    A, B = f2_pack(a), f2_pack(b)
-    assert f2_unpack(A) == pk_trim(F2, a)
-    assert f2_unpack(A ^ B) == pk_add(F2, a, b)
-    assert f2_unpack(f2_mul(A, B)) == pk_mul(F2, a, b)
-    assert f2_unpack(f2_square(A)) == pk_mul(F2, a, a)
+    # F_2[T] packed and unpacked by the code pair of Poly
+    A, B = Poly(F2, a).code(), Poly(F2, b).code()
+
+    def unpack(x):
+        return list(Poly.from_code(F2, x).coeffs)
+
+    assert unpack(A) == pk_trim(F2, a)
+    assert unpack(A ^ B) == pk_add(F2, a, b)
+    assert unpack(f2_mul(A, B)) == pk_mul(F2, a, b)
+    assert unpack(f2_square(A)) == pk_mul(F2, a, a)
     if B:
-        assert f2_unpack(f2_mod(A, B)) == pk_mod(F2, a, pk_trim(F2, b))
+        assert unpack(f2_mod(A, B)) == pk_mod(F2, a, pk_trim(F2, b))
 
 
 @settings(max_examples=200, deadline=None)
@@ -670,13 +674,17 @@ def test_classify_matches_ratfunc_division(pm, j, kind, idx, bumped):
     assert res.note == f"alpha/P^j not constant at {primes[k]}"
 
 
+def _r_flag(pm):
+    return ["--r", f"{pm[0]}^{pm[1]}" if pm[1] > 1 else str(pm[0])]
+
+
 @st.composite
 def table_argvs(draw):
     """The argv of a ``special`` run over any field with a random --i
     range, or of an ``lfactors`` run of a random cbeta: or rank2: object at
     --dmax 0-2, in the default format (JSON)."""
     pm = draw(st.sampled_from(FIELDS))
-    r_flag = ["--r", f"{pm[0]}^{pm[1]}" if pm[1] > 1 else str(pm[0])]
+    r_flag = _r_flag(pm)
     if draw(st.booleans()):
         lo = draw(st.integers(0, 40))
         i_range = f"{lo}..{lo + draw(st.integers(0, 6))}"
@@ -706,3 +714,95 @@ def test_streamed_tables_match_one_block_oracles(argv):
     payload = json.loads(out)
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert _stdout_of([*argv, "--format", "csv"]) == csv_table_from_json(payload)
+
+
+def _eigenvalues(field_r, argv, provenance):
+    """prime -> a for the rows of an ``lfactors`` CSV with the given
+    provenance, a read off the denominator 1 - a*u."""
+    eigen = {}
+    for line in _stdout_of([*argv, "--format", "csv"]).splitlines()[2:]:
+        prime, den, prov = line.split(",")
+        if prov == provenance:
+            assert den.startswith("1+") and den.endswith("*u"), den
+            minus_a = poly_from_string(field_r, den[2:-2].strip("()"))
+            eigen[poly_from_string(field_r, prime)] = -minus_a
+    return eigen
+
+
+def _classified(r_flag, eigen):
+    """``classify``'s JSON on the eigen file of the lines "f,a"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "eigen.csv")
+        with open(path, "w") as fh:
+            fh.writelines(f"{f},{a}\n" for f, a in eigen.items())
+        return json.loads(_stdout_of(["classify", path, *r_flag]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(FIELDS),
+    st.lists(st.integers(0, 10**6), max_size=3),
+    st.lists(st.integers(0, 10**6), max_size=2),
+    st.booleans(),
+)
+def test_cbeta_rows_classify_by_the_norm_of_beta(pm, num_idx, den_idx, power):
+    # the CLI round trip: lfactors cbeta:beta at the good primes of degree
+    # <= 2 as an eigen file.  alpha_f = c_f * f with c_f = N_f(beta')^-1,
+    # beta' = beta with f split out of num and den and N_f(x) =
+    # x^((r^deg f - 1)/(r - 1)) mod f, so classify reads j = 1 and the
+    # table c_f: ClassIITranslate when every c_f is 1 (as when beta is an
+    # (r-1)-th power), ClassIWitness when they differ, else NoMatch
+    field_r = field_make(*pm)
+    r = field_r.q
+    beta = _ratfunc(field_r, num_idx, den_idx)
+    assume(not beta.is_zero())
+    if power:
+        beta = beta ** (r - 1)
+    r_flag = _r_flag(pm)
+    eigen = _eigenvalues(field_r, ["lfactors", f"cbeta:{beta}", *r_flag, "--dmax", "2"], "rank1-formula")
+    assume(len({f.deg for f in eigen}) == 2)
+    table = {}
+    for f in eigen:
+        n_num, n_den = (pk_powmod(field_r, split_valuation(x, f)[1].coeffs, (r**f.deg - 1) // (r - 1), f.coeffs)
+                        for x in (beta.num, beta.den))
+        table[f.to_string()] = field_r.mul(n_den[0], field_r.inv(n_num[0]))
+    res = _classified(r_flag, eigen)
+    assert res["j"] == 1 and res["table"] == table
+    cs = set(table.values())
+    assert res["verdict"] == ("ClassIITranslate" if cs == {1} else "ClassIWitness" if len(cs) > 1 else "NoMatch")
+    if power:
+        assert cs == {1}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 4))
+def test_tensorpower_rows_classify_as_the_translate_by_n(pm, n):
+    # the CLI round trip: lfactors tensorpower:n at every prime of degree
+    # <= 2 as an eigen file classifies as ClassIITranslate with j = n
+    field_r = field_make(*pm)
+    r_flag = _r_flag(pm)
+    eigen = _eigenvalues(field_r, ["lfactors", f"tensorpower:{n}", *r_flag, "--dmax", "2"], "tau-sheaf-eigenvalue")
+    assert list(eigen) == monic_irreducibles(field_r, 2)
+    res = _classified(r_flag, eigen)
+    assert (res["verdict"], res["j"]) == ("ClassIITranslate", n)
+    assert res["table"] == {f.to_string(): 1 for f in eigen}
+
+
+# -- the code of a Poly ------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.lists(st.integers(0, 10**6), max_size=12), st.integers(0, 10**6),
+       st.integers(0, 2))
+def test_code_is_the_residue_element_and_the_order_of_monics(pm, idx, prime_idx, d):
+    # from_code inverts code; below deg f the code is the element of A/(f)
+    # with those coordinates; monic_polys(F, d) yields the codes q^d ... 2q^d - 1
+    field = field_make(*pm)
+    q = field.q
+    p = Poly(field, [k % q for k in idx])
+    assert Poly.from_code(field, p.code()) == p
+    primes = monic_irreducibles(field, 2)
+    f = primes[prime_idx % len(primes)]
+    low = Poly(field, p.coeffs[: f.deg])
+    assert low.code() == residue_field(field, f).from_coords(low.coeffs)
+    assert [n.code() for n in monic_polys(field, d)] == list(range(q**d, 2 * q**d))
