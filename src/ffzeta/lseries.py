@@ -11,17 +11,20 @@ of r-1 and 0 otherwise.  Its coefficients are binomials mod p and -1, so
 S_e(k) lies in F_p[T] for every r = p^m, and one table of residues mod p
 (``PowerSumTable``) serves prime and prime-power r alike: ``FiniteField``
 encodes elements as base-p digits, so the residues 0..p-1 are exactly the
-constants of F_p inside F_r.  The binomials C(k, j) mod p come from
-Lucas's theorem: the row of k is derived once from the row of k // p and
-serves every e.  Each S_e(k) is stored as one packed Python int, a
-fixed-width slot per coefficient (Kronecker substitution), so
-T^(k-j) S_{e-1}(k-j) is one shift, made once per row, and each term of the
-recursion is one big-int add.  The slot width is chosen from p and the
-number of terms so that no slot overflows before it is reduced; a
-reduction folds the high bits of every slot onto its low bits with the
-weight 2^h mod p and, for p < 256, finishes with one ``bytes.translate``;
-8-bit slots are read back as the bytes of the packed int.  The recursion
-only ever lowers k, so once a full row of zeros appears every higher row
+constants of F_p inside F_r.  The binomials C(k, j) mod p come from Lucas's
+theorem: the row of k is derived once from the row of k // p and serves
+every e.  T -> cT with c in F_r^* maps the monics of degree e onto
+themselves up to the factor c^e, so S_e(k)(cT) = c^(ek) S_e(k)(T): only
+T^i with i = e*k mod (r-1) occur.  Each S_e(k) is stored as one packed
+Python int, a fixed-width slot per power of T in that residue class
+(Kronecker substitution), so T^(k-j) S_{e-1}(k-j) is one shift, made once
+per row, and each term of the recursion is one big-int add.  The slot width
+is chosen from p and the number of terms so that no slot overflows before
+it is reduced; a reduction folds the high bits of every slot onto its low
+bits with the weight 2^h mod p and, for p < 256, finishes with one
+``bytes.translate``; 8-bit slots are read back as the bytes of the packed
+int, and special polynomials print from those slots.  The recursion only
+ever lowers k, so once a full row of zeros appears every higher row
 vanishes identically; this makes special-polynomial degrees computable far
 past the reach of enumeration, while direct enumeration remains the oracle
 at desk scale.
@@ -43,7 +46,7 @@ from .errors import (
 from .errors import BadPrime, BadReduction, Record
 from .laurent import INF, Laurent, one_unit_pow
 from .ore import DrinfeldModule, frobenius_charpoly
-from .poly import Poly, monic_irreducibles, monic_polys
+from .poly import Poly, monic_irreducibles, monic_polys, terms_string
 from .sheaf import TauSheafRank1, frobenius_eigenvalue
 
 
@@ -202,22 +205,26 @@ class PowerSumTable:
     """Rows of power sums S_e(k) over F_r, r = p^m, built bottom-up.
 
     Entries are residues mod p, i.e. constants of F_p inside F_r, so the
-    same table serves every r = p^m.  ``_rows[e][k]`` is S_e(k) packed into
-    one int, coefficient i in bits [i*W, (i+1)*W) (0 when it vanishes), and
-    ``_rows[e]`` is None past the zero row.  The slot width W is 8, 16, 32
-    or 64 bits (``_slot_plan``).
+    same table serves every r = p^m.  S_e(k) has no T^i off the class
+    i = e*k mod s, s = r - 1 (T -> cT scales it by c^(ek)), so
+    ``_rows[e][k]`` packs only that class into one int: slot j, in bits
+    [j*W, (j+1)*W), is the coefficient of T^(e*k mod s + s*j) (0 when
+    S_e(k) vanishes), and ``_rows[e]`` is None past the zero row.  The slot
+    width W is 8, 16, 32 or 64 bits (``_slot_plan``).
 
-    Row e is summed from row e-1: with U(kid) = T^kid S_{e-1}(kid), i.e.
-    S_{e-1}(kid) << kid*W, each S_e(k) is sum_w w * sum U(kid) over the
-    Lucas terms of k (``_lucas_rows``), so a term costs one big-int add.  A
-    slot receives at most p - 1 plus ``terms`` products w * c <= (p-1)^2
-    before it is reduced, and W is chosen so that this fits: nothing ever
-    carries into the next slot.  The reduction folds every slot with a few
-    shifts and masks (``_fold_plan``) until it is below 256, then maps each
-    byte to its residue with one ``bytes.translate``.  For p > 256 no byte
-    holds a residue, and the slots are reduced one by one.  ``value`` reads
-    8-bit slots as the bytes of the packed int and wider slots with
-    ``struct``.
+    Row e is summed from row e-1: U(kid) = T^kid S_{e-1}(kid) starts at
+    T^(kid + (e-1)*kid mod s), (kid + (e-1)*kid mod s - e*kid mod s) / s
+    slots above S_e(k) for every Lucas term kid of k (s divides k - kid),
+    so it is one shift of S_{e-1}(kid).  Each S_e(k) is sum_w w * sum
+    U(kid) over those terms (``_lucas_rows``): one big-int add each.  A slot
+    receives at most p - 1 plus ``terms`` products w * c <= (p-1)^2 before
+    it is reduced, and W is chosen so that this fits: nothing ever carries
+    into the next slot.  The reduction folds every slot with a few shifts
+    and masks (``_fold_plan``) until it is below 256, then maps each byte
+    to its residue with one ``bytes.translate``.  For p > 256 no byte holds
+    a residue, and the slots are reduced one by one.  ``slots`` reads 8-bit
+    slots as the bytes of the packed int and wider ones with ``struct``;
+    ``value`` spreads them into a dense Poly.
 
     Row e is computed from row e-1 for every k <= k_max; when a row is zero
     across the whole k-range, all later rows are zero too (the recursion
@@ -280,8 +287,8 @@ class PowerSumTable:
 
     def _build_next_row(self):
         e = len(self._rows)
-        W = self._width
-        shifted = [s << (kid * W) for kid, s in enumerate(self._rows[e - 1])]
+        W, s = self._width, self.r - 1
+        shifted = [x << ((kid + (e - 1) * kid % s - e * kid % s) // s * W) for kid, x in enumerate(self._rows[e - 1])]
         self._cover_folds(max(map(int.bit_length, shifted)))
         get, reduce = shifted.__getitem__, self._reduce
         row = [0] * (self.k_max + 1)
@@ -309,8 +316,13 @@ class PowerSumTable:
     def is_nonzero(self, e: int, k: int) -> bool:
         return self._entry(e, k) != 0
 
+    def slots(self, e: int, k: int) -> tuple:
+        """(e*k mod (r-1), the slots of S_e(k)): slot j is the coefficient of
+        T^(e*k mod (r-1) + (r-1)*j)."""
+        return e * k % (self.r - 1), self._unpack(self._entry(e, k))
+
     def value(self, e: int, k: int) -> Poly:
-        return Poly(self.field, self._unpack(self._entry(e, k)))
+        return _spread(self.field, *self.slots(e, k), self.r - 1)
 
     def degree_in_e(self, k: int) -> int:
         """Largest e with S_e(k) != 0 (the x^-1-degree of the special value)."""
@@ -387,17 +399,17 @@ def power_sums_enumerated_batch(field_r, e: int, k_max: int, enum_bound: int = 1
 # special polynomials
 
 
-def _series_string(coeffs, power) -> str:
+def _series_string(texts, power) -> str:
     """Nonzero terms c*v^j of a series with coefficients in A, lowest j first.
 
+    ``texts`` are the coefficients' texts, "0" where one vanishes;
     ``power(j)`` writes v^j for j >= 1 (``u^j`` or ``x^-j``); a coefficient
     whose text holds "+" or "*" is parenthesised, and the zero series is "0".
     """
     terms = []
-    for j, c in enumerate(coeffs):
-        if c.is_zero():
+    for j, cs in enumerate(texts):
+        if cs == "0":
             continue
-        cs = c.to_string()
         if j == 0:
             terms.append(cs)
         elif cs == "1":
@@ -409,36 +421,69 @@ def _series_string(coeffs, power) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _spread(field, first: int, slots, step: int) -> Poly:
+    """sum_j slots[j] T^(first + step*j) as a dense Poly."""
+    cs = [0] * (first + step * (len(slots) - 1) + 1)
+    cs[first::step] = slots
+    return Poly(field, cs)
+
+
 class SpecialPolynomial(Record):
-    """L(., x/T^i, -i) in A[x^-1]: coeffs[e] is the coefficient of x^-e."""
+    """L(., x/T^i, -i) in A[x^-1]: coeffs[e] is the coefficient of x^-e.
 
-    __slots__ = ("i", "kind", "coeffs")
+    It is kept as ``terms[e] = (first, slots)``: sum_j slots[j]
+    T^(first + step*j), top slot nonzero.  ``special_polynomial`` gives the
+    table's S_e(k), first = e*k mod (r-1) and step = r - 1 (T -> cT scales
+    S_e(k) by c^(ek)); Polys give first 0, step 1.  ``to_string``, ``deg``
+    and ``newton_points`` read the slots; ``coeffs`` builds Polys per read.
+    """
 
-    def __init__(self, i: int, kind: str, coeffs: tuple):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "kind", kind)  # "zeta" (exponent i) or "carlitz" (exponent i+1)
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ("i", "kind", "field", "step", "terms")
+
+    def __init__(self, i: int, kind: str, coeffs: tuple):  # kind "zeta" (exponent i) or "carlitz" (i+1)
+        self._set(i, kind, coeffs[0].field if coeffs else None, 1, tuple((0, c.coeffs) for c in coeffs))
+
+    @classmethod
+    def packed(cls, i: int, kind: str, field, step: int, terms: tuple) -> "SpecialPolynomial":
+        sp = object.__new__(cls)
+        sp._set(i, kind, field, step, terms)
+        return sp
+
+    def _fields(self) -> tuple:  # equal and hashed by value, whatever the layout of the terms
+        return self.i, self.kind, self.coeffs
+
+    def __repr__(self):
+        return f"SpecialPolynomial(i={self.i!r}, kind={self.kind!r}, coeffs={self.coeffs!r})"
 
     @property
     def exponent(self) -> int:
         return self.i if self.kind == "zeta" else self.i + 1
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(_spread(self.field, first, slots, self.step) for first, slots in self.terms)
+
+    @property
     def deg(self) -> int:
-        d = len(self.coeffs) - 1
-        while d >= 0 and self.coeffs[d].is_zero():
+        d = len(self.terms) - 1
+        while d >= 0 and not self.terms[d][1]:
             d -= 1
         return d
 
     def coeff(self, e: int) -> Poly:
-        if 0 <= e < len(self.coeffs):
-            return self.coeffs[e]
-        if not self.coeffs:
+        if 0 <= e < len(self.terms):
+            return _spread(self.field, *self.terms[e], self.step)
+        if not self.terms:
             raise ValueError("empty special polynomial")
-        return Poly.zero(self.coeffs[0].field)
+        return Poly.zero(self.field)
+
+    def newton_points(self) -> list:
+        """(e, -deg_T) of every nonzero coefficient of x^-e."""
+        return [(e, -first - self.step * (len(slots) - 1)) for e, (first, slots) in enumerate(self.terms) if slots]
 
     def to_string(self) -> str:
-        return _series_string(self.coeffs, lambda e: f"x^-{e}")
+        step = self.step
+        return _series_string([terms_string(slots, first, step) for first, slots in self.terms], lambda e: f"x^-{e}")
 
 
 def special_polynomial(field_r, i: int, kind: str) -> SpecialPolynomial:
@@ -446,7 +491,8 @@ def special_polynomial(field_r, i: int, kind: str) -> SpecialPolynomial:
 
     The substitution x -> x/T^i is already applied, so the coefficient of
     x^-e is the honest power sum S_e(k) in A with k = i (zeta) or i+1
-    (carlitz); the degree is bounded by floor(k / (r-1)).
+    (carlitz); the degree is bounded by floor(k / (r-1)).  The coefficients
+    stay packed as the table holds them (``SpecialPolynomial``).
     """
     if i < 0:
         raise ValueError("i must be nonnegative")
@@ -454,8 +500,8 @@ def special_polynomial(field_r, i: int, kind: str) -> SpecialPolynomial:
         raise ValueError("kind must be 'zeta' or 'carlitz'")
     k = i if kind == "zeta" else i + 1
     tab = _table_for(field_r, k)
-    coeffs = [tab.value(e, k) for e in range(tab.degree_in_e(k) + 1)]
-    return SpecialPolynomial(i=i, kind=kind, coeffs=tuple(coeffs))
+    terms = tuple(tab.slots(e, k) for e in range(tab.degree_in_e(k) + 1))
+    return SpecialPolynomial.packed(i, kind, field_r, tab.r - 1, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +519,8 @@ class LocalFactor(Record):
         object.__setattr__(self, "provenance", provenance)
 
     def denominator_string(self) -> str:
-        return _series_string(self.denominator, lambda j: "u" if j == 1 else f"u^{j}")
+        texts = ["0" if c.is_zero() else c.to_string() for c in self.denominator]
+        return _series_string(texts, lambda j: "u" if j == 1 else f"u^{j}")
 
     def inverse_series(self, n_terms: int) -> list:
         """Coefficients of 1/denominator as a power series in u."""
@@ -798,10 +845,7 @@ def newton_polygon(sp: SpecialPolynomial):
     divides the rise and a ``Fraction`` otherwise, so ``fractions`` is only
     imported for a fractional slope.
     """
-    pts = []
-    for e, c in enumerate(sp.coeffs):
-        if not c.is_zero():
-            pts.append((e, -c.deg))
+    pts = sp.newton_points()
     if not pts:
         raise ZeroInput("Newton polygon of the zero polynomial")
     if len(pts) == 1:

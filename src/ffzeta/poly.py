@@ -5,8 +5,10 @@ f, Euler-factor and special-polynomial coefficients, Frobenius
 eigenvalues).  Series in u or x^-1 are coefficient lists of Polys, printed
 by ``lseries``.  The canonical text encoding writes coefficients as
 integers 0..r-1 in the fixed F_p-basis, e.g. ``T^2+T+1``; this is the
-wire format everywhere.  ``binary_power`` is the one square-and-multiply
-loop of the package, shared by every ring whose product is ``*``.
+wire format everywhere, and ``terms_string`` is its one printer (special
+rows print their packed power sums through it without a Poly).
+``binary_power`` is the one square-and-multiply loop of the package,
+shared by every ring whose product is ``*``.
 
 The code of a Poly (``code``, ``from_code``), the base-q integer whose
 digit k is the coefficient of T^k, is F_r[T]'s one integer format: residue
@@ -37,9 +39,9 @@ Degree of the zero polynomial is the sentinel -1.
 
 from __future__ import annotations
 
-import operator
 import re
-from itertools import compress, product
+from itertools import compress, islice, product
+from operator import add
 
 from .errors import BoundExceeded, DomainMismatch, ParseError, ZeroInput
 from .ffield import (
@@ -85,6 +87,7 @@ class _Prefixes(dict):
 
 
 _PREFIXES = _Prefixes()
+_PREFIX = _PREFIXES.__getitem__  # bound once: the printer calls it per nonzero term
 
 _T_POWERS: list[str] = []  # "T^e" at index e >= 1 ("T" at 0, never printed); empty until a Poly is printed
 
@@ -98,6 +101,28 @@ def _t_powers(n: int) -> list[str]:
         tp = tp + [f"T^{e}" if e > 1 else "T" for e in range(len(tp), n + n // 4)]
         _T_POWERS = tp
     return tp
+
+
+def terms_string(cs, first: int = 0, step: int = 1) -> str:
+    """Canonical text of sum_j cs[j] T^(first + step*j), highest term first.
+
+    ``cs`` holds int codes with a nonzero top, or is empty for "0".  A Poly
+    prints its coefficients (0, 1); a packed power sum prints its live
+    residue class of exponents (``lseries.PowerSumTable``).
+    """
+    if not cs:
+        return "0"
+    # the nonzero terms, lowest first: the prefix of each nonzero code
+    # joined to its "T^e"; a constant term takes its code instead
+    prefixes = map(_PREFIX, filter(None, cs))
+    powers = _t_powers(first + step * len(cs))
+    if first or step > 1:  # a dense Poly walks the list itself, which is faster
+        powers = islice(powers, first, None, step)
+    terms = list(map(add, prefixes, compress(powers, cs)))
+    if not first and cs[0]:
+        terms[0] = str(cs[0])
+    terms.reverse()
+    return "+".join(terms)
 
 
 class Poly:
@@ -262,17 +287,7 @@ class Poly:
 
     def to_string(self) -> str:
         """Canonical text, highest term first; int codes are the printed digits."""
-        cs = self.coeffs
-        if not cs:
-            return "0"
-        # the nonzero terms, lowest first: the prefix of each nonzero code
-        # joined to its "T^e"; a constant term takes its code instead
-        prefixes = map(_PREFIXES.__getitem__, filter(None, cs))
-        terms = list(map(operator.add, prefixes, compress(_t_powers(len(cs)), cs)))
-        if cs[0]:
-            terms[0] = str(cs[0])
-        terms.reverse()
-        return "+".join(terms)
+        return terms_string(self.coeffs)
 
     __str__ = to_string
 

@@ -95,6 +95,37 @@ def test_serialization_spans_are_reached(capsys, monkeypatch, argv):
     assert calls == {name: int(name == fmt) for name in calls}
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_special_rows_reach_the_row_spans_once(capsys, monkeypatch, fmt):
+    """The tracer times ``lseries.special`` per row (its p50 and tail) and
+    ``cli.special_to_string`` per row: each row of ``special`` must call
+    both boundaries exactly once, or those metrics change their meaning."""
+    calls = {"lseries.special": 0, "cli.special_to_string": 0}
+    modules = [m for n, m in sys.modules.items() if n == "ffzeta" or n.startswith("ffzeta.")]
+    for name, modname, qualname, _ in _boundaries():
+        if name not in calls:
+            continue
+        owner = sys.modules[f"ffzeta.{modname}"]
+        owner_name, _, attr = qualname.rpartition(".")
+        if owner_name:
+            owner = getattr(owner, owner_name)
+        real = vars(owner)[attr]
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        # patched where the tracer patches: on the class, or in every
+        # namespace that binds the function
+        for space in [owner] if owner_name else modules:
+            for bound, value in list(vars(space).items()):
+                if value is real:
+                    monkeypatch.setattr(space, bound, counting)
+    assert ffzeta.cli.main(["special", "--r", "3", "--i", "5..40", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert calls == {name: 36 for name in calls}
+
+
 def _import_from(module, name):
     """What ``from module import name`` binds: an attribute, else a submodule."""
     owner = importlib.import_module(module)

@@ -19,6 +19,7 @@ import ffzeta.cli as cli
 from ffzeta.cli import PrimeCache, main, parse_i_range, parse_object_spec, parse_r
 from ffzeta.errors import CacheCorrupt, FFZetaError, NotPrime, ParseError
 from ffzeta.ffield import field_make
+from ffzeta.poly import Poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -254,6 +255,12 @@ SPECIAL_DIGESTS = [
      "31b0274d417aaf8b2b4c511b05b9fd3c44b6f37c8031183c58d0dfa36cb8ba20"),
     (["--r", "2^3", "--kind", "carlitz", "--format", "csv", "--i", "0..200"],
      "9f73011dcbdf1d5ddf83a99555d81e6ca792c36b63ab24e2cc165032e8417835"),
+    # recorded from the dense table: r = 16 has step r - 1 = 15, the widest
+    # stride of the table's live residue class that the CLI reaches
+    (["--r", "2^4", "--i", "0..300"],
+     "bb7b510ce8dfe88189dc7e336034a0e1a763926c2dc9391005a7d9c7e85252dd"),
+    (["--r", "2^4", "--kind", "carlitz", "--format", "json", "--i", "0..300"],
+     "90045e3a619d7b270634307e79f6ff2fb56888a075c8b604ab1e788e555febd4"),
 ]
 
 
@@ -630,6 +637,26 @@ def test_special_streams_its_rows(monkeypatch, capsys, fmt):
     assert fake.writes[0][0] == 0
     first_row = next(calls for calls, text in fake.writes if calls)
     assert first_row == 1 < fake.calls == 36
+
+
+@pytest.mark.parametrize("r", ["3", "2^2", "7"])
+def test_special_rows_build_no_poly(capsys, monkeypatch, r):
+    # rows print from the table's packed slots: a longer range builds no
+    # more Polys, where one Poly per coefficient would grow with it
+    real, counts = Poly.__init__, []
+    for n in (10, 120):
+        built = [0]
+
+        def counting(self, *args, _built=built):
+            _built[0] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(Poly, "__init__", counting)
+        code, _, err = run(capsys, "special", "--r", r, "--i", f"0..{n}")
+        monkeypatch.undo()
+        assert code == 0, err
+        counts.append(built[0])
+    assert counts[0] == counts[1], counts
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -367,6 +367,9 @@ def test_special_polynomial_translation():
             carl = special_polynomial(field, i, "carlitz")
             zeta = special_polynomial(field, i + 1, "zeta")
             assert carl.coeffs == zeta.coeffs
+            # the packed record equals the one built from its Polys, hash too
+            dense = SpecialPolynomial(i=i, kind="carlitz", coeffs=carl.coeffs)
+            assert dense == carl and hash(dense) == hash(carl) and dense.to_string() == carl.to_string()
 
 
 def test_special_polynomial_degree_bound():

@@ -30,7 +30,7 @@ from ffzeta.ffield import (
     pk_powmod,
     pk_trim,
 )
-from ffzeta.lseries import EigenSystem, LocalFactor, classify_eigen_system, local_factor, power_sum
+from ffzeta.lseries import EigenSystem, LocalFactor, PowerSumTable, classify_eigen_system, local_factor, power_sum
 from ffzeta.ore import (
     FieldCoeffs,
     OrePoly,
@@ -77,6 +77,22 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 
 def test_power_sum_matches_enumeration(pm, e, k):
     field = field_make(*pm)
     assert power_sum(field, e, k) == power_sum_enumerated(field, e, k)
+
+
+@pytest.mark.parametrize("pm", FIELDS, ids=[f"r={p}^{m}" for p, m in FIELDS])
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 60))
+def test_power_sums_live_on_one_residue_class(pm, k):
+    # T -> cT with c in F_r^* permutes the monics of degree e up to c^e, so
+    # S_e(k)(cT) = c^(ek) S_e(k)(T): T^i occurs only for i = e*k mod (r-1).
+    # Checked on the enumerated sum, then the table that stores only that
+    # class must give the same polynomial back
+    field = field_make(*pm)
+    s, tab = field.q - 1, PowerSumTable(field, k)
+    for e in range(3):
+        enumerated = power_sum_enumerated(field, e, k)
+        assert [i for i, c in enumerate(enumerated.coeffs) if c and (i - e * k) % s] == [], (e, k)
+        assert tab.value(e, k) == enumerated, (e, k)
 
 
 def _check_to_string(f: Poly) -> None:
