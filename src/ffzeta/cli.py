@@ -17,6 +17,9 @@ loaded only for ``--help``, errors and the other spellings it accepts.
 Output: ``special`` and ``lfactors`` write both formats through one writer,
 ``_write_table``.  ``lfactors`` computes all its rows before the output
 opens, so a failure on any prime leaves stdout empty and no ``--out`` file.
+``special`` sizes the one power-sum table its range needs before the output
+opens: it holds the indices digit-dominated by the range's k, and its work,
+estimated from their digits, is refused past ``lseries.WORK_LIMIT`` (exit 2).
 """
 
 from __future__ import annotations
@@ -292,7 +295,8 @@ def cmd_special(args, field) -> int:
     kind, i_range = args.kind, args.i_range
     if i_range[0] < 0:
         raise BoundExceeded(f"negative index {i_range[0]} in range")
-    _table_for(field, i_range[-1] + 1)  # one power-sum table for the whole range, before --out opens
+    shift = kind == "carlitz"  # the row at i holds S_e(i + 1)
+    _table_for(field, range(i_range[0] + shift, i_range[-1] + shift + 1))  # bounded, before --out opens
     kind_json = json.dumps(kind)
 
     def row(i: int) -> str:

@@ -13,7 +13,10 @@ S_e(k) lies in F_p[T] for every r = p^m, and one table of residues mod p
 encodes elements as base-p digits, so the residues 0..p-1 are exactly the
 constants of F_p inside F_r.  The binomials C(k, j) mod p come from Lucas's
 theorem: the row of k is derived once from the row of k // p and serves
-every e.  T -> cT with c in F_r^* maps the monics of degree e onto
+every e.  By the same theorem every index the recursion for S_e(k) reaches
+is digit-dominated by k in base p, so a table holds only the union of those
+indices over the k it was asked for, and one row costs its own digits, not
+the whole range below it.  T -> cT with c in F_r^* maps the monics of degree e onto
 themselves up to the factor c^e, so S_e(k)(cT) = c^(ek) S_e(k)(T): only
 T^i with i = e*k mod (r-1) occur.  Each S_e(k) is stored as one packed
 Python int, a fixed-width slot per power of T in that residue class
@@ -23,11 +26,13 @@ is chosen from p and the number of terms so that no slot overflows before
 it is reduced; a reduction folds the high bits of every slot onto its low
 bits with the weight 2^h mod p and, for p < 256, finishes with one
 ``bytes.translate``; 8-bit slots are read back as the bytes of the packed
-int, and special polynomials print from those slots.  The recursion only
-ever lowers k, so once a full row of zeros appears every higher row
-vanishes identically; this makes special-polynomial degrees computable far
-past the reach of enumeration, while direct enumeration remains the oracle
-at desk scale.
+int, and special polynomials print from those slots.  By the Carlitz-Lee
+criterion S_e(k) = 0 once e(r-1) exceeds the base-r digit sum of k, so only
+the entries below that bound are computed and the rows stop at the largest
+digit sum; this makes special polynomials computable far past the reach of
+enumeration, while direct enumeration remains the oracle at desk scale.
+The work of a table is estimated from the digits before any row is built
+and refused past ``WORK_LIMIT``.
 """
 
 from __future__ import annotations
@@ -110,27 +115,128 @@ def a_pow_s(a: Poly, s: SInfinityPoint) -> Laurent:
 
 _SLOT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # slot width in bits -> struct code
 _MIN_FOLD_TERMS = 4  # the narrowest slot that sums this many terms between folds
+# the most work, (indices) x (rows) x (slots of the longest entry), that one
+# power-sum table may take (``_work``); at r = 3 the dense k <= 5000 (9.0e8,
+# about 120 MB) and one k near 10^5 (6.5e8) pass, the dense k <= 10^4 does not
+WORK_LIMIT = 1 << 30
 
 
-def _lucas_rows(p: int, step: int, k_max: int) -> list:
-    """Per k <= k_max, the terms of S_e(k) grouped by weight: pairs
+def _digit_sum(k: int, base: int) -> int:
+    total = 0
+    while k:
+        k, digit = divmod(k, base)
+        total += digit
+    return total
+
+
+def _lattice(p: int, lo: int, hi: int, cap: int) -> list | None:
+    """The union of D(k) over lo <= k <= hi, ascending, or None once it
+    holds more than ``cap`` indices.
+
+    D(k) is the set of j whose base-p digits are each at most k's: by
+    Lucas's theorem the j with C(k, j) != 0 mod p, so every index that the
+    recursion for S_e(k) reaches lies in D(k).  The j are built digit by
+    digit from the top.  Each prefix carries a mask of the states of the k
+    that can still dominate it: state 2a + b says whether k's prefix equals
+    lo's (a) and hi's (b).  A k digit c, at least the j digit, runs from
+    lo's digit (if a) to hi's (if b), and the state it leads to depends
+    only on whether c is lo's digit, hi's digit or another one, so a few c
+    stand for all of them.  Every j digit up to the highest c extends the
+    prefix, so no level is longer than the final list.
+    """
+    n = 1
+    while p**n <= hi:
+        n += 1
+    level = [(0, 1 << 3)]  # (prefix of j, mask of states); k starts equal to both
+    for i in range(n - 1, -1, -1):
+        l, h = lo // p**i % p, hi // p**i % p
+        moves: dict = {}  # mask -> the mask each j digit leads to, for every j digit that has one
+        nxt = []
+        for j, mask in level:
+            tos = moves.get(mask)
+            if tos is None:
+                states = [(st >> 1, st & 1) for st in range(4) if mask >> st & 1]
+                tops = max(h if b else p - 1 for _, b in states)
+                if len(nxt) + tops >= cap:
+                    return None
+                tos = moves[mask] = []
+                for d in range(tops + 1):
+                    to = 0
+                    for a, b in states:
+                        low, high = max(d, l if a else 0), h if b else p - 1
+                        for c in {low, low + 1, low + 2, l, h}:
+                            if low <= c <= high:
+                                to |= 1 << (2 * (a and c == l) + (b and c == h))
+                    tos.append(to)
+            if len(nxt) + len(tos) > cap:
+                return None
+            nxt += [(j * p + d, to) for d, to in enumerate(tos)]
+        level = nxt
+    return [j for j, _ in level]
+
+
+def _index_set(field_r, ks: range) -> dict:
+    """The union of D(k) over ``ks``, each index mapped to its base-r digit
+    sum; BoundExceeded when a table over it would pass ``WORK_LIMIT``.
+
+    The indices are enumerated only while the work they prove (``_work``,
+    each one costing at least what ``ks[-1]`` costs) stays within the
+    bound, and the work of the whole set is checked before any row is built.
+    """
+    lo, hi, r = ks[0], ks[-1], field_r.q
+    per_index = _work(1, _digit_sum(hi, r), hi, r - 1)
+    cap = WORK_LIMIT // per_index
+    lattice = _lattice(field_r.p, lo, hi, cap)
+    if lattice is None:
+        work = f"at least {(cap + 1) * per_index}"
+    else:
+        sums: dict = {}
+        for k in lattice:  # ascending, and the lattice often holds k // r
+            up = sums.get(k // r)
+            sums[k] = _digit_sum(k, r) if up is None else up + k % r
+        work = _work(len(sums), max(sums.values()), hi, r - 1)
+        if work <= WORK_LIMIT:
+            return sums
+    raise BoundExceeded(f"power sums for k in {lo}..{hi}: work estimate {work}"
+                        f" (indices x rows x slots) exceeds the bound WORK_LIMIT = {WORK_LIMIT}")
+
+
+def _work(n_indices: int, top_digit_sum: int, k_max: int, s: int) -> int:
+    """(indices) x (rows) x (slots of the longest entry) of a table whose
+    largest digit sum and index are given: its rows stop at e = top // s,
+    and deg S_e(k) <= e k."""
+    e_max = top_digit_sum // s
+    return n_indices * (e_max + 1) * (e_max * k_max // s + 1)
+
+
+def _lucas_rows(p: int, step: int, ks) -> dict:
+    """Per k in ``ks``, the terms of S_e(k) grouped by weight: pairs
     (w, kids), w ascending, where kids are the k - j over the j in step*N
     with 0 < j <= k and w = -C(k, j) mod p nonzero.
 
     By Lucas's theorem C(k, j) = C(k // p, j // p) C(k % p, j % p) mod p, so
     the support of k is {p*j' + t : j' in the support of k // p, t <= k % p}.
-    As p*j' + t = p (j' mod step) + t mod step, the supports of the k <=
-    k_max // p are kept by j mod step, and the row of k takes from the class
-    b of k // p only the t = -p*b mod step (+ step, ...) up to k % p: no j
-    off step*N is ever listed for a row.
+    As p*j' + t = p (j' mod step) + t mod step, supports are kept by j mod
+    step, made once per k // p (then k // p^2, ...) that some k needs, and
+    the row of k takes from the class b of k // p only the t = -p*b mod step
+    (+ step, ...) up to k % p: no j off step*N is ever listed for a row.
     """
     pascal = [[1]]  # C(d, t) mod p, never 0 for d < p
-    for d in range(1, min(p, k_max + 1)):
+    for d in range(1, min(p, max(ks) + 1)):
         c = pascal[-1]
         pascal.append([1, *[(a + b) % p for a, b in zip(c, c[1:])], 1])
-    supports = [{0: [(0, 1)]}]  # per k <= k_max // p: j mod step -> [(j, C(k, j) mod p)]
-    rows = [[]]
-    for k in range(1, k_max + 1):
+    supports = {0: {0: [(0, 1)]}}  # k -> (j mod step -> [(j, C(k, j) mod p)])
+    rows = {}
+    for k in ks:
+        chain = [k // p]  # the k // p^i whose supports are still to be made, top last
+        while chain[-1] not in supports:
+            chain.append(chain[-1] // p)
+        for m in reversed(chain[:-1]):
+            support: dict = {}
+            for b, pairs in supports[m // p].items():
+                for t, ct in enumerate(pascal[m % p]):
+                    support.setdefault((p * b + t) % step, []).extend([(p * j + t, c * ct % p) for j, c in pairs])
+            supports[m] = support
         d, tail, below = k % p, pascal[k % p], supports[k // p]
         groups: dict = {}
         for b, pairs in below.items():
@@ -139,32 +245,25 @@ def _lucas_rows(p: int, step: int, k_max: int) -> list:
                 for j, c in pairs:
                     if j or t:
                         groups.setdefault(p - c * ct % p, []).append(k - p * j - t)
-        rows.append(sorted(groups.items()))
-        if k <= k_max // p:
-            support: dict = {}
-            for b, pairs in below.items():
-                for t, ct in enumerate(tail):
-                    support.setdefault((p * b + t) % step, []).extend([(p * j + t, c * ct % p) for j, c in pairs])
-            supports.append(support)
+        rows[k] = sorted(groups.items())
     return rows
 
 
-def _slot_plan(p: int, n_terms: int) -> tuple[int, int]:
+def _slot_plan(p: int) -> tuple[int, int]:
     """Slot width in bits, and the most terms summed between two folds.
 
     A slot holds a reduced residue (at most p - 1) plus t terms w * c with
     w, c <= p - 1, so it never overflows while (p-1) + t (p-1)^2 < 2^width.
-    The narrowest width that holds min(n_terms, _MIN_FOLD_TERMS) terms is
-    taken: a wider slot lengthens every add, a narrower one folds after
-    every few terms.  Where no width holds that many, a 64-bit slot is
-    reduced after as many terms as it holds; only p >= 2^32, whose slot
-    cannot hold one term, is refused.
+    The narrowest width that holds _MIN_FOLD_TERMS terms is taken, and sums
+    as many as it holds: a wider slot lengthens every add, a narrower one
+    folds after every few terms.  Where no width holds that many, a 64-bit
+    slot is reduced after as many terms as it holds; only p >= 2^32, whose
+    slot cannot hold one term, is refused.
     """
-    want = min(n_terms, _MIN_FOLD_TERMS)
     for width in _SLOT_FORMATS:
         room = ((1 << width) - p) // (p - 1) ** 2
-        if room >= want:
-            return width, min(room, n_terms)
+        if room >= _MIN_FOLD_TERMS:
+            return width, room
     if room >= 1:
         return width, room
     raise Unsupported(f"power sums mod {p} do not fit a 64-bit slot")
@@ -192,9 +291,9 @@ def _fold_plan(p: int, bound: int) -> list:
 
 def _chunked(groups: list, terms: int) -> list:
     """The weighted terms of one k, as chunks of at most ``terms`` terms."""
+    if sum(len(kids) for _, kids in groups) <= terms:
+        return [groups] if groups else []
     flat = [(w, kid) for w, kids in groups for kid in kids]
-    if len(flat) <= terms:
-        return [groups] if flat else []
     return [
         [(w, [kid for _, kid in run]) for w, run in groupby(flat[i : i + terms], itemgetter(0))]
         for i in range(0, len(flat), terms)
@@ -202,52 +301,117 @@ def _chunked(groups: list, terms: int) -> list:
 
 
 class PowerSumTable:
-    """Rows of power sums S_e(k) over F_r, r = p^m, built bottom-up.
+    """The power sums S_e(k) over F_r, r = p^m, for k in an index set.
+
+    The index set is the union of D(k) over the requested k, the indices
+    digit-dominated by k in base p (``_lattice``): by Lucas's theorem every
+    S_e'(kid) that the recursion for S_e(k) takes has kid in D(k), and D(k)
+    is closed downward, so the set holds every term its entries need.  A
+    range from 0 gives the dense set 0..k_max.  By the Carlitz-Lee
+    criterion S_e(k) = 0 whenever the base-r digit sum of k is below
+    e(r - 1), so row e holds only the k that pass it (its live entries),
+    and the rows stop at ``zero_row``, the first e with no live index.
+    Before any row is built, ``_index_set`` refuses a set whose work
+    passes ``WORK_LIMIT``.  ``grow`` adds the indices of more k: the
+    entries they need lie in their own lattice, so nothing is rebuilt.
 
     Entries are residues mod p, i.e. constants of F_p inside F_r, so the
     same table serves every r = p^m.  S_e(k) has no T^i off the class
     i = e*k mod s, s = r - 1 (T -> cT scales it by c^(ek)), so
     ``_rows[e][k]`` packs only that class into one int: slot j, in bits
-    [j*W, (j+1)*W), is the coefficient of T^(e*k mod s + s*j) (0 when
-    S_e(k) vanishes), and ``_rows[e]`` is None past the zero row.  The slot
-    width W is 8, 16, 32 or 64 bits (``_slot_plan``).
+    [j*W, (j+1)*W), is the coefficient of T^(e*k mod s + s*j).  The slot
+    width W is 8, 16, 32 or 64 bits, fixed by p (``_slot_plan``).
 
     Row e is summed from row e-1: U(kid) = T^kid S_{e-1}(kid) starts at
     T^(kid + (e-1)*kid mod s), (kid + (e-1)*kid mod s - e*kid mod s) / s
     slots above S_e(k) for every Lucas term kid of k (s divides k - kid),
-    so it is one shift of S_{e-1}(kid).  Each S_e(k) is sum_w w * sum
-    U(kid) over those terms (``_lucas_rows``): one big-int add each.  A slot
-    receives at most p - 1 plus ``terms`` products w * c <= (p-1)^2 before
-    it is reduced, and W is chosen so that this fits: nothing ever carries
-    into the next slot.  The reduction folds every slot with a few shifts
-    and masks (``_fold_plan``) until it is below 256, then maps each byte
-    to its residue with one ``bytes.translate``.  For p > 256 no byte holds
-    a residue, and the slots are reduced one by one.  ``slots`` reads 8-bit
-    slots as the bytes of the packed int and wider ones with ``struct``;
-    ``value`` spreads them into a dense Poly.
-
-    Row e is computed from row e-1 for every k <= k_max; when a row is zero
-    across the whole k-range, all later rows are zero too (the recursion
-    never raises k), which is recorded in ``zero_row``.
+    so it is one shift of S_{e-1}(kid), 0 where that entry is not live.
+    Each S_e(k) is sum_w w * sum U(kid) over those terms (``_lucas_rows``):
+    one big-int add each.  A slot receives at most p - 1 plus ``terms``
+    products w * c <= (p-1)^2 before it is reduced, and W is chosen so that
+    this fits: nothing ever carries into the next slot.  The reduction folds
+    every slot with a few shifts and masks (``_fold_plan``) until it is
+    below 256, then maps each byte to its residue with one
+    ``bytes.translate``.  For p > 256 no byte holds a residue, and the
+    slots are reduced one by one.  ``slots`` reads 8-bit slots as the bytes
+    of the packed int and wider ones with ``struct``; ``value`` spreads
+    them into a dense Poly.
     """
 
-    def __init__(self, field_r, k_max: int):
+    def __init__(self, field_r, ks: range):
         self.field = field_r
         self.p = p = field_r.p
         self.r = field_r.q
-        self.k_max = k_max
-        lucas = _lucas_rows(p, self.r - 1, k_max)
-        self._width, terms = _slot_plan(p, max(sum(len(kids) for _, kids in row) for row in lucas))
-        self._chunks = [_chunked(row, terms) for row in lucas]
+        sums = _index_set(field_r, ks)
+        self._width, self._terms = _slot_plan(p)
         if p < 256:
-            self._plan = _fold_plan(p, (p - 1) * (1 + (p - 1) * terms))
+            self._plan = _fold_plan(p, (p - 1) * (1 + (p - 1) * self._terms))
             self._residues = bytes(v % p for v in range(256))
         else:
             self._plan, self._residues = [], None
         self._folds: list = []  # (h, high mask, low mask, 2^h mod p), masks _fold_bits long
         self._fold_bits = 0
-        self._rows: list = [[1] * (k_max + 1)]  # per e, or None
-        self.zero_row: int | None = None
+        self._digit_sums = sums  # the index set: k -> base-r digit sum of k
+        self._chunks: dict = {}  # k -> its Lucas terms in chunks (``_chunked``)
+        self._rows: list = [{}]  # per e: k -> S_e(k) packed, for the live k
+        self.k_max = 0
+        self._add(sums, sums)
+
+    @property
+    def zero_row(self) -> int:
+        """The first e at which no index is live: S_e vanishes from there on."""
+        return len(self._rows)
+
+    def grow(self, ks: range) -> bool:
+        """Add the union of D(k) over ``ks`` to the index set.  False, with
+        nothing added, when the union would pass ``WORK_LIMIT``."""
+        if all(map(self._digit_sums.__contains__, ks)):  # then so is each D(k)
+            return True
+        sums = _index_set(self.field, ks)
+        new = {k: v for k, v in sums.items() if k not in self._digit_sums}
+        if not new:
+            return True
+        top = max(max(new.values()), (self.zero_row - 1) * (self.r - 1))
+        if _work(len(self._digit_sums) + len(new), top, max(self.k_max, ks[-1]), self.r - 1) > WORK_LIMIT:
+            return False
+        self._digit_sums.update(new)
+        self._add(sums, new)
+        return True
+
+    def _add(self, lattice: dict, new) -> None:
+        """Compute the entries of the k of ``new``, which lie in ``lattice``
+        (a union of D(k) with its digit sums) and have none yet, row by row."""
+        terms = self._terms
+        self._chunks.update({k: _chunked(groups, terms) for k, groups in _lucas_rows(self.p, self.r - 1, new).items()})
+        self._rows[0].update(dict.fromkeys(new, 1))
+        self.k_max = max(self.k_max, *new)
+        s, live, e = self.r - 1, list(lattice), 1
+        while True:
+            below, live = live, [k for k in live if lattice[k] >= e * s]
+            if e == len(self._rows):
+                self._rows.append({})
+            todo = [k for k in live if k not in self._rows[e]]
+            if not todo:  # a new k live at e is live below e too
+                if not self._rows[e]:
+                    self._rows.pop()
+                return
+            self._fill(e, todo, below, lattice)
+            e += 1
+
+    def _fill(self, e: int, todo: list, below: list, lattice: dict) -> None:
+        """S_e(k) for the k in ``todo``, from the entries of row e-1 at the
+        indices ``below`` (the live ones of ``lattice``, which holds every
+        kid of those k)."""
+        W, s, prev, row, reduce = self._width, self.r - 1, self._rows[e - 1], self._rows[e], self._reduce
+        shifted = dict.fromkeys(lattice, 0)
+        shifted.update({kid: prev[kid] << ((kid + (e - 1) * kid % s - e * kid % s) // s * W) for kid in below})
+        self._cover_folds(max(map(int.bit_length, shifted.values())))
+        get = shifted.__getitem__
+        for k in todo:
+            acc = 0
+            for chunk in self._chunks[k]:
+                acc = reduce(acc + sum([w * sum(map(get, kids)) for w, kids in chunk]))
+            row[k] = acc
 
     def _unpack(self, x: int):
         """The slots of x, lowest first, none zero at the top: the bytes of x
@@ -278,40 +442,11 @@ class PowerSumTable:
         self._folds = [(h, ones * ((1 << (W - h)) - 1), ones * ((1 << h) - 1), c) for h, c in self._plan]
         self._fold_bits = W * slots
 
-    def _ensure_row(self, e: int):
-        while len(self._rows) <= e:
-            if self.zero_row is not None:
-                self._rows.append(None)
-            else:
-                self._build_next_row()
-
-    def _build_next_row(self):
-        e = len(self._rows)
-        W, s = self._width, self.r - 1
-        shifted = [x << ((kid + (e - 1) * kid % s - e * kid % s) // s * W) for kid, x in enumerate(self._rows[e - 1])]
-        self._cover_folds(max(map(int.bit_length, shifted)))
-        get, reduce = shifted.__getitem__, self._reduce
-        row = [0] * (self.k_max + 1)
-        for k in range(e * (self.r - 1), self.k_max + 1):
-            acc = 0
-            for chunk in self._chunks[k]:
-                acc = reduce(acc + sum([w * sum(map(get, kids)) for w, kids in chunk]))
-            row[k] = acc
-        if any(row):
-            self._rows.append(row)
-        else:
-            self.zero_row = e
-            self._rows.append(None)
-
     def _entry(self, e: int, k: int) -> int:
         """S_e(k) packed, 0 when it vanishes."""
-        if k > self.k_max:
-            raise ValueError("k exceeds the table bound")
-        if self.zero_row is not None and e >= self.zero_row:
-            return 0
-        self._ensure_row(e)
-        row = self._rows[e]
-        return row[k] if row else 0
+        if k not in self._digit_sums:
+            raise ValueError(f"k = {k} is not in the table's index set")
+        return self._rows[e].get(k, 0) if e < len(self._rows) else 0
 
     def is_nonzero(self, e: int, k: int) -> bool:
         return self._entry(e, k) != 0
@@ -324,29 +459,29 @@ class PowerSumTable:
     def value(self, e: int, k: int) -> Poly:
         return _spread(self.field, *self.slots(e, k), self.r - 1)
 
+    def terms(self, k: int) -> tuple:
+        """``slots(e, k)`` for e = 0 .. ``degree_in_e(k)``."""
+        unpack, s = self._unpack, self.r - 1
+        return tuple([(e * k % s, unpack(self._rows[e].get(k, 0))) for e in range(self.degree_in_e(k) + 1)])
+
     def degree_in_e(self, k: int) -> int:
-        """Largest e with S_e(k) != 0 (the x^-1-degree of the special value)."""
-        step = self.r - 1
-        best = 0
-        e = 1
-        while e * step <= k:
-            if self.zero_row is not None and e >= self.zero_row:
-                break
-            if self.is_nonzero(e, k):
-                best = e
-            e += 1
-        return best
+        """Largest e with S_e(k) != 0 (the x^-1-degree of the special value):
+        at most the digit sum of k over r - 1, and equal to it at prime r."""
+        e = self._digit_sums[k] // (self.r - 1)
+        while e and not self._rows[e].get(k):
+            e -= 1
+        return e
 
 
-_TABLE_CACHE: dict = {}
+_TABLE_CACHE: dict = {}  # field -> its PowerSumTable, grown by unions within WORK_LIMIT
 
 
-def _table_for(field_r, k: int) -> PowerSumTable:
-    key = field_r
-    tab = _TABLE_CACHE.get(key)
-    if tab is None or tab.k_max < k:
-        tab = PowerSumTable(field_r, max(k, 64, 2 * (tab.k_max if tab else 0)))
-        _TABLE_CACHE[key] = tab
+def _table_for(field_r, ks: range) -> PowerSumTable:
+    """The cached table of F_r grown to hold the k in ``ks``; one built for
+    ``ks`` alone replaces it when the union would pass ``WORK_LIMIT``."""
+    tab = _TABLE_CACHE.get(field_r)
+    if tab is None or not tab.grow(ks):
+        tab = _TABLE_CACHE[field_r] = PowerSumTable(field_r, ks)
     return tab
 
 
@@ -362,7 +497,7 @@ def power_sum(field_r, e: int, k: int) -> Poly:
     r = field_r.q
     if k < e * (r - 1):
         return Poly.zero(field_r)
-    return _table_for(field_r, k).value(e, k)
+    return _table_for(field_r, range(k, k + 1)).value(e, k)
 
 
 def power_sums_enumerated_batch(field_r, e: int, k_max: int, enum_bound: int = 1024):
@@ -491,17 +626,20 @@ def special_polynomial(field_r, i: int, kind: str) -> SpecialPolynomial:
 
     The substitution x -> x/T^i is already applied, so the coefficient of
     x^-e is the honest power sum S_e(k) in A with k = i (zeta) or i+1
-    (carlitz); the degree is bounded by floor(k / (r-1)).  The coefficients
-    stay packed as the table holds them (``SpecialPolynomial``).
+    (carlitz); the degree is at most floor(l_r(k) / (r-1)), l_r(k) the
+    base-r digit sum of k, and equal to it at prime r.  The cached table of
+    F_r grows by the indices digit-dominated by k, so a loop over i adds
+    only what each k needs; BoundExceeded when that passes ``WORK_LIMIT``.
+    The coefficients stay packed as the table holds them
+    (``SpecialPolynomial``).
     """
     if i < 0:
         raise ValueError("i must be nonnegative")
     if kind not in ("zeta", "carlitz"):
         raise ValueError("kind must be 'zeta' or 'carlitz'")
     k = i if kind == "zeta" else i + 1
-    tab = _table_for(field_r, k)
-    terms = tuple(tab.slots(e, k) for e in range(tab.degree_in_e(k) + 1))
-    return SpecialPolynomial.packed(i, kind, field_r, tab.r - 1, terms)
+    tab = _table_for(field_r, range(k, k + 1))
+    return SpecialPolynomial.packed(i, kind, field_r, tab.r - 1, tab.terms(k))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ Degree of the zero polynomial is the sentinel -1.
 from __future__ import annotations
 
 import re
-from itertools import compress, islice, product
+from itertools import compress, product
 from operator import add
 
 from .errors import BoundExceeded, DomainMismatch, ParseError, ZeroInput
@@ -103,21 +103,37 @@ def _t_powers(n: int) -> list[str]:
     return tp
 
 
+_T_CLASSES: dict = {}  # (first, step) -> "T^(first + step*j)" at index j, for step > 1
+
+
+def _t_class(first: int, step: int, n: int) -> list:
+    """At least n texts "T^(first + step*j)", grown and replaced as
+    ``_t_powers`` is; one list per residue class a printer has walked."""
+    tc = _T_CLASSES.get((first, step), ())
+    if len(tc) < n:
+        tc = _T_CLASSES[first, step] = _t_powers(first + step * (n + n // 4))[first::step]
+    return tc
+
+
 def terms_string(cs, first: int = 0, step: int = 1) -> str:
     """Canonical text of sum_j cs[j] T^(first + step*j), highest term first.
 
     ``cs`` holds int codes with a nonzero top, or is empty for "0".  A Poly
     prints its coefficients (0, 1); a packed power sum prints its live
-    residue class of exponents (``lseries.PowerSumTable``).
+    residue class of exponents (``lseries.PowerSumTable``), as the bytes of
+    its 8-bit slots or a tuple of wider ones.
     """
     if not cs:
         return "0"
     # the nonzero terms, lowest first: the prefix of each nonzero code
-    # joined to its "T^e"; a constant term takes its code instead
-    prefixes = map(_PREFIX, filter(None, cs))
-    powers = _t_powers(first + step * len(cs))
-    if first or step > 1:  # a dense Poly walks the list itself, which is faster
-        powers = islice(powers, first, None, step)
+    # joined to its "T^e"; a constant term takes its code instead.  The
+    # zero slots are walked once, by ``compress``: the bytes of a packed
+    # row drop theirs in one ``translate``
+    prefixes = map(_PREFIX, cs.translate(None, b"\0") if type(cs) is bytes else filter(None, cs))
+    if first or step > 1:
+        powers = _t_class(first, step, len(cs))
+    else:  # a dense Poly: its list of "T^e" is the class itself
+        powers = _t_powers(len(cs))
     terms = list(map(add, prefixes, compress(powers, cs)))
     if not first and cs[0]:
         terms[0] = str(cs[0])

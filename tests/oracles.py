@@ -1,7 +1,11 @@
 """Second routes kept only to check the production ones.
 
 ``power_sum_enumerated`` sums n^k over the r^e monics n of degree e, the
-brute-force check of ``lseries.power_sum``.  ``poly_to_string_termwise``
+brute-force check of ``lseries.power_sum``.  ``DensePowerSumTable`` builds
+every S_e(k) for every k <= k_max, row by row until a row is zero, with no
+index set and no digit-sum skip: the check of the live entries of
+``lseries.PowerSumTable`` and of the digit-sum criterion it relies on.
+``poly_to_string_termwise``
 writes the canonical text of a Poly one term at a time, the check of
 ``Poly.to_string``.  ``one_unit_pow_binary`` takes 1-unit powers by
 square-and-multiply, the check of the binomial series of
@@ -26,10 +30,20 @@ where ``ore.frobenius_charpoly`` takes O(d) products in A.
 """
 
 import json
+import struct
 
 from ffzeta.errors import BadReduction, BoundExceeded, FFZetaError, NotOneUnit
 from ffzeta.laurent import DEFAULT_PREC, INF, Laurent
-from ffzeta.lseries import Classification, _conductor_evidence_note
+from ffzeta.lseries import (
+    _SLOT_FORMATS,
+    Classification,
+    _chunked,
+    _conductor_evidence_note,
+    _fold_plan,
+    _lucas_rows,
+    _slot_plan,
+    _spread,
+)
 from ffzeta.ore import OrePoly, nullspace_mod_p, reduce_mod_prime
 from ffzeta.poly import Poly, RatFunc, binary_power, monic_polys, poly_xgcd, split_valuation
 
@@ -44,6 +58,98 @@ def power_sum_enumerated(field_r, e: int, k: int, enum_bound: int = 4096) -> Pol
     for n in monic_polys(field_r, e):
         total = total + n**k
     return total
+
+
+class DensePowerSumTable:
+    """Every S_e(k), k <= k_max, over F_r, r = p^m, packed as
+    ``lseries.PowerSumTable`` packs them: slot j of ``_rows[e][k]`` is the
+    coefficient of T^(e*k mod s + s*j), s = r - 1.  Row e is computed from
+    row e-1 at every k >= e*s, whatever its digit sum, and rows are built on
+    demand until one is zero across 0..k_max (the recursion never raises k,
+    so every later row vanishes); ``zero_row`` records it.  A slot is
+    reduced mod p after at most ``terms`` products, by folding its high bits
+    with 2^h mod p and then one ``bytes.translate``, or one slot at a time
+    for p > 256.
+    """
+
+    def __init__(self, field_r, k_max: int):
+        self.field = field_r
+        self.p = p = field_r.p
+        self.r = field_r.q
+        self.k_max = k_max
+        lucas = _lucas_rows(p, self.r - 1, range(k_max + 1))
+        self._width, terms = _slot_plan(p)
+        self._chunks = [_chunked(lucas[k], terms) for k in range(k_max + 1)]
+        if p < 256:
+            self._plan = _fold_plan(p, (p - 1) * (1 + (p - 1) * terms))
+            self._residues = bytes(v % p for v in range(256))
+        else:
+            self._plan, self._residues = [], None
+        self._folds: list = []
+        self._fold_bits = 0
+        self._rows: list = [[1] * (k_max + 1)]  # per e, or None past the zero row
+        self.zero_row: int | None = None
+
+    def _unpack(self, x: int):
+        n = -(-x.bit_length() // self._width)
+        if self._width == 8:
+            return x.to_bytes(n, "little")
+        return struct.unpack(f"<{n}{_SLOT_FORMATS[self._width]}", x.to_bytes(n * self._width // 8, "little"))
+
+    def _reduce(self, acc: int) -> int:
+        for h, high, low, c in self._folds:
+            acc = ((acc >> h) & high) * c + (acc & low)
+        if self._residues is None:
+            p, slots = self.p, self._unpack(acc)
+            packed = struct.pack(f"<{len(slots)}{_SLOT_FORMATS[self._width]}", *[v % p for v in slots])
+            return int.from_bytes(packed, "little")
+        data = acc.to_bytes((acc.bit_length() + 7) // 8, "little")
+        return int.from_bytes(data.translate(self._residues), "little")
+
+    def _cover_folds(self, bits: int) -> None:
+        if bits <= self._fold_bits or not self._plan:
+            return
+        W = self._width
+        slots = -(-bits // W)
+        ones = ((1 << (W * slots)) - 1) // ((1 << W) - 1)
+        self._folds = [(h, ones * ((1 << (W - h)) - 1), ones * ((1 << h) - 1), c) for h, c in self._plan]
+        self._fold_bits = W * slots
+
+    def _build_next_row(self) -> None:
+        e = len(self._rows)
+        W, s = self._width, self.r - 1
+        shifted = [x << ((kid + (e - 1) * kid % s - e * kid % s) // s * W) for kid, x in enumerate(self._rows[e - 1])]
+        self._cover_folds(max(map(int.bit_length, shifted)))
+        get, reduce = shifted.__getitem__, self._reduce
+        row = [0] * (self.k_max + 1)
+        for k in range(e * s, self.k_max + 1):
+            acc = 0
+            for chunk in self._chunks[k]:
+                acc = reduce(acc + sum([w * sum(map(get, kids)) for w, kids in chunk]))
+            row[k] = acc
+        if any(row):
+            self._rows.append(row)
+        else:
+            self.zero_row = e
+            self._rows.append(None)
+
+    def _entry(self, e: int, k: int) -> int:
+        if k > self.k_max:
+            raise ValueError("k exceeds the table bound")
+        while len(self._rows) <= e and self.zero_row is None:
+            self._build_next_row()
+        if self.zero_row is not None and e >= self.zero_row:
+            return 0
+        return self._rows[e][k]
+
+    def is_nonzero(self, e: int, k: int) -> bool:
+        return self._entry(e, k) != 0
+
+    def slots(self, e: int, k: int) -> tuple:
+        return e * k % (self.r - 1), self._unpack(self._entry(e, k))
+
+    def value(self, e: int, k: int) -> Poly:
+        return _spread(self.field, *self.slots(e, k), self.r - 1)
 
 
 def poly_to_string_termwise(f: Poly) -> str:

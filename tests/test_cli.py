@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import ffzeta
 import ffzeta.cli as cli
+from ffzeta import lseries
 from ffzeta.cli import PrimeCache, main, parse_i_range, parse_object_spec, parse_r
 from ffzeta.errors import CacheCorrupt, FFZetaError, NotPrime, ParseError
 from ffzeta.ffield import field_make
@@ -675,8 +676,10 @@ def test_special_out_file_matches_stdout(capsys, tmp_path, fmt):
     [
         (["--i", "0..5"], "missing/rows.json"),
         (["--i=-3..5"], "rows.json"),
+        (["--i", "1000000000..1000000000"], "rows.json"),
+        (["--i", "0..20000", "--format", "csv"], "rows.csv"),
     ],
-    ids=["out-in-missing-directory", "negative-index"],
+    ids=["out-in-missing-directory", "negative-index", "work-bound-one-row", "work-bound-range"],
 )
 def test_special_error_before_first_row_writes_nothing(capsys, tmp_path, argv, target):
     out_file = tmp_path / target
@@ -685,6 +688,18 @@ def test_special_error_before_first_row_writes_nothing(capsys, tmp_path, argv, t
     assert out == ""
     assert err.startswith("error:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("i_range", ["1000000000..1000000000", "0..20000", "999990..1000000"])
+def test_special_refuses_work_past_the_bound_at_once(capsys, i_range):
+    # the power-sum work is estimated from the digits before any row is
+    # built, so even a k of 10^9 is refused within a second, naming the
+    # estimate and the bound
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "special", "--r", "3", "--i", i_range)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert "work estimate" in err and f"WORK_LIMIT = {lseries.WORK_LIMIT}" in err, err
 
 
 def _foreign_d1_file(cache_dir, capsys):

@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +47,7 @@ from ffzeta.poly import (
     ratfunc_from_string,
 )
 from ffzeta.sheaf import GaloisCharacterValue, carlitz_sheaf, carlitz_tensor_power, chi_beta, unit_sheaf
-from oracles import power_sum_enumerated
+from oracles import DensePowerSumTable, power_sum_enumerated
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -183,15 +185,16 @@ def _forced_tables(field, k_max, monkeypatch):
     slots of 16 bits or more are filled up to the top before they fold."""
     plan = lseries._slot_plan
 
-    def full_slots(p, n):
-        width = max(16, plan(p, n)[0])
+    def full_slots(p):
+        width = max(16, plan(p)[0])
         return width, ((1 << width) - p) // (p - 1) ** 2
 
-    tables = [PowerSumTable(field, k_max)]
-    monkeypatch.setattr(lseries, "_slot_plan", lambda p, n: (plan(p, 1)[0], 1))
-    tables.append(PowerSumTable(field, k_max))
+    ks = range(k_max + 1)
+    tables = [PowerSumTable(field, ks)]
+    monkeypatch.setattr(lseries, "_slot_plan", lambda p: (plan(p)[0], 1))
+    tables.append(PowerSumTable(field, ks))
     monkeypatch.setattr(lseries, "_slot_plan", full_slots)
-    tables.append(PowerSumTable(field, k_max))
+    tables.append(PowerSumTable(field, ks))
     monkeypatch.undo()
     return tables
 
@@ -203,9 +206,8 @@ def test_power_sum_table_folds_after_every_term(monkeypatch, p, m, e_batch):
     k_max = 600 if p > 256 else 300  # S_1(k) at r = 257 has two terms from k = 512 on
     tables = _forced_tables(field, k_max, monkeypatch)
     default, every_term, full = tables
-    assert max(len(chunks) for chunks in every_term._chunks) > 1  # a reduction per term
+    assert max(len(chunks) for chunks in every_term._chunks.values()) > 1  # a reduction per term
     assert p > 256 or full._plan  # and at least one fold before the byte map
-    default._ensure_row(k_max)
     for e in range(default.zero_row + 1):
         for k in range(k_max + 1):
             got = [t.value(e, k) for t in tables]
@@ -223,13 +225,13 @@ def test_reduce_maps_every_slot_value_to_its_residue(monkeypatch, p):
     # fill slots with every value they may hold before a reduction, up to
     # the largest, and reduce them at once: in the library's own slots, and
     # in full slots of 16 bits or more, which fold before the byte map
-    own = lseries._slot_plan(p, 1 << 20)
+    own = lseries._slot_plan(p)
     wide = max(16, own[0])
     for width, room in (own, (wide, ((1 << wide) - p) // (p - 1) ** 2)):
         top = (p - 1) * (1 + (p - 1) * room)
         assert room >= 1 and top < 1 << width  # a full slot never carries into the next
-        monkeypatch.setattr(lseries, "_slot_plan", lambda p, n: (width, room))
-        tab = PowerSumTable(FiniteField(p, (0, 1)), 0)
+        monkeypatch.setattr(lseries, "_slot_plan", lambda p: (width, room))
+        tab = PowerSumTable(FiniteField(p, (0, 1)), range(1))
         values = [*range(0, top, max(1, top >> 16)), top, 1]  # a short top slot too
         code = "<%d%s" % (len(values), lseries._SLOT_FORMATS[width])
         acc = int.from_bytes(struct.pack(code, *values), "little")
@@ -239,8 +241,12 @@ def test_reduce_maps_every_slot_value_to_its_residue(monkeypatch, p):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (11, 1), (2, 4), (17, 1)])
 def test_lucas_rows_match_the_binomials(p, m):
+    # every k up to k_max, then a few alone, whose supports are made without
+    # those of the k below them
     step, k_max = p**m - 1, 3 * p**m + 5
-    for k, groups in enumerate(lseries._lucas_rows(p, step, k_max)):
+    rows = {**lseries._lucas_rows(p, step, range(k_max + 1)),
+            **lseries._lucas_rows(p, step, [p**(m + 2) - 2, 5 * p**(m + 1) + 3, p**(m + 2) + 1])}
+    for k, groups in rows.items():
         want: dict = {}
         for j in range(step, k + 1, step):
             if math.comb(k, j) % p:
@@ -264,7 +270,7 @@ def test_power_sums_vanish_below_the_digit_sum_bound(p, m):
     # exactly then
     field = field_make(p, m)
     r, k_max = field.q, 300
-    tab = PowerSumTable(field, k_max)
+    tab = DensePowerSumTable(field, k_max)
     for k in range(k_max + 1):
         digits = _digit_sum(k, r)
         for e in range(1, k // (r - 1) + 1):
@@ -280,8 +286,8 @@ DIGIT_SUM_K = {2: 500, 3: 2000, 5: 2000, 7: 2000, 11: 2000, 13: 2000}
 
 
 @functools.lru_cache(maxsize=None)
-def _prime_table(p: int) -> PowerSumTable:
-    return PowerSumTable(field_make(p, 1), DIGIT_SUM_K[p])
+def _prime_table(p: int) -> DensePowerSumTable:
+    return DensePowerSumTable(field_make(p, 1), DIGIT_SUM_K[p])
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,12 +310,135 @@ def test_power_sums_survive_up_to_the_digit_sum_bound_at_prime_r(r, k):
         assert tab.is_nonzero(e, k), (e, k)
 
 
+def _dominated(j: int, k: int, p: int) -> bool:
+    while j:
+        if j % p > k % p:
+            return False
+        j, k = j // p, k // p
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(0, 400), st.integers(0, 40))
+def test_lattice_is_the_union_of_the_digit_dominated_sets(p, lo, width):
+    hi = lo + width
+    want = [j for j in range(hi + 1) if any(_dominated(j, k, p) for k in range(max(lo, j), hi + 1))]
+    assert lseries._lattice(p, lo, hi, len(want)) == want
+    assert lseries._lattice(p, lo, hi, len(want) - 1) is None
+
+
+# every r the CLI accepts; the dense oracle reaches k <= 3000 where it builds
+# in a fraction of a second, and shares the tables of the digit-sum tests
+CLI_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (2, 4)]
+DENSE_K = {**DIGIT_SUM_K, 4: 2000, 8: 3000, 9: 3000, 16: 3000}
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_table(p: int, m: int) -> DensePowerSumTable:
+    return _prime_table(p) if m == 1 else DensePowerSumTable(field_make(p, m), DENSE_K[p**m])
+
+
+def _slot_values(terms) -> list:
+    """(first, slot values) per entry, whatever the slot width."""
+    return [(first, list(slots)) for first, slots in terms]
+
+
+def _dense_terms(tab: DensePowerSumTable, k: int) -> list:
+    """``_slot_values`` of S_e(k) for e up to the last nonzero one."""
+    terms = [tab.slots(e, k) for e in range(k // (tab.r - 1) + 1)]
+    while len(terms) > 1 and not terms[-1][1]:
+        terms.pop()
+    return _slot_values(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CLI_FIELDS), st.lists(st.integers(1, 3000), min_size=1, max_size=4),
+       st.sampled_from(["zeta", "carlitz"]))
+def test_sparse_index_sets_match_the_dense_oracle(pm, ks, kind):
+    # a table grown one drawn k at a time over the union of their lattices,
+    # from an empty cache, holds the dense oracle's rows slot for slot: the
+    # live entries, the zero row and the growth by unions skip nothing
+    field, (p, m) = field_make(*pm), pm
+    dense = _dense_table(p, m)
+    ks = [k % (dense.k_max - 1) + 1 for k in ks]
+    with mock.patch.dict(lseries._TABLE_CACHE, clear=True):
+        for i in ks:
+            sp = special_polynomial(field, i, kind)
+            assert _slot_values(sp.terms) == _dense_terms(dense, sp.exponent), (field.q, i, kind)
+        tab = lseries._TABLE_CACHE[field]
+        exps = {i + (kind == "carlitz") for i in ks}
+        assert set(tab._digit_sums) == {j for j in range(max(exps) + 1) if any(_dominated(j, k, p) for k in exps)}
+        for k in exps:
+            assert _slot_values(map(tab.slots, range(tab.zero_row + 1), [k] * (tab.zero_row + 1))) == \
+                _slot_values(map(dense.slots, range(tab.zero_row + 1), [k] * (tab.zero_row + 1))), (field.q, k)
+
+
+def test_table_cache_grows_and_stays_within_the_work_bound(monkeypatch):
+    # single-k calls grow one table; a union past WORK_LIMIT starts a table
+    # for the request alone, and a request past it is refused
+    monkeypatch.setattr(lseries, "_TABLE_CACHE", {})
+    for i in range(60):
+        special_polynomial(F3, i, "zeta")
+    tab = lseries._TABLE_CACHE[F3]
+    assert sorted(tab._digit_sums) == list(range(60))
+    # 1458 = 2000000 in base 3: D(1458) = {0, 729, 1458} to row 1 takes
+    # 3 x 2 x 730 = 4380, its union with the k < 60 (to row 3) far more
+    work = 10_000
+    assert lseries._work(3, 2, 1458, 2) < work < lseries._work(62, 6, 1458, 2)
+    monkeypatch.setattr(lseries, "WORK_LIMIT", work)
+    sp = special_polynomial(F3, 1458, "zeta")
+    assert lseries._TABLE_CACHE[F3] is not tab and sorted(lseries._TABLE_CACHE[F3]._digit_sums) == [0, 729, 1458]
+    assert _slot_values(sp.terms) == _dense_terms(_prime_table(3), 1458)
+    with pytest.raises(BoundExceeded, match=f"work estimate .* exceeds the bound WORK_LIMIT = {work}"):
+        special_polynomial(F3, 1457, "zeta")
+
+
+def _lattice_work(p: int, k: int) -> int:
+    """``lseries._work`` of a table over D(k) alone, from the digits of k."""
+    size = math.prod(int(d) + 1 for d in _digits(k, p))
+    return lseries._work(size, _digit_sum(k, p), k, p - 1)
+
+
+def _digits(k: int, p: int) -> list:
+    return [k // p**i % p for i in range(max(1, math.ceil(math.log(k + 1, p)) + 1))]
+
+
+# closed forms past the dense oracle, at the k <= 20000 whose own lattice
+# builds in a few ms.  At prime r the special polynomial has degree
+# floor(l_p(k) / (p - 1)), the two digit-sum properties together; its zeros
+# are simple with distinct valuations (Sheats 1998), so its Newton slopes
+# strictly increase, each of length 1; and its x^-1 coefficient is
+# S_1(k) = sum_a (T + a)^k = -sum C(k, j) T^(k-j) over 0 < j = 0 mod (p-1),
+# with C(k, j) mod p the product of the binomials of the digits (Lucas).
+# The Newton checks read only the top T-degree of each coefficient; S_1
+# sees every Lucas term of k
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(3001, 20000).filter(lambda k: _lattice_work(p, k) <= 3 * 10**7))))
+def test_special_polynomials_follow_the_digits_past_the_dense_oracle(pk):
+    p, i = pk
+    field = field_make(p, 1)
+    sp = special_polynomial(field, i, "zeta")
+    assert sp.deg == _digit_sum(i, p) // (p - 1), (p, i)
+    segs = newton_polygon(sp)
+    slopes = [s for s, _ in segs]
+    assert all(a < b for a, b in zip(slopes, slopes[1:])), (p, i)
+    assert all(length == 1 for _, length in segs), (p, i)
+    s1 = [0] * (i + 1)
+    digits = _digits(i, p)
+    for js in itertools.product(*[range(d + 1) for d in digits]):
+        j = sum(d * p**n for n, d in enumerate(js))
+        if j and j % (p - 1) == 0:
+            s1[i - j] = -math.prod(math.comb(d, t) for d, t in zip(digits, js)) % p
+    assert sp.coeff(1) == Poly(field, s1), (p, i)
+
+
 def test_slot_plan_takes_the_64_bit_slot_while_it_holds_a_term():
     # below 2^32 a 64-bit slot holds a residue plus at least one product
-    assert lseries._slot_plan(3000000019, 1 << 20) == (64, 2)
-    assert lseries._slot_plan(4294967291, 1 << 20) == (64, 1)  # the largest prime < 2^32
+    assert lseries._slot_plan(3000000019) == (64, 2)
+    assert lseries._slot_plan(4294967291) == (64, 1)  # the largest prime < 2^32
     with pytest.raises(Unsupported):
-        lseries._slot_plan(4294967311, 1)  # the least prime > 2^32
+        lseries._slot_plan(4294967311)  # the least prime > 2^32
 
 
 def test_power_sum_enumerated_single_matches_batch():
@@ -336,11 +465,10 @@ def test_power_sum_enumeration_bound():
 
 
 def test_power_sum_table_zero_row_termination():
-    tab = PowerSumTable(F3, 30)
-    # some row below 30/(r-1) + 1 must be entirely zero
-    for e in range(1, 17):
-        tab._ensure_row(e)
-    assert tab.zero_row is not None
+    # the rows stop past the largest digit sum: 26 = 222 in base 3 has 6,
+    # so S_3(26) is the last live entry and row 4 is the zero row
+    tab = PowerSumTable(F3, range(31))
+    assert tab.zero_row == 4 and tab.is_nonzero(3, 26)
     # beyond the zero row everything vanishes
     assert tab.value(tab.zero_row + 3, 30).is_zero()
 
@@ -380,7 +508,7 @@ def test_special_polynomial_degree_bound():
                 sp = special_polynomial(field, i, kind)
                 k = sp.exponent
                 assert sp.deg <= k // (r - 1)
-                assert lseries._table_for(field, k).degree_in_e(k) == max(sp.deg, 0)
+                assert lseries._table_for(field, range(k, k + 1)).degree_in_e(k) == max(sp.deg, 0)
 
 
 def test_special_polynomial_rejects():
