@@ -89,16 +89,22 @@ class _Prefixes(dict):
 _PREFIXES = _Prefixes()
 _PREFIX = _PREFIXES.__getitem__  # bound once: the printer calls it per nonzero term
 
+_T_TEXT_LIMIT = 1 << 15  # the "T^e" caches hold texts for e below this; a longer row builds its own
 _T_POWERS: list[str] = []  # "T^e" at index e >= 1 ("T" at 0, never printed); empty until a Poly is printed
 
 
+def _t_text(e: int) -> str:
+    return f"T^{e}" if e > 1 else "T"
+
+
 def _t_powers(n: int) -> list[str]:
-    """At least n texts "T^e".  The cache grows by a quarter at a time into
-    a new list, never in place, so a list once returned never changes."""
+    """At least n <= ``_T_TEXT_LIMIT`` texts "T^e".  The cache grows by a
+    quarter at a time, up to the limit, into a new list, never in place, so
+    a list once returned never changes."""
     global _T_POWERS
     tp = _T_POWERS
     if len(tp) < n:
-        tp = tp + [f"T^{e}" if e > 1 else "T" for e in range(len(tp), n + n // 4)]
+        tp = tp + list(map(_t_text, range(len(tp), min(n + n // 4, _T_TEXT_LIMIT))))
         _T_POWERS = tp
     return tp
 
@@ -107,11 +113,12 @@ _T_CLASSES: dict = {}  # (first, step) -> "T^(first + step*j)" at index j, for s
 
 
 def _t_class(first: int, step: int, n: int) -> list:
-    """At least n texts "T^(first + step*j)", grown and replaced as
-    ``_t_powers`` is; one list per residue class a printer has walked."""
+    """At least n texts "T^(first + step*j)", first + step*(n - 1) below
+    ``_T_TEXT_LIMIT``, grown and replaced as ``_t_powers`` is; one list per
+    residue class a printer has walked."""
     tc = _T_CLASSES.get((first, step), ())
     if len(tc) < n:
-        tc = _T_CLASSES[first, step] = _t_powers(first + step * (n + n // 4))[first::step]
+        tc = _T_CLASSES[first, step] = _t_powers(min(first + step * (n + n // 4), _T_TEXT_LIMIT))[first::step]
     return tc
 
 
@@ -130,11 +137,14 @@ def terms_string(cs, first: int = 0, step: int = 1) -> str:
     # zero slots are walked once, by ``compress``: the bytes of a packed
     # row drop theirs in one ``translate``
     prefixes = map(_PREFIX, cs.translate(None, b"\0") if type(cs) is bytes else filter(None, cs))
-    if first or step > 1:
-        powers = _t_class(first, step, len(cs))
+    top = first + step * len(cs)
+    if top > _T_TEXT_LIMIT:  # past the caches: texts of this row's nonzero terms only
+        powers = map(_t_text, compress(range(first, top, step), cs))
+    elif first or step > 1:
+        powers = compress(_t_class(first, step, len(cs)), cs)
     else:  # a dense Poly: its list of "T^e" is the class itself
-        powers = _t_powers(len(cs))
-    terms = list(map(add, prefixes, compress(powers, cs)))
+        powers = compress(_t_powers(len(cs)), cs)
+    terms = list(map(add, prefixes, powers))
     if not first and cs[0]:
         terms[0] = str(cs[0])
     terms.reverse()
@@ -361,16 +371,20 @@ def poly_xgcd(a: Poly, b: Poly):
 
 
 def split_valuation(a: Poly, prime: Poly) -> tuple[int, Poly]:
-    """(v, a / prime^v) for the multiplicity v of a monic prime in a nonzero a."""
+    """(v, a / prime^v) for the multiplicity v of a monic prime in a nonzero a;
+    no division is taken once deg a < deg prime."""
     if a.is_zero():
         raise ZeroInput("valuation of zero")
+    if prime.deg < 1:
+        raise ValueError("prime must be nonconstant")
     v = 0
-    while True:
+    while a.deg >= prime.deg:
         q, r = divmod(a, prime)
         if not r.is_zero():
-            return v, a
+            break
         a = q
         v += 1
+    return v, a
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +791,10 @@ def norm(f: Poly, x: Poly):
     """N(x) = Res_theta(f, x) = prod x(rho) over the roots rho of a monic
     nonconstant f, in F_r, by a Euclidean remainder sequence on F's tables:
     x mod f = c*m, m monic of degree e, gives N_f(x) = c^d (-1)^(d e) N_m(f),
-    d = deg f; it ends with c^d or 0.  O(d deg x) lookups, then O(d^2).
+    d = deg f (no power and no rescaling when c = 1); it ends with c^d or 0,
+    or at a linear divisor theta + a, where N(x) = x(-a).  Cost: O(d deg x)
+    lookups for x mod f, O(d^2) for the divisors of degree >= 2 after it,
+    and one Horner pass, two lookups per coefficient, for the linear one.
     Over F_2 it runs on packed ints, where each c^d and each sign is 1."""
     if not f.is_monic() or f.deg < 1:
         raise ValueError("f must be monic and nonconstant")
@@ -788,21 +805,35 @@ def norm(f: Poly, x: Poly):
             f, x = x, f
         return x
     add, mul, neg, inv = F.ops()
-    f, x, out = f.coeffs, list(x.coeffs), 1
+    # coefficient lists high degree first; f monic
+    f, x, out = list(reversed(f.coeffs)), list(reversed(x.coeffs)), 1
     while True:
         d = len(f) - 1
-        for i in range(len(x) - 1, d - 1, -1):
-            nc = mul[neg[x.pop()]]  # cancel c theta^i with c theta^(i-d) f
-            x[i - d : i] = [add[y][nc[z]] for y, z in zip(x[i - d : i], f)]
-        x = pk_trim(F, x)
-        if not x:
+        if d == 1:  # x mod (theta + a) = x(-a)
+            na, acc = mul[neg[f[1]]], 0
+            for c in x:
+                acc = add[na[acc]][c]
+            return mul[out][acc]
+        tail = f[1:]
+        for i in range(len(x) - d):
+            c = x[i]  # cancel c theta^k with c theta^(k-d) f
+            if c:
+                nc = mul[neg[c]]
+                x[i + 1 : i + d + 1] = [add[y][nc[z]] for y, z in zip(x[i + 1 : i + d + 1], tail)]
+        x = x[-d:]  # the remainder, with its leading zeros
+        for k, c in enumerate(x):
+            if c:
+                break
+        else:
             return 0
-        out = mul[out][F.pow_(x[-1], d)]
-        if len(x) == 1:
+        if c != 1:
+            out = mul[out][F.pow_(c, d)]
+        e = len(x) - 1 - k
+        if not e:  # a nonzero constant c: N_f(c) = c^d
             return out
-        if d * (len(x) - 1) % 2:
+        if d * e % 2:
             out = neg[out]
-        f, x = [mul[inv[x[-1]]][y] for y in x], list(f)
+        f, x = x[k:] if c == 1 else [mul[inv[c]][y] for y in x[k:]], f
 
 
 def _det_and_solve(F, rows, d: int):

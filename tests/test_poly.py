@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +95,37 @@ def test_valuation():
     f = P(F2, "T+1")
     a = P(F2, "T^3+T^2+T+1")  # (T+1)^3 over F_2? (T+1)^2=T^2+1, *(T+1)=T^3+T^2+T+1
     assert split_valuation(a, f) == (3, P(F2, "1"))
+
+
+def test_split_valuation_refuses_a_prime_of_degree_below_one():
+    # every division by a unit leaves remainder 0, so a constant prime would
+    # divide for ever: the calls run in a child under a time limit
+    src = pathlib.Path(poly_module.__file__).resolve().parents[1]
+    code = (
+        "from ffzeta.ffield import field_make\n"
+        "from ffzeta.poly import Poly, split_valuation\n"
+        "F = field_make(3, 1)\n"
+        "for prime in (Poly.const(F, 2), Poly.one(F), Poly.zero(F)):\n"
+        "    try:\n"
+        "        split_valuation(Poly.gen(F), prime)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no ValueError for {prime}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_split_valuation_does_not_divide_below_the_prime_degree(monkeypatch):
+    # deg a < deg prime: the prime cannot divide a, so no division is taken
+    def refuse(self, other):
+        raise AssertionError(f"divided {self} by {other}")
+
+    f = P(F3, "T^2+1")
+    monkeypatch.setattr(Poly, "__divmod__", refuse)
+    for a in (P(F3, "2*T+1"), P(F3, "T"), P(F3, "2")):
+        assert split_valuation(a, f) == (0, a)
 
 
 def test_monic_irreducibles_f2():

@@ -56,6 +56,7 @@ from ffzeta.poly import (
     ratfunc_from_string,
     resultant,
     split_valuation,
+    terms_string,
 )
 from ffzeta.sheaf import frobenius_eigenvalue, sheaf_of_drinfeld_rank1
 from oracles import (
@@ -150,6 +151,29 @@ def test_to_string_prefix_cache_is_bounded():
     f = Poly(field, range(263))
     assert f.to_string() == poly_to_string_termwise(f) == f.to_string()
     assert len(poly_module._PREFIXES) <= 256
+
+
+def test_to_string_text_caches_stay_within_their_bound(monkeypatch):
+    # with the bound lowered to 40 texts, dense Polys and one residue class
+    # of packed rows, printed below and past it in turn, print the same
+    # text as the term-by-term oracle while the "T^e" caches keep no more
+    # than 40 texts: a row past the bound builds the texts of its own terms
+    bound = 40
+    monkeypatch.setattr(poly_module, "_T_TEXT_LIMIT", bound)
+    monkeypatch.setattr(poly_module, "_T_POWERS", [])
+    monkeypatch.setattr(poly_module, "_T_CLASSES", {})
+    field = field_make(3, 1)
+    for n in (200, 10, 39, 40, 41, 30, 1000, 25):
+        coeffs = [(e * e + e // 3) % 3 for e in range(n)] + [2]  # degree n, every code
+        f = Poly(field, coeffs)
+        assert f.to_string() == poly_to_string_termwise(f)
+        # the same codes on the exponents 1 + 2j, as a packed power sum prints them
+        spread = [0] * (2 * len(coeffs))
+        spread[1::2] = coeffs
+        assert terms_string(bytes(coeffs), 1, 2) == poly_to_string_termwise(Poly(field, spread))
+        assert len(poly_module._T_POWERS) <= bound
+        assert sum(map(len, poly_module._T_CLASSES.values())) <= bound
+    assert poly_module._T_POWERS and poly_module._T_CLASSES  # the short rows were cached
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,6 +518,39 @@ def test_norm_matches_resultant(pm, f_tail, x_idx, shape):
         assert n == field_r.zero
     elif shape == "constant":
         assert n == field_r.pow_(x.lc(), f.deg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FIELDS),  # every r the CLI accepts
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=4),  # tail of a monic f, deg 1..4
+    st.integers(0, 10**6),  # a, of the linear T + a
+    st.integers(0, 10**6),  # c, a scalar other than 0 and 1 where r > 2
+    st.lists(st.integers(0, 10**6), max_size=5),  # g
+    st.sampled_from(["T + a", "(T + a) g", "not monic"]),
+)
+@example((3, 1), [2], 2, 0, [1], "(T + a) g")  # f = x = T + 2: the Horner pass reads 0
+@example((5, 1), [1, 0, 2], 3, 1, [4, 1], "not monic")  # x mod f = 3 (T + 3)
+def test_norm_through_linear_divisors_matches_bareiss(pm, f_tail, a, c, g_idx, shape):
+    # x = T + a leaves the divisor T + a after one step, or is a linear f's
+    # only step; x = (T + a) g covers products with a linear factor, and
+    # x = c (T + a) + f g a remainder c (T + a) that is not monic, whose
+    # norm takes the factor c^deg f.  Checked against the Bareiss
+    # determinant of M_0 over A, the resultant's oracle.
+    field_r = field_make(*pm)
+    q = field_r.q
+    f = Poly(field_r, [k % q for k in f_tail] + [field_r.one])
+    linear = Poly(field_r, [a % q, field_r.one])
+    g = Poly(field_r, [k % q for k in g_idx])
+    if shape == "T + a":
+        x = linear
+    elif shape == "(T + a) g":
+        x = linear * g
+    else:
+        x = linear.scale(2 + c % (q - 2) if q > 2 else 1) + f * g
+    assume(not x.is_zero())
+    expected = bareiss_det(field_r, _resultant_matrix(f, BivPoly.from_theta_poly(x)))
+    assert Poly.const(field_r, norm(f, x)) == expected
 
 
 # -- packed F_2[T] -------------------------------------------------------------------
