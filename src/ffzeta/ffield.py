@@ -19,7 +19,7 @@ products every F_r[T] kernel takes, and the residue fields A/(f) and
 their extensions that the torsion oracle (``ore.torsion_points``) and the
 null-space Frobenius oracle of the tests multiply in.  Reducing a
 Drinfeld module mod f, its point module and its Frobenius characteristic
-polynomial all work in F_r[T] and build no residue-field table.  The F_r
+polynomial work on codes in F_r[T] and construct no residue field.  The F_r
 kernels (``theta_multiples``, ``poly.norm`` and the resultant's
 elimination) call ``ops()`` themselves, which builds the tables of a prime
 F_r too, and index lists instead of calling methods; the prime sieve

@@ -6,25 +6,28 @@ the associated F_r-linear polynomials sum c_i x^(r^i).  Coefficients live
 in one of two domains: ``RatFuncCoeffs``, F_r(T) for modules over the
 rational function field, and ``FieldCoeffs``, the int elements of a
 residue field F_f = A/(f) for reduced modules.  An element of F_f is the
-code of its residue mod f (``Poly.code``; ``Poly.from_code`` reads it back).
+code of its residue mod f (``Poly.code``; ``Poly.from_code`` reads it back),
+and F_f is built only on the first read of a reduced module's ``dom.field``.
 
 Reductions and Frobenius data at a prime f are read from the good model
 that ``good_model`` builds in A = F_r[T], with no ``RatFunc`` arithmetic.
 Frobenius data at a good prime come from closed forms in A modulo f: a
 norm of the leading coefficient and, in rank 2, the Hasse invariant, so no
 product is taken in a residue field and no Ore product is formed.  Torsion
-points, found as kernels of the F_r-linear map phi_v over successively larger extensions of the residue field, are
-kept as the independent oracle for those values; all their linear algebra
-is over F_p.  At r = 2 the rank-2 branch of ``frobenius_charpoly``
-dispatches once, at its top, to packed F_2[T] ints.  At every r = 2^m
-``point_module_annihilator`` runs on the residue codes as they are: a code
-is the packed vector of its coordinates, a sum is xor and T is F_2-linear.
+points, kernels of the F_r-linear map phi_v over successively larger
+extensions of the residue field, are kept as the independent oracle for
+those values; all their linear algebra is over F_p.  At r = 2 the rank-2
+branch of ``frobenius_charpoly`` dispatches once, at its top, to packed
+F_2[T] ints.  At every r = 2^m ``point_module_annihilator`` runs on the
+residue codes as they are: a code is the packed vector of its coordinates,
+a sum is xor and T is F_2-linear; at odd p it reads their base-r digits.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import OrderedDict
+from functools import cached_property
 
 from .errors import (
     BadReduction,
@@ -45,14 +48,18 @@ class FieldCoeffs:
     """Ore coefficients in a ``FiniteField`` (elements are ints).
 
     F_r sits inside every residue field and its extensions as the
-    constants, so an element of F_r is its own image.
+    constants, so an element of F_r is its own image.  ``FieldCoeffs(F_r,
+    r, f)`` is A/(f), built by ``residue_field`` when ``field`` is first read.
     """
 
-    def __init__(self, field, r: int):
-        self.field = field
-        self.r = r
-        self.zero = field.zero
-        self.one = field.one
+    zero, one = 0, 1
+
+    def __init__(self, field, r: int, prime: Poly | None = None):
+        if prime is None:
+            self.field = field
+        self._residue, self.r = (field, prime), r
+
+    field = cached_property(lambda self: residue_field(*self._residue))
 
     def add(self, a, b):
         return self.field.add(a, b)
@@ -67,7 +74,7 @@ class FieldCoeffs:
         return self.field.pow_(a, self.r)
 
     def is_zero(self, a):
-        return a == self.field.zero
+        return a == 0
 
     def embed_fr(self, c):
         return c
@@ -302,9 +309,10 @@ def drinfeld_rank2(field_r, g: RatFunc, delta: RatFunc) -> DrinfeldModule:
 # residue fields A/(f) and reduction of modules
 
 
-# Residue fields in use, least recently used first.  ``reduce_mod_prime``
-# fills it (the point module and the torsion oracle work on its result);
-# the Frobenius characteristic polynomial works in A mod f and never does.
+# Residue fields in use, least recently used first.  The first read of a
+# reduced module's ``dom.field`` fills it (the torsion oracle makes one);
+# reduction, the point module and the Frobenius characteristic polynomial
+# work on residue codes or in A mod f and never do.
 # A field's operation tables, built only when something multiplies in it
 # (the torsion oracle), would set the memory of a long run over many
 # primes, so the cache holds at most RESIDUE_CACHE_ELEMENTS table entries,
@@ -398,13 +406,17 @@ def reduce_mod_prime(phi: DrinfeldModule, f: Poly) -> DrinfeldModule:
     """Good-reduction model of phi at the monic prime f (``good_model``).
 
     Each coefficient is a residue num' * den'^-1 mod f taken in A, whose
-    code is its element of F_f, so no product is taken there, no operation
-    table is built and no ``RatFunc`` arithmetic runs.
+    code is its element of F_f, built only when ``dom.field`` is first read
+    (``FieldCoeffs``); no ``RatFunc`` arithmetic runs.  A reduced phi, or an
+    f that is not monic of degree >= 1, raises ValueError.
     """
-    field_r = phi.field_r
+    if phi.is_reduced():
+        raise ValueError("reduce_mod_prime expects an unreduced module")
+    if not f.is_monic() or f.deg < 1:
+        raise ValueError("modulus must be monic of degree >= 1")
     j, residues = good_model_residues(phi, f)
-    F_f = residue_field(field_r, f)
-    return DrinfeldModule(field_r, FieldCoeffs(F_f, phi.r), [a.code() for a in residues], prime=f, twist=j)
+    dom = FieldCoeffs(phi.field_r, phi.r, f)
+    return DrinfeldModule(phi.field_r, dom, [a.code() for a in residues], prime=f, twist=j)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +434,10 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
     minimal polynomial mu, by Krylov elimination: start from mu = 1 and, for
     each e_k that mu(T) does not kill, multiply mu by the minimal polynomial
     of mu(T)e_k, which makes mu the lcm of mu and the minimal polynomial of
-    e_k.  At r = 2^m it runs on the residue codes for every m: a code is the
-    packed vector, a sum is xor and T is F_2-linear (``_annihilator_char2``);
-    at odd p on F_r's operation tables (``theta_multiples``).  Non-cyclic
+    e_k.  It reads the residue codes only, never ``phi.dom``: at r = 2^m a
+    code is the packed vector, a sum is xor and T is F_2-linear
+    (``_annihilator_char2``); at odd p its base-r digits are its coordinates
+    for F_r's operation tables (``_annihilator_tables``).  Non-cyclic
     modules (impossible for rank 1 by the theory) raise NotCyclic.
     """
     if not phi.is_reduced():
@@ -438,18 +451,18 @@ def point_module_annihilator(phi: DrinfeldModule, bound: int = 4096) -> Poly:
         mu = _annihilator_char2(field_r, f, phi.coeffs[1:])
     else:
         mu = Poly(field_r, _annihilator_tables(field_r, f.coeffs, phi.r,
-                                               [phi.dom.field.coords(a) for a in phi.coeffs[1:]]))
+                                               [Poly.from_code(field_r, a).coeffs for a in phi.coeffs[1:]]))
     if mu.deg < d:
         raise NotCyclic(f"point module at f = {f} has annihilator {mu} of degree {mu.deg} < {d}")
     return mu
 
 
 def _annihilator_tables(field_r, f, r: int, coeffs) -> list:
-    """``point_module_annihilator``'s mu at odd p; f, the a_i and mu are lists."""
+    """``point_module_annihilator``'s mu at odd p; f, the a_i and mu are lists of F_r codes."""
     add, mul, neg, inv = field_r.ops()
     d = len(f) - 1
-    # columns of the T-action matrix in the basis 1, theta, ..., theta^(d-1)
-    cols = theta_multiples(field_r, f, [1], 1, d + 1)[1:]
+    # columns theta^(k+1) mod f in the basis theta^k: only theta^d wraps
+    cols = [[int(i == k) for i in range(d)] for k in range(1, d)] + [[neg[c] for c in f[:d]]]
     for i, a in enumerate(coeffs, 1):
         if a:
             orbit = theta_multiples(field_r, f, a, r**i, d)

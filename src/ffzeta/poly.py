@@ -266,6 +266,8 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         self._check(other)
+        if len(self.coeffs) < len(other.coeffs):  # already reduced
+            return self
         return Poly(self.field, pk_mod(self.field, self.coeffs, other.coeffs))
 
     def exact_div(self, other: "Poly") -> "Poly":

@@ -8,10 +8,12 @@ import importlib
 import inspect
 import pathlib
 import sys
+from collections import OrderedDict
 
 import pytest
 
 import ffzeta.cli  # noqa: F401  (loads every module the benchmark runs)
+from ffzeta import ore
 from ffzeta.ffield import field_make
 from ffzeta.lseries import special_polynomial
 from ffzeta.ore import carlitz, reduce_mod_prime
@@ -53,14 +55,17 @@ def test_cache_snapshot_sees_the_power_sum_table():
     assert caches["zero_row"] > 0
 
 
-def test_cache_snapshot_sees_the_residue_fields():
+def test_cache_snapshot_sees_the_residue_fields(monkeypatch):
     """The tracer reads ``ore.residue_field.hit_ratio`` as one less the
     residue fields cached per call; a cache it cannot find would read 0
-    fields and a hit ratio of 1.0."""
+    fields and a hit ratio of 1.0.  Reduction alone builds no field; the
+    torsion oracle reaches the cache through the reduced module's field."""
+    monkeypatch.setattr(ore, "_RESIDUE_CACHE", OrderedDict())
+    monkeypatch.setattr(ore, "_residue_cache_elements", 0)
     field_r = field_make(2, 2)
     phi = carlitz(field_r)
     for f in monic_irreducibles(field_r, 2):
-        reduce_mod_prime(phi, f)
+        assert reduce_mod_prime(phi, f).dom.field.modulus == f.coeffs
     assert _tracing()["cache_snapshot"]()["residue_fields"] > 0
 
 

@@ -141,6 +141,18 @@ def test_reduce_carlitz_mod_T():
     assert red.twist == 0
 
 
+@pytest.mark.parametrize("text", ["2*T+1", "1", "2"])
+def test_reduce_refuses_a_non_monic_or_constant_prime(text):
+    with pytest.raises(ValueError, match="monic of degree >= 1"):
+        reduce_mod_prime(carlitz(F3), pf(F3, text))
+
+
+def test_reduce_refuses_a_reduced_module():
+    red = reduce_mod_prime(carlitz(F3), pf(F3, "T"))
+    with pytest.raises(ValueError, match="unreduced"):
+        reduce_mod_prime(red, pf(F3, "T+1"))
+
+
 def test_reduce_bad_r3():
     beta = rf(F3, "(T+1)/T")  # v_T = -1, not divisible by r-1 = 2
     with pytest.raises(BadReduction):

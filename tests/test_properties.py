@@ -671,6 +671,53 @@ def test_point_module_routes_on_residue_codes_at_every_2_power(monkeypatch, p, m
             point_module_annihilator(reds[0])
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_point_module_builds_no_residue_field(monkeypatch, p, m):
+    # reduction and the point module read residue codes only: no field is
+    # constructed and the residue cache stays empty; A/(f) is built, through
+    # the cache and without tables, on the first read of the domain's field
+    from collections import OrderedDict
+
+    field_r = field_make(p, m)
+    primes = [f for f in monic_irreducibles(field_r, 3) if f.deg == (3 if field_r.q < 9 else 2)]
+    built = []
+    init = FiniteField.__init__
+
+    def counted(field, *args, **kwargs):
+        built.append(args)
+        init(field, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteField, "__init__", counted)
+    monkeypatch.setattr(ore_module, "_RESIDUE_CACHE", OrderedDict())
+    monkeypatch.setattr(ore_module, "_residue_cache_elements", 0)
+    phi = carlitz(field_r)
+    reds = [reduce_mod_prime(phi, f) for f in primes]
+    assert [point_module_annihilator(red) for red in reds] == [f - Poly.one(field_r) for f in primes]
+    assert built == []
+    assert not ore_module._RESIDUE_CACHE
+    for red, f in zip(reds, primes):
+        F_f = red.dom.field
+        assert F_f is residue_field(field_r, f) and F_f._ops is None
+    assert len(built) == len(primes)
+
+
+# the largest prime degree at each r that keeps the Carlitz check near 1 s
+CARLITZ_DEGREES = {5: 6, 7: 4, 8: 4, 9: 4, 11: 3, 13: 3, 16: 3}
+
+
+def test_point_module_carlitz_law_at_every_field():
+    # C(A/(f)) = A/(f - 1) at every prime of degree <= CARLITZ_DEGREES[r]:
+    # the odd-p route at prime r and at r = 9, the packed route at 8 and 16
+    for pm in FIELDS:
+        field_r = field_make(*pm)
+        dmax = CARLITZ_DEGREES.get(field_r.q)
+        if dmax is None:
+            continue
+        phi, one = carlitz(field_r), Poly.one(field_r)
+        for f in monic_irreducibles(field_r, dmax, enum_bound=1 << 16):
+            assert point_module_annihilator(reduce_mod_prime(phi, f), bound=1 << 16) == f - one, (field_r.q, f)
+
+
 def test_f2_frobenius_charpoly_matches_table_route(monkeypatch):
     # rank2:0,1 and rank2:T,1 at every prime of degree <= 10, with the p = 2
     # dispatch on and off
