@@ -15,7 +15,10 @@ from the option table ``_COMMANDS``; argparse, built from the same table, is
 loaded only for ``--help``, errors and the other spellings it accepts.
 
 Output: ``special`` and ``lfactors`` write both formats through one writer,
-``_write_table``.  ``lfactors`` computes all its rows before the output
+``_write_table``.  It writes the head on its own, then the rows in blocks of
+``io.DEFAULT_BUFFER_SIZE`` characters as they are made, one write per block
+rather than per row, so an unbuffered stdout (``PYTHONUNBUFFERED``) makes no
+system call per row.  ``lfactors`` computes all its rows before the output
 opens, so a failure on any prime leaves stdout empty and no ``--out`` file.
 ``special`` sizes the one power-sum table its range needs before the output
 opens: it holds the indices digit-dominated by the range's k, and its work,
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import json
 import math
 import sys
@@ -242,9 +246,12 @@ def csv_block(args, header: str) -> str:
 
 
 def _write_table(args, head: dict, columns: str, rows) -> None:
-    """Write a table to ``--out`` or stdout: the head, each row text as ``rows`` yields it (laid out
-    as ``json_block`` lays out a row, or as one CSV line), then the close.  The bytes are those of
-    ``json_block`` of ``head`` with the config and all the rows, or of the CSV block of ``columns``."""
+    """Write a table to ``--out`` or stdout: the head on its own, then the row texts as ``rows`` yields
+    them (laid out as ``json_block`` lays out a row, or as one CSV line) with their separators, in
+    blocks of ``io.DEFAULT_BUFFER_SIZE`` characters as they are made, then the last block and the
+    close.  A block is written once its rows hold at least that many characters; a row at least that
+    long is written on its own, not copied into a block.  The bytes are those of ``json_block`` of
+    ``head`` with the config and all the rows, or of the CSV block of ``columns``."""
     if args.fmt == "json":
         # "rows" sorts after every other head key, so its empty list ends the text and the rows go there
         text = json_block({**head, "config": _echo(args), "rows": []}).removesuffix("[]\n}\n")
@@ -252,14 +259,26 @@ def _write_table(args, head: dict, columns: str, rows) -> None:
     else:
         text = csv_block(args, columns)
         start, sep, close, empty = "", "\n", "\n", ""
+    block_size = io.DEFAULT_BUFFER_SIZE
     with _output(args.out) as fh:
         write = fh.write
         write(text)
+        block, size = [], 0
         for row in rows:
-            write(start)  # two writes: the separator joined to a long row would copy the row once more
-            write(row)
+            block.append(start)
             start = sep
-        write(close if start is sep else empty)
+            if len(row) >= block_size:  # the block so far, then the row uncopied
+                write("".join(block))
+                write(row)
+                block, size = [], 0
+                continue
+            block.append(row)
+            size += len(row)
+            if size >= block_size:
+                write("".join(block))
+                block, size = [], 0
+        block.append(close if start is sep else empty)
+        write("".join(block))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ffzeta
@@ -618,8 +620,9 @@ class _CountingStdout:
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_special_streams_its_rows(monkeypatch, capsys, fmt):
-    argv = ["special", "--r", "3", "--i", "5..40", "--format", fmt]
+    argv = ["special", "--r", "3", "--i", "5..200", "--format", fmt]
     _, expected, _ = run(capsys, *argv)
+    assert len(expected) > 4 * io.DEFAULT_BUFFER_SIZE  # the rows span several blocks
 
     fake = _CountingStdout()
     real = cli.special_polynomial
@@ -633,11 +636,105 @@ def test_special_streams_its_rows(monkeypatch, capsys, fmt):
     assert main(argv) == 0
     monkeypatch.undo()
     assert "".join(text for _, text in fake.writes) == expected
-    # the head goes out before any row is made, and the first row (i = 5)
-    # before the last one (i = 40) is computed
+    # the head goes out before any row is made, and a block of rows before
+    # the last row (i = 200) is computed
     assert fake.writes[0][0] == 0
-    first_row = next(calls for calls, text in fake.writes if calls)
-    assert first_row == 1 < fake.calls == 36
+    first_block = next(calls for calls, text in fake.writes if calls)
+    assert first_block < fake.calls == 196
+    # one write per block, not per row
+    assert len(fake.writes) <= -(-len(expected) // io.DEFAULT_BUFFER_SIZE) + 2
+
+
+@pytest.mark.parametrize("argv", [["special", "--r", "3", "--i", "0..60"],
+                                  ["lfactors", "cbeta:(T+1)/T", "--dmax", "5"]])
+def test_output_does_not_depend_on_stdout_buffering(capsys, argv):
+    _, expected, _ = run(capsys, *argv)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(ffzeta.__file__).resolve().parents[1])
+    for unbuffered in ({"PYTHONUNBUFFERED": "1"}, {}):
+        done = subprocess.run([sys.executable, "-m", "ffzeta.cli", *argv], env={**env, **unbuffered},
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected.encode(), unbuffered
+
+
+_BLOCK = io.DEFAULT_BUFFER_SIZE
+
+
+class _RecordingSink:
+    """A text sink that records each write and passes it on."""
+
+    def __init__(self, sink):
+        self.sink, self.writes = sink, []
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.sink.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.sink.close()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fmt=st.sampled_from(["json", "csv"]),
+    to_file=st.booleans(),
+    lengths=st.lists(st.one_of(st.integers(6, 600), st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK])),
+                     max_size=60),
+)
+@example(fmt="json", to_file=False, lengths=[])
+@example(fmt="csv", to_file=True, lengths=[])
+@example(fmt="json", to_file=True, lengths=[40] * 700)
+@example(fmt="csv", to_file=False, lengths=[40] * 700)
+@example(fmt="json", to_file=False, lengths=[_BLOCK])
+@example(fmt="csv", to_file=True, lengths=[_BLOCK])
+@example(fmt="json", to_file=True, lengths=[_BLOCK + 1])
+@example(fmt="csv", to_file=False, lengths=[3 * _BLOCK])
+def test_write_table_writes_whole_blocks(fmt, to_file, lengths):
+    # row texts of the given lengths: a JSON string at the rows' indent, or a CSV line
+    values = ["abcdefghij"[n % 10] * (n - 6 if fmt == "json" else n) for n in lengths]
+    texts = [f'    "{v}"' for v in values] if fmt == "json" else values
+    args = cli._parse_argv(["special", "--format", fmt])
+    head = {"command": "special"}
+    if fmt == "json":
+        expected = cli.json_block({**head, "config": cli._echo(args), "rows": values})
+        head_text = expected[: expected.index('"rows": ') + len('"rows": ')]
+    else:
+        head_text = cli.csv_block(args, "v")
+        expected = head_text + "".join(v + "\n" for v in values)
+    with tempfile.TemporaryDirectory() as tmp:
+        if to_file:
+            args.out = os.path.join(tmp, "rows")
+            sinks = []
+
+            def recording_open(path, mode):
+                sinks.append(_RecordingSink(open(path, mode)))
+                return sinks[-1]
+
+            with mock.patch.object(cli, "open", recording_open, create=True):
+                cli._write_table(args, head, "v", iter(texts))
+            writes = sinks[0].writes
+            with open(args.out) as fh:
+                assert fh.read() == expected
+        else:
+            sink = _RecordingSink(io.StringIO())
+            with contextlib.redirect_stdout(sink):
+                cli._write_table(args, head, "v", iter(texts))
+            writes = sink.writes
+    # the one-block text, the head written on its own, and each row at
+    # least a block long written on its own, uncopied
+    assert "".join(writes) == expected
+    assert writes[0] == head_text
+    long_texts = [t for t in texts if len(t) >= _BLOCK]
+    alone = [j for j, w in enumerate(writes) if any(w is t for t in long_texts)]
+    assert len(alone) == len(long_texts)
+    # every other write but the last is a whole block, or ends right before
+    # a row written on its own
+    for j, w in enumerate(writes[1:-1], 1):
+        assert len(w) >= _BLOCK or j + 1 in alone, (j, len(w))
 
 
 @pytest.mark.parametrize("r", ["3", "2^2", "7"])
