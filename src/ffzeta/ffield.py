@@ -325,7 +325,14 @@ def field_make(p: int, m: int, bound: int = DEFAULT_R_BOUND) -> FiniteField:
 # ---------------------------------------------------------------------------
 # generic polynomial kernels over an arbitrary field object ("polykit")
 #
-# Coefficient lists are low degree first with no trailing zeros.
+# Coefficient lists are low degree first with no trailing zeros.  pk_neg and
+# pk_scale choose F's arithmetic once per call, not per coefficient: ints
+# mod p when m = 1, else the rows of ``ops()`` (``neg``, ``mul[c]``) for a
+# tabled field.  pk_neg reads ``neg`` only once the tables exist, because
+# F.neg builds none (at p = 2 it copies the list: -x = x).  The per-element
+# methods stay for untabled towers (q > 2^8, m > 1), the residue fields and
+# extensions that the torsion and null-space oracles multiply in, and for
+# pk_neg on a tabled field before its first product.
 
 
 def pk_trim(F, c):
@@ -346,6 +353,14 @@ def pk_add(F, a, b):
 
 
 def pk_neg(F, a):
+    if F.m == 1:
+        p = F.p
+        return [-x % p for x in a]
+    if F.p == 2:
+        return list(a)
+    if F._ops is not None:  # F.neg builds no tables, so neither does this
+        neg = F._ops[2]
+        return [neg[x] for x in a]
     return [F.neg(x) for x in a]
 
 
@@ -367,9 +382,17 @@ def pk_mul(F, a, b):
 
 
 def pk_scale(F, a, c):
-    if c == F.zero:
+    # a nonzero c keeps the top coefficient nonzero, so nothing is trimmed;
+    # an empty a takes no product, so it builds no tables
+    if c == F.zero or not a:
         return []
-    return pk_trim(F, [F.mul(x, c) for x in a])
+    if F.m == 1:
+        p = F.p
+        return [x * c % p for x in a]
+    if F._tabled:  # the first product of F.mul would build the tables too
+        row = (F._ops or F.ops())[1][c]
+        return [row[x] for x in a]
+    return [F.mul(x, c) for x in a]
 
 
 def pk_divmod(F, a, b):

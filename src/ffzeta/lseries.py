@@ -556,6 +556,10 @@ def _series_string(texts, power) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _u_power(j: int) -> str:
+    return "u" if j == 1 else f"u^{j}"
+
+
 def _spread(field, first: int, slots, step: int) -> Poly:
     """sum_j slots[j] T^(first + step*j) as a dense Poly."""
     cs = [0] * (first + step * (len(slots) - 1) + 1)
@@ -658,7 +662,7 @@ class LocalFactor(Record):
 
     def denominator_string(self) -> str:
         texts = ["0" if c.is_zero() else c.to_string() for c in self.denominator]
-        return _series_string(texts, lambda j: "u" if j == 1 else f"u^{j}")
+        return _series_string(texts, _u_power)
 
     def inverse_series(self, n_terms: int) -> list:
         """Coefficients of 1/denominator as a power series in u."""
@@ -692,23 +696,23 @@ def local_factor(obj, f: Poly) -> LocalFactor:
     field = f.field
     one = Poly.one(field)
     if isinstance(obj, ZetaA):
-        return LocalFactor(prime=f, denominator=(one, -one), provenance="rank1-formula")
+        return LocalFactor(f, (one, -one), "rank1-formula")
     if isinstance(obj, TauSheafRank1):
         try:
             lam = frobenius_eigenvalue(obj, f).value
         except BadPrime:
-            return LocalFactor(prime=f, denominator=(one,), provenance="bad-prime-rule")
-        return LocalFactor(prime=f, denominator=(one, -lam), provenance="tau-sheaf-eigenvalue")
+            return LocalFactor(f, (one,), "bad-prime-rule")
+        return LocalFactor(f, (one, -lam), "tau-sheaf-eigenvalue")
     if isinstance(obj, DrinfeldModule) and obj.rank in (1, 2):
         try:
             a, mu = frobenius_charpoly(obj, f)
         except BadReduction as exc:
             if obj.rank == 1:
-                return LocalFactor(prime=f, denominator=(one,), provenance="bad-prime-rule")
+                return LocalFactor(f, (one,), "bad-prime-rule")
             raise Unsupported(f"rank-2 bad prime {f}: local factor needs a maximal model") from exc
         if mu is None:
-            return LocalFactor(prime=f, denominator=(one, -a), provenance="rank1-formula")
-        return LocalFactor(prime=f, denominator=(one, -a, f.scale(mu)), provenance="rank2-charpoly")
+            return LocalFactor(f, (one, -a), "rank1-formula")
+        return LocalFactor(f, (one, -a, f.scale(mu)), "rank2-charpoly")
     raise TypeError(f"no local factor dispatch for {type(obj).__name__}")
 
 

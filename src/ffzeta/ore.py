@@ -861,7 +861,8 @@ def frobenius_charpoly(phi: DrinfeldModule, f: Poly):
             return f.scale(field_r.inv(norm(f, residues[1]))), None
     elif t == 1:
         num, den = good_model(phi, f)[1][1]
-        n_num, n_den = (field_r.pow_(x.lc(), f.deg) if x.is_constant() else norm(f, x) for x in (num, den))
+        n_num = field_r.pow_(num.lc(), f.deg) if num.is_constant() else norm(f, num)
+        n_den = field_r.pow_(den.lc(), f.deg) if den.is_constant() else norm(f, den)
         return f.scale(field_r.mul(n_den, field_r.inv(n_num))), None
     else:
         residues = good_model_residues(phi, f)[1]

@@ -242,6 +242,8 @@ class Poly:
         return Poly(self.field, pk_sub(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "Poly":
+        if self.field.p == 2:  # -x = x, and a Poly is immutable
+            return self
         return Poly(self.field, pk_neg(self.field, self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -325,6 +327,14 @@ class Poly:
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(?:([A-Za-z]\w*)(?:\^(\d+))?)?$")
 
+# The parser builds a dense coefficient list of (largest exponent + 1)
+# entries, 8 bytes each: 128 MB at this bound.  A larger exponent is refused
+# before anything is allocated, where it would otherwise end in a
+# MemoryError (or, past 4300 digits, in int()'s ValueError).  Primes, betas
+# and eigenvalues of desk size have degree well below it.
+PARSE_DEGREE_LIMIT = 1 << 24
+_LIMIT_DIGITS = len(str(PARSE_DEGREE_LIMIT))
+
 
 def poly_from_string(field, text: str) -> Poly:
     """Parse the canonical encoding; raises ParseError with position."""
@@ -339,15 +349,22 @@ def poly_from_string(field, text: str) -> Poly:
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ParseError(text, pos, f"bad term {chunk!r}")
-        ci = int(m.group(1)) if m.group(1) is not None else 1
-        if m.group(2) is None:
+        digits, name, exponent = m.groups()
+        if name is None:
             e = 0
         else:
-            if m.group(2) != "T":
-                raise ParseError(text, pos, f"unknown variable {m.group(2)!r}")
-            e = int(m.group(3)) if m.group(3) is not None else 1
-        if ci >= field.q:
-            raise ParseError(text, pos, f"coefficient {ci} out of range 0..{field.q - 1}")
+            if name != "T":
+                raise ParseError(text, pos, f"unknown variable {name!r}")
+            e = 1
+            if exponent is not None:
+                # compared by length first, so int() never sees thousands of digits
+                if len(exponent.lstrip("0")) > _LIMIT_DIGITS or int(exponent) > PARSE_DEGREE_LIMIT:
+                    raise ParseError(text, pos, f"exponent in {chunk!r} exceeds the bound"
+                                                f" PARSE_DEGREE_LIMIT = {PARSE_DEGREE_LIMIT}")
+                e = int(exponent)
+        if digits is not None and (len(digits.lstrip("0")) > len(str(field.q)) or int(digits) >= field.q):
+            raise ParseError(text, pos, f"coefficient {digits} out of range 0..{field.q - 1}")
+        ci = int(digits) if digits is not None else 1
         coeffs[e] = field.add(coeffs.get(e, field.zero), ci)
         pos += len(chunk) + 1
     out = [field.zero] * (max(coeffs) + 1)

@@ -100,12 +100,11 @@ def test_serialization_spans_are_reached(capsys, monkeypatch, argv):
     assert calls == {name: int(name == fmt) for name in calls}
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_special_rows_reach_the_row_spans_once(capsys, monkeypatch, fmt):
-    """The tracer times ``lseries.special`` per row (its p50 and tail) and
-    ``cli.special_to_string`` per row: each row of ``special`` must call
-    both boundaries exactly once, or those metrics change their meaning."""
-    calls = {"lseries.special": 0, "cli.special_to_string": 0}
+def _count_spans(monkeypatch, names) -> dict:
+    """Span name -> calls of its boundary, counted by wrappers patched where
+    the tracer patches: on the class, or in every namespace that binds the
+    function."""
+    calls = dict.fromkeys(names, 0)
     modules = [m for n, m in sys.modules.items() if n == "ffzeta" or n.startswith("ffzeta.")]
     for name, modname, qualname, _ in _boundaries():
         if name not in calls:
@@ -120,15 +119,36 @@ def test_special_rows_reach_the_row_spans_once(capsys, monkeypatch, fmt):
             calls[_name] += 1
             return _real(*args)
 
-        # patched where the tracer patches: on the class, or in every
-        # namespace that binds the function
         for space in [owner] if owner_name else modules:
             for bound, value in list(vars(space).items()):
                 if value is real:
                     monkeypatch.setattr(space, bound, counting)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_special_rows_reach_the_row_spans_once(capsys, monkeypatch, fmt):
+    """The tracer times ``lseries.special`` per row (its p50 and tail) and
+    ``cli.special_to_string`` per row: each row of ``special`` must call
+    both boundaries exactly once, or those metrics change their meaning."""
+    calls = _count_spans(monkeypatch, ("lseries.special", "cli.special_to_string"))
     assert ffzeta.cli.main(["special", "--r", "3", "--i", "5..40", "--format", fmt]) == 0
     capsys.readouterr()
     assert calls == {name: 36 for name in calls}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("obj,r,dmax", [("cbeta:(T+1)/T", "2", 5), ("carlitz", "3", 3), ("rank2:T,1", "3", 2)])
+def test_lfactors_rows_reach_the_row_spans_once(capsys, monkeypatch, fmt, obj, r, dmax):
+    """The tracer times ``lseries.local_factor`` per row (its p50 and tail),
+    and ``ore.charpoly`` and ``cli.denominator_string`` per call: each prime
+    of ``lfactors`` must call each of them exactly once."""
+    calls = _count_spans(monkeypatch, ("lseries.local_factor", "ore.charpoly", "cli.denominator_string"))
+    argv = ["lfactors", obj, "--r", r, "--dmax", str(dmax), "--format", fmt]
+    assert ffzeta.cli.main(argv) == 0
+    capsys.readouterr()
+    primes = len(monic_irreducibles(field_make(int(r), 1), dmax))
+    assert calls == {name: primes for name in calls}
 
 
 def _import_from(module, name):

@@ -366,6 +366,19 @@ def test_classify_non_utf8_file_exits_2(capsys, tmp_path):
     assert err.startswith("error:") and str(eigen) in err
 
 
+def test_huge_exponent_exits_2(capsys, tmp_path):
+    # a parsed exponent past poly.PARSE_DEGREE_LIMIT is refused before its
+    # coefficient list is allocated, not with a MemoryError traceback
+    code, out, err = run(capsys, "lfactors", "cbeta:T^99999999999", "--r", "3", "--dmax", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exponent" in err
+    eigen = tmp_path / "eigen.csv"
+    eigen.write_text("T,T^99999999999\nT+1,T+1\n")
+    code, out, err = run(capsys, "classify", str(eigen), "--r", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exponent" in err
+
+
 def test_classify_repeated_prime_exits_2(capsys, tmp_path):
     # without its third line the file is ClassIITranslate; a repeat of T,
     # even written another way, must not silently overwrite the first value

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ffzeta.errors import BoundExceeded, NotPrime, Unsupported
@@ -9,6 +11,9 @@ from ffzeta.ffield import (
     pk_lex_irreducible,
     pk_mod,
     pk_mul,
+    pk_neg,
+    pk_scale,
+    pk_trim,
 )
 
 
@@ -168,3 +173,31 @@ def test_rabin_counts_irreducibles_by_gauss_formula(p, m):
             accepted += pk_irreducible_rabin(F, tail + [F.one])
         gauss = sum(_mobius(d) * q ** (e // d) for d in range(1, e + 1) if e % d == 0) // e
         assert accepted == gauss, (q, e)
+
+
+def _kernel_fields():
+    F2 = field_make(2, 1)
+    yield field_make(3, 1)
+    yield field_make(13, 1)
+    for p, m in ((2, 2), (3, 2), (2, 4)):  # tabled: q^2 <= TABLE_LIMIT
+        yield field_make(p, m)
+    # an untabled residue field A/(f) over F_2, deg f = 9: q = 512
+    yield FiniteField(F2, pk_lex_irreducible(F2, 9), check=False)
+
+
+@pytest.mark.parametrize("F", list(_kernel_fields()), ids=lambda F: f"F{F.q}")
+def test_neg_and_scale_kernels_match_per_element_methods(F):
+    rng = random.Random(F.q)
+    lists = [[]] + [pk_trim(F, [rng.randrange(F.q) for _ in range(n)]) for n in (1, 2, 5, 9)]
+    scalars = [0, 1] + [rng.randrange(1, F.q) for _ in range(4)]
+    for a in lists:
+        assert pk_neg(F, a) == [F.neg(x) for x in a]
+        for c in scalars:
+            assert pk_scale(F, a, c) == pk_trim(F, [F.mul(x, c) for x in a])
+
+
+def test_neg_kernel_builds_no_tables():
+    # F.neg never builds operation tables, and neither may pk_neg
+    F9 = FiniteField(3, lex_least_modulus(3, 2), check=False)
+    assert pk_neg(F9, [1, 5, 8]) == [F9.neg(x) for x in (1, 5, 8)]
+    assert F9._ops is None

@@ -52,6 +52,19 @@ def test_parse_errors_carry_position():
         poly_from_string(F2, "5*T")  # coefficient out of range
 
 
+def test_parse_refuses_an_exponent_past_the_limit():
+    # refused before the dense coefficient list is built: 10^11 entries
+    # cannot be allocated, and a 5000-digit number cannot even be converted
+    limit = poly_module.PARSE_DEGREE_LIMIT
+    for text in ("T^99999999999", f"T^{limit + 1}", f"T+T^{limit + 1}+1", "T^" + "9" * 5000):
+        with pytest.raises(ParseError, match="exponent"):
+            poly_from_string(F3, text)
+    with pytest.raises(ParseError, match="T\\^99999999999"):
+        poly_from_string(F3, "T+T^99999999999")
+    with pytest.raises(ParseError, match="out of range"):
+        poly_from_string(F3, "9" * 5000 + "*T")
+
+
 def test_zero_poly_degree_sentinel():
     z = Poly.zero(F2)
     assert z.deg == -1
