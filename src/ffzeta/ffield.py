@@ -247,6 +247,14 @@ class FiniteField:
             return 0
         return self._slow_mul(a, b)
 
+    def mul_row(self, c: int):
+        """Row c of the product table, ``mul_row(c)[a] == mul(a, c)``, built
+        as the first product builds it; None for a field that multiplies
+        without tables (m = 1, or q > 2^8)."""
+        if self._tabled:
+            return (self._ops or self.ops())[1][c]
+        return None
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -326,13 +334,12 @@ def field_make(p: int, m: int, bound: int = DEFAULT_R_BOUND) -> FiniteField:
 # generic polynomial kernels over an arbitrary field object ("polykit")
 #
 # Coefficient lists are low degree first with no trailing zeros.  pk_neg and
-# pk_scale choose F's arithmetic once per call, not per coefficient: ints
-# mod p when m = 1, else the rows of ``ops()`` (``neg``, ``mul[c]``) for a
-# tabled field.  pk_neg reads ``neg`` only once the tables exist, because
-# F.neg builds none (at p = 2 it copies the list: -x = x).  The per-element
-# methods stay for untabled towers (q > 2^8, m > 1), the residue fields and
-# extensions that the torsion and null-space oracles multiply in, and for
-# pk_neg on a tabled field before its first product.
+# pk_scale choose F's arithmetic once per call, not per coefficient: both
+# take ints mod p when m = 1, and pk_scale indexes ``F.mul_row(c)`` for a
+# tabled field.  Every other field keeps the per-element methods: pk_neg
+# calls F.neg, which builds no tables, at every m > 1, and pk_scale calls
+# F.mul on untabled towers (q > 2^8, m > 1), the residue fields and
+# extensions that the torsion and null-space oracles multiply in.
 
 
 def pk_trim(F, c):
@@ -356,11 +363,6 @@ def pk_neg(F, a):
     if F.m == 1:
         p = F.p
         return [-x % p for x in a]
-    if F.p == 2:
-        return list(a)
-    if F._ops is not None:  # F.neg builds no tables, so neither does this
-        neg = F._ops[2]
-        return [neg[x] for x in a]
     return [F.neg(x) for x in a]
 
 
@@ -389,8 +391,8 @@ def pk_scale(F, a, c):
     if F.m == 1:
         p = F.p
         return [x * c % p for x in a]
-    if F._tabled:  # the first product of F.mul would build the tables too
-        row = (F._ops or F.ops())[1][c]
+    row = F.mul_row(c)
+    if row is not None:
         return [row[x] for x in a]
     return [F.mul(x, c) for x in a]
 

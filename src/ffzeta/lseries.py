@@ -656,9 +656,9 @@ class LocalFactor(Record):
     __slots__ = ("prime", "denominator", "provenance")
 
     def __init__(self, prime: Poly, denominator: tuple, provenance: str):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "denominator", denominator)  # u-coefficients (Polys in T), constant term 1
-        object.__setattr__(self, "provenance", provenance)
+        _set_prime(self, prime)
+        _set_denominator(self, denominator)  # u-coefficients (Polys in T), constant term 1
+        _set_provenance(self, provenance)
 
     def denominator_string(self) -> str:
         texts = ["0" if c.is_zero() else c.to_string() for c in self.denominator]
@@ -674,6 +674,11 @@ class LocalFactor(Record):
                 acc = acc + self.denominator[j] * out[k - j]
             out.append(-acc)
         return out
+
+
+# the slots' own setters, one per row field: they pass Record's read-only
+# __setattr__ without object.__setattr__'s lookup of the field by name
+_set_prime, _set_denominator, _set_provenance = (vars(LocalFactor)[name].__set__ for name in LocalFactor.__slots__)
 
 
 class ZetaA:

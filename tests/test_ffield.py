@@ -190,6 +190,8 @@ def test_neg_and_scale_kernels_match_per_element_methods(F):
     rng = random.Random(F.q)
     lists = [[]] + [pk_trim(F, [rng.randrange(F.q) for _ in range(n)]) for n in (1, 2, 5, 9)]
     scalars = [0, 1] + [rng.randrange(1, F.q) for _ in range(4)]
+    tabled = F.m > 1 and F.q <= 256
+    assert F.mul_row(1) == (list(range(F.q)) if tabled else None)
     for a in lists:
         assert pk_neg(F, a) == [F.neg(x) for x in a]
         for c in scalars:

@@ -63,6 +63,16 @@ def test_parse_refuses_an_exponent_past_the_limit():
         poly_from_string(F3, "T+T^99999999999")
     with pytest.raises(ParseError, match="out of range"):
         poly_from_string(F3, "9" * 5000 + "*T")
+    assert poly_from_string(F3, f"T^{limit}").deg == limit
+    # leading zeros count neither toward the bound nor toward int()'s limit
+    zeros = "0" * 5000
+    for text in (f"T^{zeros}{limit + 1}", "T^" + zeros + "9" * 20):
+        with pytest.raises(ParseError, match="exponent"):
+            poly_from_string(F3, text)
+    with pytest.raises(ParseError, match="out of range"):
+        poly_from_string(F3, zeros + "3*T")
+    assert poly_from_string(F3, f"T^{zeros}1") == poly_from_string(F3, "T")
+    assert poly_from_string(F3, f"{zeros}2*T^{zeros}") == poly_from_string(F3, "2")
 
 
 def test_zero_poly_degree_sentinel():
