@@ -26,7 +26,6 @@ from .errors import (
     NotOneUnit,
     NotPrime,
     ParseError,
-    SingularRecursion,
     Unsupported,
     ZeroInput,
 )

@@ -58,6 +58,7 @@ from .ore import carlitz, drinfeld_rank1, drinfeld_rank2
 from .poly import (
     _irreducibles_of_degree,
     is_irreducible,
+    max_degree,
     poly_from_string,
     ratfunc_from_string,
 )
@@ -164,9 +165,9 @@ class PrimeCache:
 
 
 def primes_upto(field, d_max: int, cache_dir, max_enum: int):
-    if field.q**d_max > max_enum:
+    if d_max > max_degree(field.q, max_enum):
         raise BoundExceeded(
-            f"prime enumeration at degree {d_max} needs {field.q**d_max} "
+            f"prime enumeration at degree {d_max} needs {field.q}^{d_max} "
             f"candidates, above max_enum={max_enum}"
         )
     cache = PrimeCache(cache_dir) if cache_dir else None
@@ -189,6 +190,13 @@ def primes_upto(field, d_max: int, cache_dir, max_enum: int):
 # ---------------------------------------------------------------------------
 # object-spec parsing for lfactors
 
+# The largest n of tensorpower:n.  Each eigenvalue of (T - theta)^n is a
+# resultant whose T-degree grows with n, and the cost with it: end to end,
+# --r 3 --dmax 2 took 2.7 s at n = 256 and 12 s at n = 512 (0.16 s and
+# 0.49 s at --r 2).  A larger n is refused before (T - theta)^n is formed;
+# the tests and the goldens use n <= 5.
+TENSOR_POWER_LIMIT = 256
+
 
 def parse_object_spec(field, text: str):
     if text == "carlitz":
@@ -208,7 +216,9 @@ def parse_object_spec(field, text: str):
             raise ParseError(text, len("tensorpower:"), "expected an integer") from None
         if n < 1:
             raise ParseError(text, len("tensorpower:"), "power must be >= 1")
-        return carlitz_tensor_power(field, n)[0]
+        if n > TENSOR_POWER_LIMIT:
+            raise ParseError(text, len("tensorpower:"), f"power exceeds the bound TENSOR_POWER_LIMIT = {TENSOR_POWER_LIMIT}")
+        return carlitz_tensor_power(field, n)
     if text.startswith("rank2:"):
         body = text[len("rank2:") :]
         parts = body.split(",")

@@ -75,10 +75,6 @@ class NotCyclic(FFZetaError):
     """Point module is not cyclic; flags a bug or a genuine counterexample."""
 
 
-class SingularRecursion(FFZetaError):
-    pass
-
-
 class NonConvergent(FFZetaError):
     pass
 

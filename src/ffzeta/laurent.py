@@ -6,9 +6,10 @@ every operation carries the minimum justified precision of its inputs
 (adjusted for valuation shifts) and never fabricates digits.  Exact
 values (polynomials in T, finite sums) carry infinite precision.
 
-The characteristic-p special case matters in two places: r-th powers are
-exact coefficient-wise Frobenius (and multiply precision by r), and
-1-unit powers u^y depend on the exponent only mod p^M up to t^(p^M).
+The characteristic-p special case matters in two places: an r-th power,
+r a power of q, only spreads the coefficients, t -> t^r (c^r = c on F_q),
+and multiplies precision by r; and 1-unit powers u^y depend on the
+exponent only mod p^M up to t^(p^M).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotAPower, NotOneUnit, ZeroInput
-from .poly import Poly, RatFunc, binary_power
+from .poly import Poly, RatFunc, binary_power, is_power_of
 
 INF = math.inf
 
@@ -32,15 +33,8 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
         v = binom_mod_p(k - n - 1, k, p)
         return (-v) % p if k % 2 else v
     out = 1
-    while k:
-        ni, ki = n % p, k % p
-        if ki > ni:
-            return 0
-        num = den = 1
-        for i in range(ki):
-            num = num * (ni - i) % p
-            den = den * (i + 1) % p
-        out = out * num * pow(den, p - 2, p) % p
+    while k and out:
+        out = out * math.comb(n % p, k % p) % p
         n //= p
         k //= p
     return out
@@ -203,14 +197,14 @@ class Laurent:
         return out
 
     def frob_power(self, r: int) -> "Laurent":
-        """Exact r-th power in characteristic p; precision multiplies by r."""
+        """Exact r-th power for r a power of q: c^r = c on F_q, so the
+        coefficients spread, t -> t^r; precision multiplies by r.  Any
+        other r raises ValueError."""
         F = self.field
-        if not self.coeffs:
-            return Laurent.zero(F, self.prec * r if self.prec != INF else INF)
+        if not is_power_of(r, F.q):
+            raise ValueError(f"{r} is not a power of q = {F.q}")
         out = [F.zero] * ((len(self.coeffs) - 1) * r + 1)
-        for i, c in enumerate(self.coeffs):
-            if c != F.zero:
-                out[i * r] = F.pow_(c, r)
+        out[::r] = self.coeffs
         prec = self.prec * r if self.prec != INF else INF
         return Laurent(F, self.val * r, out, prec)
 
@@ -286,7 +280,7 @@ def one_unit_pow(u: Laurent, y, prec=None) -> Laurent:
     cap = INF
     if isinstance(y, tuple):
         y, modulus = y
-        if modulus <= 0 or _not_p_power(modulus, p):
+        if modulus <= 0 or not is_power_of(modulus, p):
             raise ValueError(f"exponent modulus {modulus} is not a power of {p}")
         cap = modulus
         y %= modulus
@@ -316,18 +310,14 @@ def one_unit_pow(u: Laurent, y, prec=None) -> Laurent:
     return out.truncate(prec)
 
 
-def _not_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n != 1
-
-
 def root_pow_r_minus_1(beta: RatFunc, precision: int) -> Laurent:
     """alpha with alpha^(r-1) = beta in F_r((1/T)), or NotAPower.
 
     Exists iff v_infinity(beta) is divisible by r-1 and the 1/T-adic
-    leading coefficient is an (r-1)-st power in F_r^*; the unit part is
-    handled by the binomial series at the exponent 1/(r-1) inverted in Z_p.
+    leading coefficient is an (r-1)-st power in F_r^*.  That group is
+    cyclic of order r-1, so its only (r-1)-st power is 1, and alpha is
+    T^(-v/(r-1)) times the binomial series of the 1-unit beta T^v at the
+    exponent 1/(r-1) inverted in Z_p.
     """
     if beta.is_zero():
         raise ZeroInput("beta must be nonzero")
@@ -336,30 +326,22 @@ def root_pow_r_minus_1(beta: RatFunc, precision: int) -> Laurent:
     p = F.p
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    if r == 2:
-        # r - 1 = 1: everything is trivially a first power
-        return Laurent.from_ratfunc(beta, precision)
     v = beta.v_infinity()
     if v % (r - 1) != 0:
         raise NotAPower(
             f"valuation v_infinity = {v} is not divisible by r-1 = {r - 1}"
         )
     c = beta.leading_unit()
-    a = next((x for x in range(1, r) if F.pow_(x, r - 1) == c), None)
-    if a is None:
+    if c != F.one:
         raise NotAPower(f"leading coefficient {c} is not an (r-1)-st power in F_{r}^*")
     vp = v // (r - 1)
     unit_prec = precision - vp
     if unit_prec <= 0:
-        return Laurent(F, vp, (a,), precision)
+        return Laurent.t_power(F, vp, precision)
     # exponent 1/(r-1) in Z_p, truncated so the series is exact mod t^unit_prec
-    M = 1
-    while p**M < unit_prec:
-        M += 1
-    pM = p**M
+    pM = p
+    while pM < unit_prec:
+        pM *= p
     y0 = pow(r - 1, -1, pM)
-    beta_l = Laurent.from_ratfunc(beta, v + unit_prec)
-    u = beta_l.shift(-v).scale(F.inv(c))
-    unit_root = one_unit_pow(u.truncate(unit_prec), (y0, pM), unit_prec)
-    alpha = unit_root.shift(vp).scale(a)
-    return alpha.truncate(precision)
+    u = Laurent.from_ratfunc(beta, v + unit_prec).shift(-v)
+    return one_unit_pow(u.truncate(unit_prec), (y0, pM), unit_prec).shift(vp).truncate(precision)

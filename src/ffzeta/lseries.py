@@ -51,8 +51,8 @@ from .errors import (
 from .errors import BadPrime, BadReduction, Record
 from .laurent import INF, Laurent, one_unit_pow
 from .ore import DrinfeldModule, frobenius_charpoly
-from .poly import Poly, monic_irreducibles, monic_polys, terms_string
-from .sheaf import TauSheafRank1, frobenius_eigenvalue
+from .poly import Poly, monic_irreducibles, monic_polys, split_valuation, terms_string
+from .sheaf import TauSheafRank1, carlitz_tensor_power, frobenius_eigenvalue, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +98,9 @@ def a_pow_s(a: Poly, s: SInfinityPoint) -> Laurent:
         raise ZeroInput("a must be nonzero")
     if not a.is_monic():
         raise ValueError("a must be monic")
-    field_r = a.field
     d = a.deg
-    xs = s.x**d
     unit = Laurent.from_poly(a).shift(d)  # <a>, a 1-unit
-    if isinstance(s.y, tuple) or s.y != 0:
-        unit_pow = one_unit_pow(unit, s.y)
-    else:
-        unit_pow = Laurent.one(field_r)
-    return xs * unit_pow
+    return s.x**d * one_unit_pow(unit, s.y)
 
 
 # ---------------------------------------------------------------------------
@@ -742,22 +736,19 @@ def euler_product_symbolic(obj, field_r, i: int, d_max: int, enum_bound: int = 4
     Returns (euler_coeffs, dirichlet_coeffs): coefficient lists of x^-e,
     e <= d_max, as elements of A.  The Euler side multiplies the expanded
     local factors of primes of degree <= d_max; the Dirichlet side sums
-    c_n * n^i over monic n directly.  They agree for every e <= d_max.
+    c_n * n^i over monic n directly, with c_n read from the same factors
+    (``_dirichlet_terms``).  They agree for every e <= d_max.
     """
     primes = monic_irreducibles(field_r, d_max, enum_bound=enum_bound) if d_max >= 1 else []
     zero, one = Poly.zero(field_r), Poly.one(field_r)
     # euler side: product of sum_j c_{f^j} f^{ij} x^{-j deg f}
     euler = [one] + [zero] * d_max
     factor_cache = {f: local_factor(obj, f).inverse_series(d_max // f.deg + 1) for f in primes}
-    for f in primes:
-        n_terms = d_max // f.deg + 1
-        series = factor_cache[f]
+    for f, series in factor_cache.items():
         fi = f**i
         factor = [zero] * (d_max + 1)
-        factor[0] = one
-        for jj in range(1, n_terms):
-            if jj * f.deg <= d_max:
-                factor[jj * f.deg] = series[jj] * fi**jj
+        for jj, c in enumerate(series):  # jj * deg f <= d_max by the series' length
+            factor[jj * f.deg] = c * fi**jj
         new = [zero] * (d_max + 1)
         for a_deg in range(d_max + 1):
             if euler[a_deg].is_zero():
@@ -767,38 +758,27 @@ def euler_product_symbolic(obj, field_r, i: int, d_max: int, enum_bound: int = 4
                     new[a_deg + b_deg] = new[a_deg + b_deg] + euler[a_deg] * factor[b_deg]
         euler = new
     # dirichlet side: c_n * n^i summed over monic n of degree e
-    dirichlet = [one if e == 0 else zero for e in range(d_max + 1)]
-    for e in range(1, d_max + 1):
-        acc = zero
-        for n in monic_polys(field_r, e):
-            c_n = _dirichlet_coefficient(n, primes, factor_cache)
-            if c_n is None or c_n.is_zero():
-                continue
-            acc = acc + c_n * n**i
-        dirichlet[e] = acc
+    dirichlet = [one] + [zero] * d_max
+    for n, c_n in _dirichlet_terms(field_r, primes, factor_cache, d_max):
+        dirichlet[n.deg] = dirichlet[n.deg] + c_n * n**i
     return euler, dirichlet
 
 
-def _dirichlet_coefficient(n: Poly, primes, factor_cache):
-    """c_n = prod c_{f^e} over the factorization of n (primes given)."""
-    c = Poly.one(n.field)
-    rest = n
-    for f in primes:
-        if rest.deg < f.deg:
-            break
-        mult = 0
-        while True:
-            q, r = divmod(rest, f)
-            if r.is_zero():
-                rest = q
-                mult += 1
-            else:
-                break
-        if mult:
-            c = c * factor_cache[f][mult]
-    if rest.deg > 0:
-        return None  # a prime factor above the cutoff; not representable
-    return c
+def _dirichlet_terms(field_r, primes, factor_cache, d_max: int):
+    """(n, c_n) for the monic n of degree 1..d_max with c_n != 0, where
+    c_n = prod c_{f^e} over n = prod f^e.  Every prime factor of such an n
+    has degree <= d_max, so it is among ``primes`` (sorted by degree)."""
+    for e in range(1, d_max + 1):
+        for n in monic_polys(field_r, e):
+            c, rest = Poly.one(field_r), n
+            for f in primes:
+                if rest.deg < f.deg:
+                    break
+                mult, rest = split_valuation(rest, f)
+                if mult:
+                    c = c * factor_cache[f][mult]
+            if not c.is_zero():
+                yield n, c
 
 
 def euler_product(obj, field_r, s: SInfinityPoint, d_max: int, prec: int = 20):
@@ -836,12 +816,8 @@ def euler_product(obj, field_r, s: SInfinityPoint, d_max: int, prec: int = 20):
     # Dirichlet side
     factor_cache = {f: lf.inverse_series(d_max // f.deg + 1) for f, lf in factors.items()}
     dirichlet = Laurent.one(field_r, prec=INF)
-    for e in range(1, d_max + 1):
-        for n in monic_polys(field_r, e):
-            c_n = _dirichlet_coefficient(n, primes, factor_cache)
-            if c_n is None or c_n.is_zero():
-                continue
-            dirichlet = dirichlet + Laurent.from_poly(c_n) * a_pow_s(n, neg_s)
+    for n, c_n in _dirichlet_terms(field_r, primes, factor_cache, d_max):
+        dirichlet = dirichlet + Laurent.from_poly(c_n) * a_pow_s(n, neg_s)
     dirichlet = dirichlet.truncate(prec)
     agreement = min(prec, (d_max + 1) * kappa)
     return product, dirichlet, agreement
@@ -864,12 +840,9 @@ class TranslateReport(Record):
 
 def translate_identity_check(sheaf: TauSheafRank1, i: int, primes) -> TranslateReport:
     """Check eigenvalue(F (x) C^{(x)i}, f) = eigenvalue(F, f) * f^i per prime."""
-    from .sheaf import carlitz_tensor_power, tensor
-
     if i < 0:
         raise ValueError("i must be nonnegative")
-    field_r = sheaf.field_r
-    twisted = sheaf if i == 0 else tensor(sheaf, carlitz_tensor_power(field_r, i)[0])
+    twisted = sheaf if i == 0 else tensor(sheaf, carlitz_tensor_power(sheaf.field_r, i))
     rows = []
     violations = []
     for f in primes:

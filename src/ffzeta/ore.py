@@ -34,7 +34,6 @@ from .errors import (
     BoundExceeded,
     DomainMismatch,
     NotCyclic,
-    SingularRecursion,
     ZeroInput,
 )
 from .ffield import FiniteField, f2_mod, f2_mul, f2_square, pk_lex_irreducible
@@ -905,10 +904,6 @@ class Mat:
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
 
-    @property
-    def n(self):
-        return len(self.rows)
-
     @classmethod
     def identity(cls, field_r, n: int) -> "Mat":
         one, zero = RatFunc.one(field_r), RatFunc.zero(field_r)
@@ -920,11 +915,8 @@ class Mat:
     def __sub__(self, o: "Mat") -> "Mat":
         return Mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, o.rows)])
 
-    def __neg__(self) -> "Mat":
-        return Mat([[-a for a in r] for r in self.rows])
-
     def __mul__(self, o: "Mat") -> "Mat":
-        n = self.n
+        n = len(self.rows)
         return Mat(
             [
                 [_dot(self.rows[i], [o.rows[k][j] for k in range(n)]) for j in range(n)]
@@ -988,7 +980,9 @@ def exp_coefficients(module, n_terms: int):
 
     Solves exp(psi_* x) = psi_T(exp(x)) degree by degree; Q_0 is the
     identity.  Drinfeld modules over the rational domain give exact
-    rational Q_i; Carlitz tensor powers give matrix coefficients.
+    rational Q_i, each over theta^(r^i) - theta, which is nonzero for
+    i >= 1; Carlitz tensor powers give matrix coefficients, solved entry by
+    entry (``_exp_matrix``).
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -1011,38 +1005,32 @@ def _exp_scalar(phi: DrinfeldModule, n_terms: int):
         rhs = RatFunc.zero(field_r)
         for j in range(1, min(phi.rank, n) + 1):
             rhs = rhs + a[j] * Q[n - j].frob_power(r**j)
-        den = theta ** (r**n) - theta
-        if den.is_zero():
-            raise SingularRecursion(f"theta^(r^{n}) - theta vanished")
-        Q.append(rhs / den)
+        Q.append(rhs / (theta ** (r**n) - theta))
     return Q
 
 
 def _exp_matrix(module: TModuleCarlitzPower, n_terms: int):
+    """Q_i (theta^(r^i) - theta) = V Q_{i-1}^(r) + N Q_i - Q_i N, N = theta_mat - theta I.
+
+    N is the superdiagonal of ones, so (N Q)[a][b] = Q[a+1][b] and
+    (Q N)[a][b] = Q[a][b-1]: entry (a, b) needs only (a+1, b) and (a, b-1),
+    and the rows are solved bottom first, each from the left.
+    """
     field_r = module.field_r
     r = field_r.q
     n = module.n
     theta = RatFunc.gen(field_r)
-    theta_mat = module.theta_mat
-    N = theta_mat - Mat.identity(field_r, n).scale(theta)
-    V = module.v_mat
+    zero = RatFunc.zero(field_r)
     Q = [Mat.identity(field_r, n)]
     for i in range(1, n_terms):
-        rhs = V * Q[i - 1].frob_power(r)
-        den = theta ** (r**i) - theta
-        inv_den = RatFunc.one(field_r) / den
-        # solve Q*(theta^(r^i) I + N) - (theta I + N) Q = rhs by nilpotent
-        # fixed-point iteration: Q = (rhs + N Q - Q N^(entrywise r^i)) / den
-        N_high = N  # entrywise powers of 0/1 entries leave N unchanged
-        X = rhs.scale(inv_den)
-        for _ in range(2 * n + 2):
-            X_new = (rhs + N * X - X * N_high).scale(inv_den)
-            if X_new == X:
-                break
-            X = X_new
-        else:
-            raise SingularRecursion("matrix exponential iteration did not stabilize")
-        Q.append(X)
+        rhs = (module.v_mat * Q[i - 1].frob_power(r)).rows
+        inv_den = RatFunc.one(field_r) / (theta ** (r**i) - theta)
+        rows = [[zero] * n for _ in range(n + 1)]  # rows[n]: the zeros below Q_i
+        for a in range(n - 1, -1, -1):
+            left = zero
+            for b in range(n):
+                left = rows[a][b] = (rhs[a][b] + rows[a + 1][b] - left) * inv_den
+        Q.append(Mat(rows[:n]))
     return Q
 
 

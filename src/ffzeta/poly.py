@@ -288,14 +288,16 @@ class Poly:
         return pk_eval(self.field, self.coeffs, x)
 
     def frob_power(self, r: int) -> "Poly":
-        """Exact r-th power: (sum a_i X^i)^r = sum a_i^r X^(i*r) in char p."""
+        """Exact r-th power for r a power of q: c^r = c on F_q, so
+        (sum a_i T^i)^r = sum a_i T^(i*r), a spread of the coefficients.
+        Any other r raises ValueError."""
         F = self.field
+        if not is_power_of(r, F.q):
+            raise ValueError(f"{r} is not a power of q = {F.q}")
         if self.is_zero():
             return self
         out = [F.zero] * (self.deg * r + 1)
-        for i, c in enumerate(self.coeffs):
-            if c != F.zero:
-                out[i * r] = F.pow_(c, r)
+        out[::r] = self.coeffs
         return Poly(F, out)
 
     # -- comparisons / hashing ---------------------------------------------------
@@ -417,6 +419,22 @@ def split_valuation(a: Poly, prime: Poly) -> tuple[int, Poly]:
 # monic irreducibles over F_r[T]
 
 
+def is_power_of(n: int, base: int) -> bool:
+    """n = base^k for some k >= 0."""
+    while n > 1 and n % base == 0:
+        n //= base
+    return n == 1
+
+
+def max_degree(q: int, bound: int) -> int:
+    """The largest d with q^d <= bound (-1 below 1), by multiplying up from
+    1, so no power far past the bound is formed."""
+    d, power = -1, 1
+    while power <= bound:
+        d, power = d + 1, power * q
+    return d
+
+
 def monic_polys(field, d: int):
     """All monic polynomials of degree d, by ascending code q^d ... 2q^d - 1."""
     qd = field.q**d
@@ -482,9 +500,9 @@ def monic_irreducibles(field, d_max: int, enum_bound: int = 4096) -> list[Poly]:
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    if field.q**d_max > enum_bound:
+    if d_max > max_degree(field.q, enum_bound):
         raise BoundExceeded(
-            f"enumerating degree {d_max} over F_{field.q} needs {field.q**d_max} "
+            f"enumerating degree {d_max} over F_{field.q} needs {field.q}^{d_max} "
             f"candidates > bound {enum_bound}"
         )
     out = []

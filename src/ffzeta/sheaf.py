@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .errors import BadPrime, NotAPower, NotAUnitModV, Record, ZeroInput
 from .laurent import Laurent, root_pow_r_minus_1
-from .ore import TModuleCarlitzPower
 from .poly import BivPoly, Poly, RatFunc, norm, poly_gcd, resultant
 
 
@@ -87,19 +86,15 @@ def tensor(s1: TauSheafRank1, s2: TauSheafRank1) -> TauSheafRank1:
     return TauSheafRank1(s1.field_r, s1.num * s2.num, s1.den * s2.den)
 
 
-def carlitz_tensor_power(field_r, n: int):
-    """The n-th tensor power: the sheaf (T-theta)^n and its matrix T-module.
+def carlitz_tensor_power(field_r, n: int) -> TauSheafRank1:
+    """The sheaf of the n-th Carlitz tensor power C^(x)n: g = (T-theta)^n.
 
-    For n = 1 both presentations collapse to the Carlitz module; the sheaf
-    equality is asserted as the consistency anchor.
+    Its T-module, with the matrix exponential, is
+    ``ore.TModuleCarlitzPower(field_r, n)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    sheaf = TauSheafRank1(field_r, t_minus_theta(field_r) ** n)
-    module = TModuleCarlitzPower(field_r, n)
-    if n == 1:
-        assert sheaf == carlitz_sheaf(field_r)
-    return sheaf, module
+    return TauSheafRank1(field_r, t_minus_theta(field_r) ** n)
 
 
 class GaloisCharacterValue(Record):
@@ -172,8 +167,6 @@ def class_I_test(beta: RatFunc, precision: int = 20) -> ClassIResult:
     and C^(beta) becomes isomorphic to the Carlitz module over the
     completion.  The certificate is the truncated root alpha.
     """
-    if beta.is_zero():
-        raise ZeroInput("beta must be nonzero")
     try:
         alpha = root_pow_r_minus_1(beta, precision)
     except NotAPower as exc:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -377,6 +378,37 @@ def test_huge_exponent_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "classify", str(eigen), "--r", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "exponent" in err
+
+
+def _run_limited(*argv):
+    """The CLI in a child under a 1 GB address-space limit and a 5 s timeout."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ffzeta.__file__).resolve().parents[1]))
+    limit = (1 << 30, 1 << 30)
+    try:
+        return subprocess.run([sys.executable, "-m", "ffzeta.cli", *argv], env=env, capture_output=True, text=True,
+                              timeout=5, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"ffzeta {' '.join(argv)} still ran after 5 s")
+
+
+def test_huge_dmax_exits_2_before_the_power():
+    # q^dmax is never formed: dmax is compared with the largest degree that
+    # max_enum admits, and the message does not print the power
+    done = _run_limited("lfactors", "carlitz", "--r", "3", "--dmax", "99999999999")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:") and "max_enum=4096" in done.stderr
+    assert len(done.stderr) < 200, done.stderr
+
+
+def test_huge_tensor_power_exits_2(capsys):
+    # (T - theta)^n is refused past cli.TENSOR_POWER_LIMIT, before it is formed
+    done = _run_limited("lfactors", "tensorpower:99999999999", "--r", "3", "--dmax", "1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error:") and "TENSOR_POWER_LIMIT" in done.stderr
+    limit = cli.TENSOR_POWER_LIMIT
+    assert run(capsys, "lfactors", f"tensorpower:{limit}", "--dmax", "1")[0] == 0
+    code, out, err = run(capsys, "lfactors", f"tensorpower:{limit + 1}", "--dmax", "1")
+    assert (code, out) == (2, "") and "TENSOR_POWER_LIMIT" in err
 
 
 def test_classify_repeated_prime_exits_2(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import struct
@@ -13,11 +14,12 @@ from ffzeta.errors import (
     BoundExceeded,
     InsufficientData,
     NonConvergent,
+    NotAPower,
     Unsupported,
     ZeroInput,
 )
 from ffzeta.ffield import FiniteField, field_make
-from ffzeta.laurent import INF, Laurent
+from ffzeta.laurent import INF, Laurent, binom_mod_p, root_pow_r_minus_1
 from ffzeta.lseries import (
     Classification,
     EigenSystem,
@@ -38,15 +40,24 @@ from ffzeta.lseries import (
     translate_identity_check,
     vadic_congruence_check,
 )
-from ffzeta.ore import carlitz, drinfeld_rank1, drinfeld_rank2
+from ffzeta.ore import TModuleCarlitzPower, carlitz, drinfeld_rank1, drinfeld_rank2, exp_coefficients
 from ffzeta.poly import (
     Poly,
     RatFunc,
     monic_irreducibles,
+    monic_polys,
     poly_from_string,
     ratfunc_from_string,
 )
-from ffzeta.sheaf import GaloisCharacterValue, carlitz_sheaf, carlitz_tensor_power, chi_beta, unit_sheaf
+from ffzeta.sheaf import (
+    GaloisCharacterValue,
+    carlitz_sheaf,
+    carlitz_tensor_power,
+    chi_beta,
+    class_I_test,
+    tensor,
+    unit_sheaf,
+)
 from oracles import DensePowerSumTable, power_sum_enumerated
 
 F2 = field_make(2, 1)
@@ -546,7 +557,7 @@ def test_local_factor_good_after_twist_matches_sheaf_of_twist():
 
 
 def test_local_factor_tensor_power():
-    s, _ = carlitz_tensor_power(F2, 2)
+    s = carlitz_tensor_power(F2, 2)
     for f in monic_irreducibles(F2, 1):
         lf = local_factor(s, f)
         assert lf.denominator == (Poly.one(F2), -(f**2))
@@ -781,3 +792,105 @@ def test_vadic_examples():
 def test_vadic_precondition():
     with pytest.raises(ValueError):
         vadic_congruence_check(F3, 1, 2, 1, 1)
+
+
+# -- analytic-layer digests ----------------------------------------------------------------------
+
+# the CLI's r up to 9: prime and prime-power, odd and even
+ANALYTIC_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def _analytic_betas(field):
+    # (r-1)-st powers and non-powers: leading coefficients 1 and c, valuations
+    # divisible by r - 1 and not
+    T, one, c = Poly.gen(field), Poly.one(field), Poly.const(field, field.q - 1)  # c != 1 once q > 2
+    nums = [one, c, T + one, T ** (field.q - 1) + one, c * T ** (field.q - 1) + T + one, T ** (2 * field.q - 2) + T + c]
+    dens = [one, T + one, T ** (field.q - 1) + c]
+    return [RatFunc(n, d) for n in nums for d in dens]
+
+
+def _analytic_objects(field):
+    T, one = RatFunc.gen(field), RatFunc.one(field)
+    return [ZetaA(field), carlitz(field), drinfeld_rank1(field, (T + one) / T), drinfeld_rank2(field, T, one),
+            tensor(carlitz_sheaf(field), carlitz_sheaf(field))]
+
+
+def _analytic_dmax(field, bound):
+    """The largest d >= 1 with q^d <= bound, or 1."""
+    d = 1
+    while field.q ** (d + 1) <= bound:
+        d += 1
+    return d
+
+
+def _root_reprs(field):
+    for beta in _analytic_betas(field):
+        for prec in (1, 5, 12):
+            try:
+                yield repr(root_pow_r_minus_1(beta, prec))
+            except NotAPower as exc:
+                yield exc.reason
+
+
+def _class_I_reprs(field):
+    for beta in _analytic_betas(field):
+        yield repr(class_I_test(beta))
+
+
+def _a_pow_s_reprs(field):
+    p, c = field.p, field.q - 1
+    points = [SInfinityPoint(Laurent.t_power(field, -1), y) for y in (0, 1, 3, -2, (5, p), (7, p**3))]
+    points.append(SInfinityPoint(Laurent(field, -1, [1, c, 1], prec=10), 2))
+    points.append(SInfinityPoint(Laurent(field, -2, [c, 1], prec=12), (11, p**2)))
+    for d in (1, 2):
+        for a in list(monic_polys(field, d))[:4]:
+            for s in points:
+                yield repr(a_pow_s(a, s))
+
+
+def _exp_reprs(field):
+    n_terms = max(3, _analytic_dmax(field, 16) + 1)
+    for module in [carlitz(field)] + [TModuleCarlitzPower(field, n) for n in (1, 2, 3)]:
+        yield repr(exp_coefficients(module, n_terms))
+
+
+def _euler_symbolic_reprs(field):
+    d_max = _analytic_dmax(field, 64)
+    for obj in _analytic_objects(field):
+        for i in (0, 1, 2):
+            yield repr(euler_product_symbolic(obj, field, i, d_max))
+
+
+def _euler_reprs(field):
+    d_max = _analytic_dmax(field, 16)
+    for obj in _analytic_objects(field):
+        for y in (3, -1):
+            yield repr(euler_product(obj, field, SInfinityPoint(Laurent.t_power(field, -3), y), d_max, prec=8))
+
+
+def _binom_reprs(field):
+    yield repr([binom_mod_p(n, k, field.p) for n in range(-30, 60) for k in range(-1, 40)])
+
+
+# sha256 of the reprs over ANALYTIC_FIELDS, recorded from the implementation
+# that searched F_r^* for the (r-1)-st root of the leading coefficient, raised
+# each coefficient to the r-th power in Frobenius and solved the tensor-power
+# exponential by a fixed-point iteration; they pin the analytic layer, so
+# never regenerate them from the code under test
+ANALYTIC_DIGESTS = [
+    (_root_reprs, "0e5866e37ccae2bdf11d29764e6bc923eb9d52ffbbc379af76b71da7d7428217"),
+    (_class_I_reprs, "da4b78f86b337cd93444a69e844ff03bcbc1a116895d38eb38c5f9ce81108513"),
+    (_a_pow_s_reprs, "aa1b23bb3d9e728ec68bb1a47982277603a9e614a5f5365f659cb195bc72c109"),
+    (_exp_reprs, "98cc6e727e30784ddf2d75df95d3543ae31016b9580f10c927488e94a68e89a4"),
+    (_euler_symbolic_reprs, "6b0e92671496d004a87f74834ce4b453e1d8e1fa07124653efd91291aa0edacd"),
+    (_euler_reprs, "8a3ba6ad80e588422a126c5e7354ed036379d0b3db3257cab4b34e89640a6adb"),
+    (_binom_reprs, "4759744fab5d9a1a3b4a2efbb7bd4d2ba0c9f7cb6cc07abcf9712cf157c491c2"),
+]
+
+
+@pytest.mark.parametrize("reprs,digest", ANALYTIC_DIGESTS, ids=[f.__name__[1:-6] for f, _ in ANALYTIC_DIGESTS])
+def test_analytic_layer_digests(reprs, digest):
+    h = hashlib.sha256()
+    for p, m in ANALYTIC_FIELDS:
+        h.update("\n".join(reprs(field_make(p, m))).encode() + b"\n")
+    assert h.hexdigest() == digest

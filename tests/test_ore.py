@@ -529,11 +529,12 @@ def test_exp_rank2_functional_equation():
 
 
 def test_exp_tensor_square_matrix_case():
-    mod = TModuleCarlitzPower(F2, 2)
-    Q = exp_coefficients(mod, 5)
-    assert Q[0] == Mat.identity(F2, 2)
-    res = exp_functional_equation_residuals(mod, Q)
-    assert all(m.is_zero() for m in res)
+    for n, n_terms in ((2, 5), (4, 4), (5, 4)):
+        mod = TModuleCarlitzPower(F2, n)
+        Q = exp_coefficients(mod, n_terms)
+        assert Q[0] == Mat.identity(F2, n)
+        res = exp_functional_equation_residuals(mod, Q)
+        assert all(m.is_zero() for m in res), n
 
 
 def test_exp_tensor_power_n1_matches_carlitz():

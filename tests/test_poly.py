@@ -227,6 +227,12 @@ def test_frob_power():
     b = a.frob_power(3)
     assert b == P(F3, "T^6+2*T^3+1")
     assert b == a * a * a
+    # r = q^2 spreads by 9; r = p < q is no Frobenius of F_4 and is refused
+    assert a.frob_power(9) == b.frob_power(3) == a**9
+    c = Poly(F4, [2, 0, 1, 3])
+    assert c.frob_power(16) == c.frob_power(4).frob_power(4) == c**16
+    with pytest.raises(ValueError):
+        c.frob_power(2)
 
 
 # -- resultants ---------------------------------------------------------------

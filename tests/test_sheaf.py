@@ -3,7 +3,7 @@ import pytest
 from ffzeta.errors import BadPrime, ZeroInput
 from ffzeta.ffield import FiniteField, field_make, pk_lex_irreducible
 from ffzeta.laurent import Laurent
-from ffzeta.ore import reduce_mod_prime, drinfeld_rank1, frobenius_on_torsion
+from ffzeta.ore import TModuleCarlitzPower, reduce_mod_prime, drinfeld_rank1, frobenius_on_torsion
 from ffzeta.poly import (
     BivPoly,
     Poly,
@@ -53,13 +53,13 @@ def test_sheaf_recipes():
 def test_tensor_examples():
     c = carlitz_sheaf(F3)
     c2 = tensor(c, c)
-    sheaf_sq, _ = carlitz_tensor_power(F3, 2)
+    sheaf_sq = carlitz_tensor_power(F3, 2)
     assert c2 == sheaf_sq
     u = unit_sheaf(F3)
     assert tensor(c, u) == c
     # C^(beta) tensor C^(n-1) = (1/beta)(T-theta)^n
     beta = rf(F3, "(T+1)/T")
-    s = tensor(sheaf_of_drinfeld_rank1(beta), carlitz_tensor_power(F3, 2)[0])
+    s = tensor(sheaf_of_drinfeld_rank1(beta), carlitz_tensor_power(F3, 2))
     expect_num = _t_minus_theta_pow(F3, 3).scale(beta.den)
     expect = TauSheafRank1(F3, expect_num, beta.num)
     assert s == expect
@@ -72,9 +72,8 @@ def _t_minus_theta_pow(field, n):
 
 
 def test_carlitz_tensor_power_n1_is_carlitz():
-    sheaf, module = carlitz_tensor_power(F2, 1)
-    assert sheaf == carlitz_sheaf(F2)
-    assert module.n == 1
+    assert carlitz_tensor_power(F2, 1) == carlitz_sheaf(F2)
+    assert TModuleCarlitzPower(F2, 1).n == 1
 
 
 def test_eigenvalue_carlitz_at_T():
@@ -94,7 +93,7 @@ def test_eigenvalue_tensor_powers_and_root_product_oracle():
     # (T-theta)^n gives f^n; cross-check against explicit root products
     for field in (F2, F3):
         for n in (2, 3):
-            s, _ = carlitz_tensor_power(field, n)
+            s = carlitz_tensor_power(field, n)
             for f in monic_irreducibles(field, 3):
                 val = frobenius_eigenvalue(s, f).value
                 assert val == f**n
